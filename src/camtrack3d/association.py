@@ -2,10 +2,21 @@
 prevention, combinatorial track birth and covariance-threshold death.
 
 Per target and camera, the most likely feature is selected by a likelihood
-that multiplies two cheap indicator gates (image distance, blob area) with
+that multiplies two indicator gates (image distance, blob area) with
 exp(-d) where d is the Mahalanobis distance between the back-projected
-pixel ray and the predicted 3D position. The indicators are evaluated
-first so the ray test only runs for plausible pairings.
+pixel ray and the predicted 3D position.
+
+The hub scores each frame once. :func:`pair_table` projects every target
+through every camera, back-projects every feature and computes the image
+distance and the ray distance of every (target, camera, feature) pair in
+a fixed number of array operations. Assignment (:func:`assign`), merge
+prevention (:func:`resolve_shared`) and the birth search's claim test
+(:func:`gate_claimed_features`) all read that table and apply their own
+thresholds. Since the table computes every ray distance anyway, the gates
+no longer save work; ``LikelihoodCounters`` still counts the stages a
+pair-by-pair evaluation would run. :func:`feature_likelihood` and
+:func:`mahalanobis_closest_point` compute the same quantities one pair at
+a time and are the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .geometry import (
     DegenerateGeometry,
     PointAtInfinity,
     Ray3,
+    _T_EPS,
     pixel_ray,
     project,
     triangulate,
@@ -101,6 +113,8 @@ def mahalanobis_closest_point(ray: Ray3, center, cov) -> tuple[np.ndarray, float
     point = ray.point_at(s)
     diff = point - center
     d2 = float(diff @ np.linalg.solve(cov, diff))
+    if not math.isfinite(d2):  # a non-finite ray or center: gated out
+        return point, math.inf
     return point, math.sqrt(max(0.0, d2))
 
 
@@ -154,63 +168,175 @@ class AssignmentMatrix:
         return used
 
 
+@dataclass(frozen=True)
+class PairTable:
+    """Geometry of every (target, camera, feature) pairing of one frame.
+
+    Rows follow the targets in the order given to :func:`pair_table`.
+    Columns are the frame's features, camera by camera in camera-id order;
+    ``slices[cam_id]`` selects one camera's columns, in its feature order.
+    The table holds no thresholds: each consumer applies its own gates.
+    """
+
+    slices: dict[str, slice]
+    area: np.ndarray       # (N,) blob area per feature
+    visible: np.ndarray    # (T, N) target projects in front of the feature's camera
+    dist2d: np.ndarray     # (T, N) image distance to the prediction; inf if not visible
+    ray_dist: np.ndarray   # (T, N) Mahalanobis ray distance; inf where undefined
+
+
+def pair_table(features_by_camera: Mapping[str, Sequence[Feature]],
+               targets: Sequence[TargetState],
+               cameras: Sequence[CameraModel]) -> PairTable:
+    """Project every target, back-project every feature and score every
+    pair, in one pass over the frame.
+
+    Per pair this is what :func:`project`, :func:`pixel_ray` and
+    :func:`mahalanobis_closest_point` compute one call at a time, with the
+    same rejections: a target behind the camera or at infinity is not
+    visible; a covariance that is not finite or has condition above 1e12,
+    a numerically zero ray and a ray with d^T S^-1 d <= 0 give an infinite
+    ray distance. The ray distance is the closed form
+    d^2 = w^T S^-1 w - (d^T S^-1 w)^2 / (d^T S^-1 d), with w the vector
+    from the ray origin to the target, S its position covariance and d the
+    unit ray direction. It is evaluated as the quadratic form of the
+    residual s*d - w at the optimal s, after removing the component of w
+    along d (which leaves the residual unchanged), so that no large terms
+    cancel.
+    """
+    cams = sorted(cameras, key=lambda c: c.cam_id)
+    feats = [features_by_camera.get(c.cam_id, ()) for c in cams]
+    counts = [len(f) for f in feats]
+    ends = list(itertools.accumulate(counts, initial=0))
+    slices = {c.cam_id: slice(ends[k], ends[k + 1]) for k, c in enumerate(cams)}
+    n_t, n_f = len(targets), ends[-1]
+    uva = np.array([(z.u, z.v, z.area) for f in feats for z in f],
+                   dtype=float).reshape(n_f, 3)
+    if n_t == 0 or n_f == 0:
+        return PairTable(slices=slices, area=uva[:, 2],
+                         visible=np.zeros((n_t, n_f), dtype=bool),
+                         dist2d=np.full((n_t, n_f), np.inf),
+                         ray_dist=np.full((n_t, n_f), np.inf))
+    cam_of = np.repeat(np.arange(len(cams)), counts)
+    pos = np.array([t.mean[:3] for t in targets])
+    cov = np.array([t.cov[:3, :3] for t in targets])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # targets through every camera: (T, C, 3) homogeneous image points
+        P = np.stack([c.projection for c in cams])
+        x = np.einsum("cij,tj->tci", P, np.column_stack([pos, np.ones(n_t)]))
+        depth = x[..., 2]
+        front = np.array([c._front_sign for c in cams])
+        seen = ~(np.abs(depth) < _T_EPS) & ~(front * depth < 0)
+        visible = seen[:, cam_of]
+        dist2d = np.where(visible,
+                          np.hypot(uva[:, 0] - (x[..., 0] / depth)[:, cam_of],
+                                   uva[:, 1] - (x[..., 1] / depth)[:, cam_of]),
+                          np.inf)
+
+        # feature rays: unit directions (N, 3) from each camera's inv(M)
+        m_inv = np.stack([c._front_sign * c._m_inv for c in cams])
+        d = np.einsum("nij,nj->ni", m_inv[cam_of],
+                      np.column_stack([uva[:, :2], np.ones(n_f)]))
+        norm = np.linalg.norm(d, axis=1)
+        ray_ok = ~(norm < _T_EPS)
+        d = d / norm[:, None]
+
+        # per target: the inverse position covariance, when usable
+        cov_ok = np.isfinite(cov).all(axis=(1, 2))
+        cov_ok[cov_ok] = np.linalg.cond(cov[cov_ok]) <= _COND_LIMIT
+        s_inv = np.zeros_like(cov)
+        s_inv[cov_ok] = np.linalg.inv(cov[cov_ok])
+
+        # every pair: w (T, N, 3) with its along-ray part removed
+        w = pos[:, None, :] - np.stack([c.center for c in cams])[cam_of]
+        w -= np.einsum("tni,ni->tn", w, d)[..., None] * d
+        sd = np.einsum("tij,nj->tni", s_inv, d)
+        dsd = np.einsum("tni,ni->tn", sd, d)
+        dsw = np.einsum("tij,tnj,ni->tn", s_inv, w, d)
+        resid = (dsw / dsd)[..., None] * d - w
+        d2 = np.einsum("tni,tij,tnj->tn", resid, s_inv, resid)
+        ray_dist = np.sqrt(np.maximum(d2, 0.0))
+        ok = cov_ok[:, None] & ray_ok & ~(dsd <= 0) & np.isfinite(ray_dist)
+    return PairTable(slices=slices, area=uva[:, 2], visible=visible, dist2d=dist2d,
+                     ray_dist=np.where(ok, ray_dist, np.inf))
+
+
+def pair_likelihoods(table: PairTable, gate: GateConfig,
+                     counters: LikelihoodCounters | None = None) -> np.ndarray:
+    """The (T, N) matrix of :func:`feature_likelihood` over every pair of
+    `table`. `counters` counts the gate stages that function would have
+    evaluated pair by pair."""
+    in_image = ~(table.dist2d >= gate.dist2d_threshold)
+    scored = in_image & (table.area > gate.area_threshold)
+    if counters is not None:
+        counters.dist2d_evals += int(np.count_nonzero(table.visible))
+        counters.area_evals += int(np.count_nonzero(in_image))
+        counters.mahalanobis_evals += int(np.count_nonzero(scored))
+    return np.where(scored & (table.ray_dist <= gate.mahalanobis_gate),
+                    np.exp(-table.ray_dist), 0.0)
+
+
 def assign(features_by_camera: Mapping[str, Sequence[Feature]],
            targets: Sequence[TargetState],
            cameras: Sequence[CameraModel],
            gate: GateConfig,
-           counters: LikelihoodCounters | None = None) -> AssignmentMatrix:
+           counters: LikelihoodCounters | None = None,
+           table: PairTable | None = None) -> AssignmentMatrix:
     """Nearest-neighbor assignment: per target and camera, the feature
     maximizing the likelihood (None when every feature gates to zero).
-    Ties break to the lowest feature index."""
-    cams = sorted(cameras, key=lambda c: c.cam_id)
-    columns: dict[int, tuple[int | None, ...]] = {}
-    for target in targets:
-        col = []
-        for cam in cams:
-            feats = features_by_camera.get(cam.cam_id, ())
-            best_idx, best_p = None, 0.0
-            for j, z in enumerate(feats):
-                p = feature_likelihood(z, target, cam, gate, counters)
-                if p > best_p:
-                    best_idx, best_p = j, p
-            col.append(best_idx)
-        columns[target.target_id] = tuple(col)
-    return AssignmentMatrix(camera_ids=tuple(c.cam_id for c in cams),
-                            columns=columns)
+    Ties break to the lowest feature index.
+
+    The likelihoods are read from `table`, which is built here when not
+    given."""
+    if table is None:
+        table = pair_table(features_by_camera, targets, cameras)
+    likelihood = pair_likelihoods(table, gate, counters)
+    rows = np.arange(len(targets))
+    per_camera = []
+    for sl in table.slices.values():
+        if sl.start == sl.stop:
+            per_camera.append([None] * len(targets))
+            continue
+        block = likelihood[:, sl]
+        best = block.argmax(axis=1)
+        per_camera.append([int(j) if p > 0.0 else None
+                           for j, p in zip(best, block[rows, best])])
+    columns = {t.target_id: tuple(col[i] for col in per_camera)
+               for i, t in enumerate(targets)}
+    return AssignmentMatrix(camera_ids=tuple(table.slices), columns=columns)
 
 
 def resolve_shared(assignments: AssignmentMatrix,
                    targets: Sequence[TargetState],
                    features_by_camera: Mapping[str, Sequence[Feature]],
-                   cameras: Sequence[CameraModel]) -> AssignmentMatrix:
+                   cameras: Sequence[CameraModel],
+                   table: PairTable | None = None) -> AssignmentMatrix:
     """Merge prevention: when several targets hold the exact same non-null
     assignment subset, the one whose predicted observation is closest
-    (summed image distance) keeps it; the others are stripped to all-null
-    for this frame. Ties break to the lowest target id."""
-    cams = {c.cam_id: c for c in cameras}
-    by_id = {t.target_id: t for t in targets}
+    (summed image distance, read from `table`) keeps it; the others are
+    stripped to all-null for this frame. Ties break to the lowest target
+    id."""
     groups: dict[tuple, list[int]] = {}
     for tid, col in assignments.columns.items():
         if any(idx is not None for idx in col):
             groups.setdefault(col, []).append(tid)
+    shared = {col: tids for col, tids in groups.items() if len(tids) >= 2}
+    if not shared:
+        return assignments
+    if table is None:
+        table = pair_table(features_by_camera, targets, cameras)
+    row = {t.target_id: i for i, t in enumerate(targets)}
     columns = dict(assignments.columns)
     null_col = (None,) * len(assignments.camera_ids)
-    for col, tids in groups.items():
-        if len(tids) < 2:
-            continue
+    for col, tids in shared.items():
+        feature_columns = [table.slices[cam_id].start + idx
+                           for cam_id, idx in zip(assignments.camera_ids, col)
+                           if idx is not None]
 
         def prediction_distance(tid: int) -> float:
-            target = by_id[tid]
-            total = 0.0
-            for cam_id, idx in zip(assignments.camera_ids, col):
-                if idx is None:
-                    continue
-                z = features_by_camera[cam_id][idx]
-                try:
-                    pu, pv = project(cams[cam_id], target.position)
-                except (BehindCamera, PointAtInfinity):
-                    return math.inf
-                total += math.hypot(z.u - pu, z.v - pv)
+            total = 0.0  # inf when the target is not visible to a camera
+            for k in feature_columns:
+                total += float(table.dist2d[row[tid], k])
             return total
 
         winner = min(sorted(tids), key=prediction_distance)
@@ -223,7 +349,8 @@ def resolve_shared(assignments: AssignmentMatrix,
 def gate_claimed_features(features_by_camera: Mapping[str, Sequence[Feature]],
                           targets: Sequence[TargetState],
                           cameras: Sequence[CameraModel],
-                          gate: GateConfig) -> set[tuple[str, int]]:
+                          gate: GateConfig,
+                          table: PairTable | None = None) -> set[tuple[str, int]]:
     """Features plausibly explained by an existing target: inside its
     image-distance gate AND with a back-projected ray passing the target's
     3D Mahalanobis gate.
@@ -235,32 +362,14 @@ def gate_claimed_features(features_by_camera: Mapping[str, Sequence[Feature]],
     keeps the claim local in 3D; a feature that merely projects near a
     distant track along its viewing ray stays available for births.
     """
-    claimed: set[tuple[str, int]] = set()
     if not targets:
-        return claimed
-    for cam in cameras:
-        feats = features_by_camera.get(cam.cam_id, ())
-        if not feats:
-            continue
-        for target in targets:
-            try:
-                pu, pv = project(cam, target.position)
-            except (BehindCamera, PointAtInfinity):
-                continue
-            for j, z in enumerate(feats):
-                if (cam.cam_id, j) in claimed:
-                    continue
-                if math.hypot(z.u - pu, z.v - pv) >= gate.dist2d_threshold:
-                    continue
-                try:
-                    ray = pixel_ray(cam, (z.u, z.v))
-                    _, d = mahalanobis_closest_point(ray, target.position,
-                                                     target.cov[:3, :3])
-                except (DegenerateGeometry, SingularCovariance):
-                    continue
-                if d <= gate.mahalanobis_gate:
-                    claimed.add((cam.cam_id, j))
-    return claimed
+        return set()
+    if table is None:
+        table = pair_table(features_by_camera, targets, cameras)
+    hit = (~(table.dist2d >= gate.dist2d_threshold)
+           & (table.ray_dist <= gate.mahalanobis_gate)).any(axis=0)
+    return {(cam_id, int(j)) for cam_id, sl in table.slices.items()
+            for j in np.flatnonzero(hit[sl])}
 
 
 def _cameras_viewing(point, cameras: Sequence[CameraModel]) -> int:

@@ -160,6 +160,8 @@ class CameraModel:
         object.__setattr__(self, "dist_center", (float(dc[0]), float(dc[1])))
         # Sign of det(M) tells which side of the principal plane is "in front".
         object.__setattr__(self, "_front_sign", float(np.sign(np.linalg.det(P[:, :3]))))
+        # inv(M) back-projects pixels (pixel_ray and the association kernel)
+        object.__setattr__(self, "_m_inv", np.linalg.inv(P[:, :3]))
 
     @property
     def radius_scale(self) -> float:
@@ -238,9 +240,7 @@ def pixel_ray(cam: CameraModel, p) -> Ray3:
     """Back-project a distortion-corrected pixel to the ray through the
     camera center, oriented towards the scene in front of the camera."""
     u, v = float(p[0]), float(p[1])
-    M = cam.projection[:, :3]
-    d = np.linalg.solve(M, np.array([u, v, 1.0]))
-    d = cam._front_sign * d
+    d = cam._front_sign * (cam._m_inv @ np.array([u, v, 1.0]))
     n = np.linalg.norm(d)
     if n < _T_EPS:
         raise DegenerateGeometry("back-projected direction is numerically zero")

@@ -24,6 +24,7 @@ from .association import (
     assign,
     cull_targets,
     gate_claimed_features,
+    pair_table,
     resolve_shared,
     spawn_targets,
 )
@@ -48,6 +49,7 @@ class RunStats:
     births: int = 0
     deaths: int = 0
     singular_drops: int = 0
+    nonfinite_rows: int = 0  # feature rows dropped at ingress
     latencies: list = field(default_factory=list)
     likelihood: LikelihoodCounters = field(default_factory=LikelihoodCounters)
     spawn: SpawnStats = field(default_factory=SpawnStats)
@@ -62,7 +64,8 @@ class RunStats:
 
     def summary(self) -> dict:
         out = {"frames": self.frames, "births": self.births,
-               "deaths": self.deaths, "singular_drops": self.singular_drops}
+               "deaths": self.deaths, "singular_drops": self.singular_drops,
+               "nonfinite_rows": self.nonfinite_rows}
         out.update({f"latency_{k}": v for k, v in self.latency_percentiles().items()})
         return out
 
@@ -93,10 +96,16 @@ class TrackerWorld:
         return sorted(self.targets, key=lambda t: t.target_id)
 
 
-def _frame_features(aframe: AssembledFrame) -> dict[str, list[Feature]]:
+def _frame_features(aframe: AssembledFrame, stats: RunStats) -> dict[str, list[Feature]]:
+    """The frame's feature rows as Features, per camera. Rows holding a NaN
+    or an infinity are dropped and counted: no gate rejects them reliably,
+    and they break the birth search's triangulation."""
     out: dict[str, list[Feature]] = {}
     for cam_id, rows in aframe.features_by_camera.items():
-        out[cam_id] = [feature_from_row(r) for r in np.asarray(rows).reshape(-1, 6)]
+        rows = np.asarray(rows, dtype=float).reshape(-1, 6)
+        finite = np.isfinite(rows).all(axis=1)
+        stats.nonfinite_rows += int(np.count_nonzero(~finite))
+        out[cam_id] = [feature_from_row(r) for r in rows[finite]]
     return out
 
 
@@ -127,15 +136,17 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
                  receipt_time: float | None) -> FrameEvents:
     t0 = time.perf_counter() if receipt_time is None else receipt_time
     cameras = world.observation.cameras
-    features = _frame_features(aframe)
+    features = _frame_features(aframe, world.stats)
 
     # 1: predict
     priors = [predict(t, world.process) for t in world.targets]
+    # every (target, camera, feature) pair, scored once for steps 2, 3 and 5
+    table = pair_table(features, priors, cameras)
     # 2: associate
     assignments = assign(features, priors, cameras, world.gate,
-                         world.stats.likelihood)
+                         world.stats.likelihood, table=table)
     # 3: shared-measurement resolution (merge prevention)
-    assignments = resolve_shared(assignments, priors, features, cameras)
+    assignments = resolve_shared(assignments, priors, features, cameras, table=table)
     # 4: update
     posteriors = []
     for prior in priors:
@@ -152,13 +163,12 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
             log.warning("frame %d target %d: singular innovation, update dropped",
                         aframe.frame, prior.target_id)
             posteriors.append(update(prior, [], world.observation))
-    latency = time.perf_counter() - t0
 
     # 5: birth from unclaimed features; a feature counts as claimed when a
     # track selected it OR when it falls inside any track's image gate
     # (else clutter next to a live target seeds a duplicate that fights it)
     claimed = assignments.claimed()
-    claimed |= gate_claimed_features(features, priors, cameras, world.gate)
+    claimed |= gate_claimed_features(features, priors, cameras, world.gate, table=table)
     unclaimed = {
         cam_id: [(j, z) for j, z in enumerate(lst) if (cam_id, j) not in claimed]
         for cam_id, lst in features.items()}
@@ -168,6 +178,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     world.next_target_id += len(born)
     # 6: death by covariance threshold
     kept, removed = cull_targets(posteriors + born, world.gate)
+    latency = time.perf_counter() - t0
 
     world.targets = kept
     world.frame_counter = aframe.frame

@@ -112,43 +112,39 @@ def predict(state: TargetState, pm: ProcessModel) -> TargetState:
     return replace(state, mean=mean, cov=cov)
 
 
+def _linearize(X: np.ndarray, cam: CameraModel):
+    """Projection of the homogeneous world point `X` by `cam` and the two
+    rows of its Jacobian with respect to the state. Raises PointAtInfinity
+    or BehindCamera (tagged with the camera id) when it does not project."""
+    P = cam.projection
+    x = P @ X
+    if abs(x[2]) < 1e-15:
+        raise PointAtInfinity(cam.cam_id)
+    if cam._front_sign * x[2] < 0:
+        raise BehindCamera(cam.cam_id)
+    t = x[2]
+    # d(r/t)/dX_j = (P[0,j] t - r P[2,j]) / t^2 for world components j
+    rows = np.zeros((2, 6))
+    rows[0, :3] = (P[0, :3] * t - x[0] * P[2, :3]) / (t * t)
+    rows[1, :3] = (P[1, :3] * t - x[1] * P[2, :3]) / (t * t)
+    return (x[0] / t, x[1] / t), rows
+
+
 def observation_function(mean, cams: Sequence[CameraModel]) -> np.ndarray:
     """Predicted stacked pixel observation (u_1, v_1, ..., u_n, v_n) for
     the given cameras, in camera-id order. Raises BehindCamera (tagged with
     the offending camera id) if the position is behind any camera."""
-    mean = np.asarray(mean, dtype=float).ravel()
-    X = np.append(mean[:3], 1.0)
-    out = np.empty(2 * len(cams))
-    for i, cam in enumerate(sorted(cams, key=lambda c: c.cam_id)):
-        x = cam.projection @ X
-        if abs(x[2]) < 1e-15:
-            raise PointAtInfinity(cam.cam_id)
-        if cam._front_sign * x[2] < 0:
-            raise BehindCamera(cam.cam_id)
-        out[2 * i] = x[0] / x[2]
-        out[2 * i + 1] = x[1] / x[2]
-    return out
+    X = np.append(np.asarray(mean, dtype=float).ravel()[:3], 1.0)
+    cams = sorted(cams, key=lambda c: c.cam_id)
+    return np.array([uv for cam in cams for uv in _linearize(X, cam)[0]], dtype=float)
 
 
 def observation_jacobian(mean, cams: Sequence[CameraModel]) -> np.ndarray:
     """Analytic Jacobian of :func:`observation_function` with respect to
     the 6 state components (velocity columns are zero)."""
-    mean = np.asarray(mean, dtype=float).ravel()
-    X = np.append(mean[:3], 1.0)
+    X = np.append(np.asarray(mean, dtype=float).ravel()[:3], 1.0)
     cams = sorted(cams, key=lambda c: c.cam_id)
-    C = np.zeros((2 * len(cams), 6))
-    for i, cam in enumerate(cams):
-        P = cam.projection
-        x = P @ X
-        if abs(x[2]) < 1e-15:
-            raise PointAtInfinity(cam.cam_id)
-        if cam._front_sign * x[2] < 0:
-            raise BehindCamera(cam.cam_id)
-        t = x[2]
-        # d(r/t)/dX_j = (P[0,j] t - r P[2,j]) / t^2 for world components j
-        C[2 * i, :3] = (P[0, :3] * t - x[0] * P[2, :3]) / (t * t)
-        C[2 * i + 1, :3] = (P[1, :3] * t - x[1] * P[2, :3]) / (t * t)
-    return C
+    return np.vstack([np.zeros((0, 6))] + [_linearize(X, cam)[1] for cam in cams])
 
 
 def update(prior: TargetState,
@@ -161,21 +157,23 @@ def update(prior: TargetState,
     position is not projectable (behind the camera) are skipped. Covariance
     is updated in Joseph form to preserve positive semidefiniteness.
     """
-    usable = []
+    X = np.append(prior.mean[:3], 1.0)
+    y, h, C = [], [], []
     for cam, px in sorted(observations, key=lambda o: o[0].cam_id):
         try:
-            observation_function(prior.mean, [cam])
+            pred, rows = _linearize(X, cam)
         except (BehindCamera, PointAtInfinity):
             continue
-        usable.append((cam, px))
-    if not usable:
+        y += (px[0], px[1])
+        h += pred
+        C.append(rows)
+    if not C:
         return replace(prior,
                        frames_since_observation=prior.frames_since_observation + 1)
-    cams = [cam for cam, _ in usable]
-    y = np.array([c for _, px in usable for c in (px[0], px[1])], dtype=float)
-    h = observation_function(prior.mean, cams)
-    C = observation_jacobian(prior.mean, cams)
-    R = np.eye(2 * len(cams)) * om.r_px
+    y = np.array(y, dtype=float)
+    h = np.array(h)
+    C = np.vstack(C)
+    R = np.eye(len(y)) * om.r_px
     S = C @ prior.cov @ C.T + R
     if not np.all(np.isfinite(S)) or np.linalg.cond(S) > _COND_LIMIT:
         raise SingularInnovation("innovation covariance condition too high")

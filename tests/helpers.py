@@ -92,3 +92,39 @@ def bruteforce_assignment(features_by_camera, targets, cameras, gate,
             best_score = score
             best = {t.target_id: col for t, (col, _) in zip(targets, assignment)}
     return best
+
+
+def gate_claimed_features_oracle(features_by_camera, targets, cameras, gate):
+    """Pair-by-pair reference for association.gate_claimed_features: a
+    feature is claimed when some target projects within the image gate of
+    it and the feature's ray passes that target's Mahalanobis gate."""
+    import math
+
+    from camtrack3d.association import SingularCovariance, mahalanobis_closest_point
+    from camtrack3d.geometry import (
+        BehindCamera,
+        DegenerateGeometry,
+        PointAtInfinity,
+        pixel_ray,
+        project,
+    )
+
+    claimed = set()
+    for cam in cameras:
+        for target in targets:
+            try:
+                pu, pv = project(cam, target.position)
+            except (BehindCamera, PointAtInfinity):
+                continue
+            for j, z in enumerate(features_by_camera.get(cam.cam_id, ())):
+                if math.hypot(z.u - pu, z.v - pv) >= gate.dist2d_threshold:
+                    continue
+                try:
+                    ray = pixel_ray(cam, (z.u, z.v))
+                    _, d = mahalanobis_closest_point(ray, target.position,
+                                                     target.cov[:3, :3])
+                except (DegenerateGeometry, SingularCovariance):
+                    continue
+                if d <= gate.mahalanobis_gate:
+                    claimed.add((cam.cam_id, j))
+    return claimed

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camtrack3d.association import (
     AssignmentMatrix,
@@ -12,13 +14,22 @@ from camtrack3d.association import (
     assign,
     cull_targets,
     feature_likelihood,
+    gate_claimed_features,
     mahalanobis_closest_point,
+    pair_likelihoods,
+    pair_table,
     resolve_shared,
     spawn_targets,
 )
-from camtrack3d.geometry import Ray3, project, triangulate
+from camtrack3d.geometry import BehindCamera, PointAtInfinity, Ray3, project, triangulate
 from camtrack3d.tracker import ProcessModel, TargetState, predict
-from helpers import bruteforce_assignment, make_feature, ring_of_cameras
+from helpers import (
+    bruteforce_assignment,
+    gate_claimed_features_oracle,
+    look_at_camera,
+    make_feature,
+    ring_of_cameras,
+)
 
 
 def target_at(pos, tid=0, sigma=0.02):
@@ -99,6 +110,108 @@ def test_likelihood_on_ray_is_one():
     u, v = project(cams[1], t.position)
     z = make_feature(u, v)
     assert feature_likelihood(z, t, cams[1], gate) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_mahalanobis_nonfinite_center_is_gated_out():
+    ray = Ray3(origin=np.zeros(3), direction=[0.0, 0.0, 1.0])
+    _, d = mahalanobis_closest_point(ray, [np.nan, 0.0, 1.0], np.eye(3))
+    assert d == math.inf
+
+
+# ------------------------------------------------------------------ pair table
+
+GATE = GateConfig()
+
+
+@st.composite
+def association_frames(draw):
+    """A random rig, targets and features. Targets may sit behind a camera
+    or carry a covariance with condition above 1e12; features include
+    zero-area blobs and blobs at the image and ray-distance gate edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cams = []
+    for k in range(draw(st.integers(1, 4))):
+        direction = rng.normal(size=3)
+        position = rng.uniform(1.2, 3.0) * direction / np.linalg.norm(direction)
+        cams.append(look_at_camera(position, rng.uniform(-0.2, 0.2, size=3),
+                                   cam_id=f"c{k}", focal=rng.uniform(400, 1200)))
+    targets = []
+    for tid in range(draw(st.integers(0, 3))):
+        if draw(st.sampled_from(["front", "front", "behind"])) == "behind":
+            cam = cams[int(rng.integers(len(cams)))]
+            pos = cam.center + 0.3 * (cam.center - rng.uniform(-0.2, 0.2, size=3))
+        else:
+            pos = rng.uniform(-0.4, 0.4, size=3)
+        sigma = rng.uniform(2e-3, 5e-2)
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        spread = draw(st.sampled_from(["round", "elongated", "singular"]))
+        scale = {"round": [1.0, 1.0, 1.0],
+                 "elongated": 10.0 ** rng.uniform(0, 2, size=3),
+                 "singular": [1.0, 1.0, 1e-14]}[spread]
+        cov = np.eye(6) * 0.25
+        cov[:3, :3] = (q * (sigma**2 * np.asarray(scale))) @ q.T
+        cov[:3, :3] = 0.5 * (cov[:3, :3] + cov[:3, :3].T)
+        targets.append(TargetState(target_id=tid, mean=np.append(pos, [0, 0, 0]),
+                                   cov=cov))
+    feats = {}
+    for cam in cams:
+        lst = []
+        for _ in range(draw(st.integers(0, 5))):
+            kind = draw(st.sampled_from(["near", "image_edge", "ray_edge", "anywhere"]))
+            area = draw(st.sampled_from([0.0, GATE.area_threshold, 20.0]))
+            anchor = targets[int(rng.integers(len(targets)))] if targets else None
+            u, v = rng.uniform(0, 640), rng.uniform(0, 480)
+            if anchor is not None and kind != "anywhere":
+                point = anchor.position
+                if kind == "ray_edge":
+                    # a point about the gate's Mahalanobis distance away
+                    e = rng.normal(size=3)
+                    m = GATE.mahalanobis_gate * rng.uniform(0.97, 1.03)
+                    w, vecs = np.linalg.eigh(anchor.cov[:3, :3])
+                    point = point + vecs @ (np.sqrt(np.abs(w)) * m * e / np.linalg.norm(e))
+                try:
+                    u, v = project(cam, point)
+                except (BehindCamera, PointAtInfinity):
+                    pass
+                if kind == "image_edge":
+                    r = GATE.dist2d_threshold * (1 + rng.choice([-1e-9, 1e-9]))
+                elif kind == "near":
+                    r = rng.uniform(0, 40) * rng.choice([0.05, 1.0])
+                else:
+                    r = 0.0
+                a = rng.uniform(0, 2 * math.pi)
+                u, v = u + r * math.cos(a), v + r * math.sin(a)
+            lst.append(make_feature(u, v, area=area))
+        feats[cam.cam_id] = lst
+    return cams, targets, feats
+
+
+@settings(max_examples=300, deadline=None)
+@given(association_frames())
+def test_pair_table_matches_scalar_likelihood(frame):
+    cams, targets, feats = frame
+    table = pair_table(feats, targets, cams)
+    kernel_counts, scalar_counts = LikelihoodCounters(), LikelihoodCounters()
+    likelihood = pair_likelihoods(table, GATE, kernel_counts)
+    for i, t in enumerate(targets):
+        for cam in sorted(cams, key=lambda c: c.cam_id):
+            for j, z in enumerate(feats[cam.cam_id]):
+                p = feature_likelihood(z, t, cam, GATE, scalar_counts)
+                q = likelihood[i, table.slices[cam.cam_id].start + j]
+                assert (q > 0) == (p > 0), (i, cam.cam_id, j, p, q)
+                assert q == pytest.approx(p, rel=1e-12, abs=0.0)
+    assert kernel_counts == scalar_counts
+    assert (gate_claimed_features(feats, targets, cams, GATE, table=table)
+            == gate_claimed_features_oracle(feats, targets, cams, GATE))
+
+
+def test_pair_table_empty_frame():
+    cams = ring_of_cameras(2)
+    table = pair_table({}, [target_at([0.0, 0.0, 0.3])], cams)
+    assert table.dist2d.shape == (1, 0)
+    am = assign({}, [target_at([0.0, 0.0, 0.3])], cams, GATE)
+    assert am.columns == {0: (None, None)}
+    assert gate_claimed_features({}, [], cams, GATE) == set()
 
 
 # ---------------------------------------------------------------------- assign

@@ -1,5 +1,11 @@
+import copy
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from camtrack3d.association import GateConfig
 from camtrack3d.hub import (
@@ -217,3 +223,91 @@ def test_target_ids_have_contiguous_lifetimes(tmp_path):
             seen.setdefault(tid, []).append(frame)
     for tid, fr in seen.items():
         assert fr == list(range(fr[0], fr[0] + len(fr))), f"target {tid} lifetime gap"
+
+
+# ------------------------------------------------------ non-finite feature rows
+
+def with_rows(aframe, extra):
+    """`aframe` with rows appended to every camera's features."""
+    feats = {cam_id: np.vstack([np.asarray(rows, dtype=float).reshape(-1, 6), extra])
+             for cam_id, rows in aframe.features_by_camera.items()}
+    return AssembledFrame(frame=aframe.frame, features_by_camera=feats,
+                          complete=aframe.complete, latency=0.0,
+                          timestamp_us=aframe.timestamp_us)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e308])
+def test_extreme_rows_do_not_disturb_tracking(bad):
+    # NaN rows used to win association (a NaN ray distance scored 1.0) and
+    # then make the target's updates singular; inf rows crashed the birth
+    # search. 1e308 is finite: it is kept, and gated out like any far blob.
+    spec, cams, truths, frames = noiseless_scene(n_targets=2, n_frames=30)
+    world = make_world(cams, spec.fps)
+    for af in frames[:10]:
+        process_frame(world, af)
+    assert len(world.targets) == 2
+    bad_rows = np.array([[bad, bad, 20.0, 150.0, 0.0, 2.0],
+                         [bad, 100.0, 20.0, 150.0, 0.0, 2.0],
+                         [100.0, 100.0, bad, bad, bad, bad]])
+    for af in frames[10:]:
+        for ev in process_frame(world, with_rows(af, bad_rows)):
+            assert ev.births == [] and ev.deaths == []
+    n_bad = 3 * len(cams) * 20
+    assert world.stats.nonfinite_rows == (0 if math.isfinite(bad) else n_bad)
+    assert world.stats.summary()["nonfinite_rows"] == world.stats.nonfinite_rows
+    assert world.stats.singular_drops == 0
+    for t in world.targets:
+        assert t.frames_since_observation == 0
+        assert np.all(np.isfinite(t.mean)) and np.all(np.isfinite(t.cov))
+    truth_now = [tr.position(29) for tr in truths]
+    for t in world.targets:
+        assert min(np.linalg.norm(t.position - p) for p in truth_now) < 0.01
+
+
+@pytest.fixture(scope="module")
+def tracked_two_targets():
+    spec, cams, truths, frames = noiseless_scene(n_targets=2, n_frames=12)
+    world = make_world(cams, spec.fps)
+    for af in frames[:10]:
+        process_frame(world, af)
+    return world, frames[10:]
+
+
+row_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                       st.floats(-10.0, 700.0))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(row_values, min_size=6, max_size=6), max_size=6))
+def test_arbitrary_rows_never_raise(tracked_two_targets, rows):
+    base, (af, after) = tracked_two_targets
+    world = copy.deepcopy(base)
+    extra = np.array(rows, dtype=float).reshape(-1, 6)
+    process_frame(world, with_rows(af, extra))
+    process_frame(world, after)
+    for t in world.targets:
+        assert np.all(np.isfinite(t.mean)) and np.all(np.isfinite(t.cov))
+
+
+# ------------------------------------------------------------ determinism
+
+def test_smalltunnel_assignment_digest_is_recorded_value():
+    # Digest of every frame's assignment columns, births and deaths on a
+    # cluttered 300-frame smalltunnel run, recorded when association
+    # scored pairs one at a time; the batched pair table must reproduce it.
+    spec = preset("smalltunnel", seed=7, clutter_rate=1.0, detection_prob=0.95)
+    cams = generate_rig(spec)
+    truths = simulate_truth(spec, 3, 300)
+    frames = packets_to_assembled(synthesize_observations(truths, cams, spec),
+                                  spec.n_cameras)
+    world = make_world(cams, spec.fps)
+    h = hashlib.blake2b(digest_size=8)
+    for af in frames:
+        for ev in process_frame(world, af):
+            cols = sorted((tid, tuple(-1 if i is None else i for i in col))
+                          for tid, col in ev.assignments.columns.items())
+            h.update(repr((ev.frame, cols, sorted(ev.births),
+                           sorted(ev.deaths))).encode())
+    assert int.from_bytes(h.digest(), "big") == 2497656049722698907
+    assert (world.stats.births, world.stats.deaths) == (14, 11)
