@@ -7,6 +7,16 @@ and second moments are taken over the region after pixels below a fraction
 of the regional peak are zeroed; weights are the difference values
 normalized by the peak, so a uniform blob has area equal to its pixel
 count and a smooth blob gets a sub-pixel centroid.
+
+Extraction touches only the blobs' neighbourhoods. Frame pixels are uint8
+and fl(p - mean) is monotone in p, so the detection test
+|p - mean| > threshold is exactly ``p > gt or p < lt`` for two uint8
+bounds per pixel; the background model derives them once, on first use,
+and a frame's mask costs two uint8 compares. The mask is OR-reduced into
+16x16 tiles and the tile grid is labelled with 8-connectivity. Every
+8-connected pixel region lies inside one tile component, so each tile
+component's own tiles are labelled pixel by pixel, and the difference
+image is computed only over each region's bounding box.
 """
 
 from __future__ import annotations
@@ -15,6 +25,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +44,9 @@ ECC_DEGENERATE = math.inf
 _INTRA_PIXEL_VAR = 1.0 / 12.0
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+
+# side of the square tiles the detection mask is reduced to before labelling
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -76,9 +90,48 @@ class Frame:
         object.__setattr__(self, "pixels", px.astype(np.uint8, copy=False))
 
 
+def _first_value(mean: np.ndarray, bound, strict: bool) -> np.ndarray:
+    """Per pixel, the smallest uint8 value p with fl(p - mean) > bound
+    (strict) or with not fl(p - mean) < bound, or 256 where there is none,
+    as float64. fl(p - mean) is monotone in p, so the p that pass are
+    those from the result up; a NaN fails the strict test and passes the
+    other. The estimate from mean + bound is kept where it passes and the
+    integer below it does not; elsewhere (the sum rounded, NaN, values
+    beyond 2**53) the answer is bisected."""
+    above, below = (np.greater, np.less_equal) if strict else (np.greater_equal, np.less)
+    est = np.add(mean, bound)
+    if strict:
+        np.floor(est, out=est)
+        est += 1.0
+    else:
+        np.ceil(est, out=est)
+    tmp = np.subtract(est, mean)
+    good = above(tmp, bound)
+    np.subtract(est, 1.0, out=tmp)
+    tmp -= mean
+    good &= below(tmp, bound)
+    np.clip(est, 0.0, 256.0, out=est)
+    bad = np.flatnonzero(~good)
+    if bad.size:
+        m = mean.reshape(-1)[bad]
+        c = bound if np.ndim(bound) == 0 else np.reshape(bound, -1)[bad]
+        lo, hi = np.zeros(bad.size), np.full(bad.size, 256.0)
+        for _ in range(9):  # 257 candidates
+            mid = np.floor(0.5 * (lo + hi))
+            x = mid - m
+            ok = (above(x, c) if strict else ~below(x, c)) | (lo >= hi)
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid + 1.0)
+        est.reshape(-1)[bad] = hi
+    return est
+
+
 @dataclass(frozen=True)
 class BackgroundModel:
-    """Per-pixel luminance mean/variance, refreshed every Nth frame."""
+    """Per-pixel luminance mean/variance, refreshed every Nth frame.
+
+    The model is immutable: its arrays must not be changed in place, since
+    the detection bounds derived from them are cached on first use."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -105,6 +158,24 @@ class BackgroundModel:
     def constant(cls, shape, level: float = 0.0, initial_variance: float = 25.0, **kw):
         return cls(mean=np.full(shape, float(level)),
                    variance=np.full(shape, initial_variance), **kw)
+
+    @cached_property
+    def mask_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """uint8 arrays (gt, lt) such that, for every uint8 pixel value p,
+        |p - mean| > threshold exactly when p > gt or p < lt. The threshold
+        is difference_threshold, or sigma_gate * sqrt(variance) with the
+        variance gate; a NaN mean or threshold never passes."""
+        if self.use_variance_gate:
+            thr = self.sigma_gate * np.sqrt(self.variance)
+        else:
+            thr = self.difference_threshold
+        hi = _first_value(self.mean, thr, strict=True)    # p >= hi passes
+        lo = _first_value(self.mean, -thr, strict=False)  # p < lo passes
+        always = lo >= hi
+        hi -= 1.0
+        hi[always] = 0.0
+        lo[always] = 255.0
+        return hi.astype(np.uint8), lo.astype(np.uint8)
 
 
 def update_background(model: BackgroundModel, frame: Frame) -> BackgroundModel:
@@ -157,34 +228,57 @@ def extract_features(frame: Frame, model: BackgroundModel,
     grouped into 8-connected regions. Per region, pixels below
     ``moment_fraction`` of the regional peak are dropped before moments are
     computed. At most ``max_features`` features are returned, largest area
-    first (ties by raw centroid u then v).
+    first (ties by raw centroid u then v, then by the region's first pixel
+    in raster order).
     """
-    if frame.pixels.shape != model.mean.shape:
+    pixels = frame.pixels
+    if pixels.shape != model.mean.shape:
         raise DimensionMismatch(
-            f"frame {frame.pixels.shape} vs model {model.mean.shape}")
-    diff = np.abs(frame.pixels.astype(float) - model.mean)
-    if model.use_variance_gate:
-        mask = diff > model.sigma_gate * np.sqrt(model.variance)
-    else:
-        mask = diff > model.difference_threshold
-    if not mask.any():
+            f"frame {pixels.shape} vs model {model.mean.shape}")
+    gt, lt = model.mask_bounds
+    mask = np.greater(pixels, gt)
+    mask |= np.less(pixels, lt)
+    h, w = mask.shape
+    th, tw = -(-h // _TILE), -(-w // _TILE)
+    padded = mask
+    if (th * _TILE, tw * _TILE) != (h, w):
+        padded = np.zeros((th * _TILE, tw * _TILE), dtype=bool)
+        padded[:h, :w] = mask
+    tile_rows = np.bitwise_or.reduce(
+        padded.view(np.uint8).reshape(th, _TILE, tw * _TILE), axis=1)
+    tiles = tile_rows.reshape(th, tw, _TILE).any(axis=2)
+    if not tiles.any():
         return []
-    labels, count = ndimage.label(mask, structure=_EIGHT_CONNECTED)
-    out = []
-    for i, region in enumerate(ndimage.find_objects(labels, count)):
-        comp = labels[region] == i + 1
-        d = diff[region]
-        peak = d[comp].max()
-        keep = comp & (d >= moment_fraction * peak)
-        u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep)
-        u_raw = u_loc + region[1].start
-        v_raw = v_loc + region[0].start
-        if camera is not None:
-            u, v = correct_distortion(camera, (u_raw, v_raw))
-        else:
-            u, v = u_raw, v_raw
-        out.append(Feature(u=u, v=v, u_raw=u_raw, v_raw=v_raw, area=area,
-                           peak=peak, theta=theta, ecc=ecc))
+    tile_labels, n_tiles = ndimage.label(tiles, structure=_EIGHT_CONNECTED)
+    found = []  # (first pixel's raster index, feature)
+    for k, (ty, tx) in enumerate(ndimage.find_objects(tile_labels, n_tiles), 1):
+        y0, x0 = ty.start * _TILE, tx.start * _TILE
+        sub = mask[y0:ty.stop * _TILE, x0:tx.stop * _TILE]
+        own = np.repeat(np.repeat(tile_labels[ty, tx] == k, _TILE, 0), _TILE, 1)
+        labels, count = ndimage.label(sub & own[:sub.shape[0], :sub.shape[1]],
+                                      structure=_EIGHT_CONNECTED)
+        for i, (ry, rx) in enumerate(ndimage.find_objects(labels, count), 1):
+            comp = labels[ry, rx] == i
+            # the region's bounding box in image coordinates, as the moments
+            # must be taken in the same frame for bit-identical centroids
+            ys = slice(ry.start + y0, ry.stop + y0)
+            xs = slice(rx.start + x0, rx.stop + x0)
+            d = np.abs(pixels[ys, xs].astype(float) - model.mean[ys, xs])
+            peak = d[comp].max()
+            keep = comp & (d >= moment_fraction * peak)
+            u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep)
+            u_raw = u_loc + xs.start
+            v_raw = v_loc + ys.start
+            if camera is not None:
+                u, v = correct_distortion(camera, (u_raw, v_raw))
+            else:
+                u, v = u_raw, v_raw
+            first = ys.start * w + xs.start + int(np.argmax(comp[0]))
+            found.append((first, Feature(u=u, v=v, u_raw=u_raw, v_raw=v_raw,
+                                         area=area, peak=peak, theta=theta,
+                                         ecc=ecc)))
+    found.sort(key=lambda item: item[0])
+    out = [f for _, f in found]
     out.sort(key=lambda f: (-f.area, f.u_raw, f.v_raw))
     return out[:max_features]
 

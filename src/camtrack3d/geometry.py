@@ -240,8 +240,11 @@ def pixel_ray(cam: CameraModel, p) -> Ray3:
     """Back-project a distortion-corrected pixel to the ray through the
     camera center, oriented towards the scene in front of the camera."""
     u, v = float(p[0]), float(p[1])
-    d = cam._front_sign * (cam._m_inv @ np.array([u, v, 1.0]))
-    n = np.linalg.norm(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = cam._front_sign * (cam._m_inv @ np.array([u, v, 1.0]))
+        n = np.linalg.norm(d)
+    if not math.isfinite(n):
+        raise DegenerateGeometry("back-projected direction is not finite")
     if n < _T_EPS:
         raise DegenerateGeometry("back-projected direction is numerically zero")
     return Ray3(origin=cam.center.copy(), direction=d / n)

@@ -30,6 +30,7 @@ MAX_ID_BYTES = 32
 MAX_FEATURES = 0xFFFF
 FIXED_OVERHEAD = 24  # magic + version + id-len + frame + timestamp + count
 FEATURE_BYTES = 48   # 6 little-endian float64
+MAX_PACKET_BYTES = FIXED_OVERHEAD + MAX_ID_BYTES + FEATURE_BYTES * MAX_FEATURES
 
 
 class ProtocolError(Exception):
@@ -54,6 +55,15 @@ class IdTooLong(ProtocolError):
 
 class TooManyFeatures(ProtocolError):
     pass
+
+
+class BadCameraId(ProtocolError):
+    """Camera id bytes that are not valid UTF-8."""
+
+
+class FieldOutOfRange(ProtocolError):
+    """A header field does not fit its wire type (frame and timestamp u64,
+    version u8)."""
 
 
 @dataclass(frozen=True)
@@ -88,14 +98,17 @@ def encode(packet: FramePacket) -> bytes:
     count = packet.features.shape[0]
     if count > MAX_FEATURES:
         raise TooManyFeatures(str(count))
-    head = struct.pack("<4sBB", MAGIC, packet.version, len(id_bytes))
-    body = struct.pack("<QQH", packet.frame, packet.timestamp_us, count)
+    try:
+        head = struct.pack("<4sBB", MAGIC, packet.version, len(id_bytes))
+        body = struct.pack("<QQH", packet.frame, packet.timestamp_us, count)
+    except struct.error as e:
+        raise FieldOutOfRange(str(e)) from e
     return head + id_bytes + body + packet.features.astype("<f8").tobytes()
 
 
 def decode(buf: bytes) -> FramePacket:
     """Parse the byte layout produced by :func:`encode`. The buffer must
-    contain exactly one packet."""
+    contain exactly one packet; any other input raises ProtocolError."""
     if len(buf) < 6:
         raise Truncated(f"{len(buf)} bytes")
     magic, version, id_len = struct.unpack_from("<4sBB", buf, 0)
@@ -103,9 +116,15 @@ def decode(buf: bytes) -> FramePacket:
         raise BadMagic(repr(magic))
     if version != VERSION:
         raise BadVersion(str(version))
+    if id_len > MAX_ID_BYTES:
+        raise IdTooLong(f"camera id is {id_len} bytes (max {MAX_ID_BYTES})")
     if len(buf) < 6 + id_len + 18:
         raise Truncated(f"{len(buf)} bytes")
-    cam_id = buf[6:6 + id_len].decode("utf-8")
+    id_bytes = buf[6:6 + id_len]
+    try:
+        cam_id = id_bytes.decode("utf-8")
+    except UnicodeDecodeError:
+        raise BadCameraId(repr(bytes(id_bytes))) from None
     frame, timestamp_us, count = struct.unpack_from("<QQH", buf, 6 + id_len)
     expected = FIXED_OVERHEAD + id_len + FEATURE_BYTES * count
     if len(buf) < expected:
@@ -268,13 +287,16 @@ def write_packet(sock: socket.socket, packet: FramePacket) -> None:
     sock.sendall(_LEN.pack(len(payload)) + payload)
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _read_exact(sock: socket.socket, n: int) -> bytearray | None:
+    """Exactly n bytes, or None when the peer closes first."""
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
             return None
-        buf += chunk
+        got += k
     return buf
 
 
@@ -288,7 +310,12 @@ def send_packets(host: str, port: int, packets: Iterable[FramePacket]) -> None:
 class PacketListener:
     """Hub-side TCP listener: accepts any number of camera connections and
     funnels decoded packets into a bounded queue (providing back-pressure
-    to producers). Iterate :meth:`packets` to consume."""
+    to producers). Iterate :meth:`packets` to consume.
+
+    A packet that does not decode is dropped and counted (``undecodable``).
+    A length prefix above the largest legal packet leaves the stream with
+    no point to resync at, so the connection is closed and counted
+    (``closed_connections``)."""
 
     def __init__(self, host: str = "0.0.0.0", port: int = 0, maxsize: int = 1024):
         self._srv = socket.create_server((host, port))
@@ -299,6 +326,8 @@ class PacketListener:
         self._lock = threading.Lock()
         self._open_connections = 0
         self._ever_connected = False
+        self.undecodable = 0
+        self.closed_connections = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -333,12 +362,18 @@ class PacketListener:
                     if head is None:
                         break
                     (length,) = _LEN.unpack(head)
+                    if length > MAX_PACKET_BYTES:
+                        with self._lock:
+                            self.closed_connections += 1
+                        break
                     payload = _read_exact(conn, length)
                     if payload is None:
                         break
                     try:
                         packet = decode(payload)
                     except ProtocolError:
+                        with self._lock:
+                            self.undecodable += 1
                         continue
                     self._queue.put((time.monotonic(), packet))
         finally:
@@ -370,6 +405,11 @@ class PacketListener:
                 return
             if item is not None:
                 yield item
+
+    def counters(self) -> dict[str, int]:
+        with self._lock:
+            return {"undecodable": self.undecodable,
+                    "closed_connections": self.closed_connections}
 
     def stop(self):
         self._stop.set()

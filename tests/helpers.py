@@ -128,3 +128,48 @@ def gate_claimed_features_oracle(features_by_camera, targets, cameras, gate):
                 if d <= gate.mahalanobis_gate:
                     claimed.add((cam.cam_id, j))
     return claimed
+
+
+def extract_features_oracle(frame, model, max_features=10, camera=None,
+                            moment_fraction=0.3):
+    """Whole-image reference for features.extract_features: the difference
+    image, the detection mask and the 8-connected labelling are computed
+    over the full frame, and features are sorted by (-area, u_raw, v_raw)
+    over regions in label order."""
+    from scipy import ndimage
+
+    from camtrack3d.features import (
+        DimensionMismatch,
+        Feature,
+        _region_moments,
+    )
+    from camtrack3d.geometry import correct_distortion
+
+    if frame.pixels.shape != model.mean.shape:
+        raise DimensionMismatch(
+            f"frame {frame.pixels.shape} vs model {model.mean.shape}")
+    diff = np.abs(frame.pixels.astype(float) - model.mean)
+    if model.use_variance_gate:
+        mask = diff > model.sigma_gate * np.sqrt(model.variance)
+    else:
+        mask = diff > model.difference_threshold
+    if not mask.any():
+        return []
+    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    out = []
+    for i, region in enumerate(ndimage.find_objects(labels, count)):
+        comp = labels[region] == i + 1
+        d = diff[region]
+        peak = d[comp].max()
+        keep = comp & (d >= moment_fraction * peak)
+        u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep)
+        u_raw = u_loc + region[1].start
+        v_raw = v_loc + region[0].start
+        if camera is not None:
+            u, v = correct_distortion(camera, (u_raw, v_raw))
+        else:
+            u, v = u_raw, v_raw
+        out.append(Feature(u=u, v=v, u_raw=u_raw, v_raw=v_raw, area=area,
+                           peak=peak, theta=theta, ecc=ecc))
+    out.sort(key=lambda f: (-f.area, f.u_raw, f.v_raw))
+    return out[:max_features]

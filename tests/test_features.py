@@ -1,7 +1,14 @@
+import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import extract_features_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camtrack3d.features import (
     BackgroundModel,
@@ -10,6 +17,7 @@ from camtrack3d.features import (
     extract_features,
     feature_from_row,
     feature_record,
+    load_pgm_sequence,
     read_features_jsonl,
     read_pgm,
     update_background,
@@ -185,6 +193,201 @@ def test_distortion_corrected_centroid():
     assert math.hypot(back[0] - f.u_raw, back[1] - f.v_raw) < 1e-6
 
 
+# ----------------------------------------- sparse extraction against the oracle
+
+def exact(feats):
+    """Features as tuples of float.hex strings: equal only when bit-identical
+    (NaN included)."""
+    return [tuple(float(x).hex() for x in dataclasses.astuple(f)) for f in feats]
+
+
+def outcome(fn, *args, **kw):
+    try:
+        return exact(fn(*args, **kw))
+    except Exception as e:  # both paths must fail the same way
+        return type(e)
+
+
+def draw_ring_and_block(px, y, x, ring, block, background):
+    """A 6x6 block inside the boundary of a 10x10 square, both of 36
+    uniform pixels: two regions with the same area and centroid that
+    differ in peak."""
+    px[y:y + 10, x:x + 10] = ring
+    px[y + 1:y + 9, x + 1:x + 9] = background
+    px[y + 2:y + 8, x + 2:x + 8] = block
+
+
+DISTORTED = CameraModel(projection=np.hstack([np.eye(3), np.zeros((3, 1))]),
+                        cam_id="d", image_size=(640, 480), k1=-0.05)
+
+
+@st.composite
+def extraction_cases(draw):
+    h, w = draw(st.sampled_from([(1, 1), (10, 10), (17, 33), (480, 640)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.integers(0, 255))
+    px = np.full((h, w), base, dtype=np.uint8)
+    for _ in range(draw(st.integers(0, 6))):  # ragged blobs of mixed levels
+        y, x = rng.integers(h), rng.integers(w)
+        patch = px[y:y + rng.integers(1, 12), x:x + rng.integers(1, 12)]
+        sel = rng.random(patch.shape) < 0.7
+        patch[sel] = rng.integers(0, 256, size=patch.shape)[sel]
+    n = int(rng.integers(0, 30))
+    px[rng.integers(h, size=n), rng.integers(w, size=n)] = rng.integers(0, 256, size=n)
+    if h >= 12 and w >= 12 and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            draw_ring_and_block(px, int(rng.integers(h - 11)), int(rng.integers(w - 11)),
+                                *rng.integers(0, 256, size=2), base)
+    gate = draw(st.booleans())
+    if gate:
+        sigma = draw(st.sampled_from([0.0, 1.0, 4.0]))
+        var = rng.choice([0.0, 0.25, 4.0, 30.0], size=(h, w))
+        thr = sigma * np.sqrt(var)
+    else:
+        thr = draw(st.sampled_from([-5.0, 0.0, 0.5, 15.0, 15.25, 300.0]))
+        sigma, var = 4.0, np.full((h, w), 25.0)
+    mean = base + draw(st.sampled_from([0.0, 0.5, 0.25, 1.0 / 3.0]))
+    mean = np.full((h, w), mean)
+    # means at, or within 3e-13 of, p - thr and p + thr
+    sel = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.01, 0.3]))
+    t = np.broadcast_to(thr, (h, w))
+    near = px + rng.choice([-1.0, 1.0], size=(h, w)) * t
+    near = near + rng.integers(-3, 4, size=(h, w)) * 1e-13
+    mean[sel] = near[sel]
+    if draw(st.booleans()):
+        mean[rng.random((h, w)) < 0.05] = np.nan
+    if draw(st.booleans()):
+        mean[:] = np.nan
+    model = BackgroundModel(mean=mean, variance=var, use_variance_gate=gate,
+                            sigma_gate=sigma,
+                            difference_threshold=15.0 if gate else thr)
+    kw = dict(max_features=draw(st.integers(0, 20)),
+              moment_fraction=draw(st.floats(0.0, 1.0)),
+              camera=DISTORTED if draw(st.booleans()) else None)
+    return frame_with(px), model, kw
+
+
+@settings(max_examples=200, deadline=None)
+@given(extraction_cases())
+def test_extraction_matches_oracle(case):
+    frame, model, kw = case
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert outcome(extract_features, frame, model, **kw) == \
+            outcome(extract_features_oracle, frame, model, **kw)
+
+
+def test_ring_and_block_tie_keeps_label_order():
+    px = np.zeros((40, 40), dtype=np.uint8)
+    draw_ring_and_block(px, 5, 5, 200, 100, 0)
+    model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=30.0)
+    full = extract_features(frame_with(px), model)
+    assert [f.area for f in full] == [36.0, 36.0]
+    assert (full[0].u_raw, full[0].v_raw) == (full[1].u_raw, full[1].v_raw)
+    # the ring's first pixel comes first in raster order
+    assert [f.peak for f in full] == [200.0, 100.0]
+    assert exact(full) == exact(extract_features_oracle(frame_with(px), model))
+
+
+def test_tie_across_tile_components_keeps_raster_order():
+    # A bar and a U-shape around it with exactly equal area and centroid.
+    # The bar's first pixel comes first in raster order, but the U's tile
+    # component comes first in tile order (its left arm is in an earlier
+    # tile column of the same tile row).
+    px = np.zeros((64, 160), dtype=np.uint8)
+    px[1:50, 60] = px[1:50, 140] = 1
+    px[50, 60:141] = 1
+    px[1:3, 60] = px[1:3, 140] = 128
+    px[0:32, 100] = [128] + [1] * 10 + [99, 128, 128, 128, 50] + [1] * 16
+    model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=0.5)
+    feats = extract_features(frame_with(px), model, moment_fraction=0.0)
+    assert len(feats) == 2
+    assert (feats[0].area, feats[0].u_raw, feats[0].v_raw) == \
+        (feats[1].area, feats[1].u_raw, feats[1].v_raw)
+    assert feats[0].theta == pytest.approx(math.pi / 2)  # the bar
+    assert exact(feats) == exact(extract_features_oracle(frame_with(px), model,
+                                                         moment_fraction=0.0))
+
+
+def test_blob_inside_another_tile_components_box_counted_once():
+    px = np.zeros((120, 120), dtype=np.uint8)
+    px[10, 10:110] = px[109, 10:110] = 200  # a square ring of tiles
+    px[10:110, 10] = px[10:110, 109] = 200
+    px[58:62, 58:62] = 90  # its own tile component, inside the ring's box
+    model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=30.0)
+    feats = extract_features(frame_with(px), model)
+    assert sorted(f.peak for f in feats) == [90.0, 200.0]
+    assert exact(feats) == exact(extract_features_oracle(frame_with(px), model))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([-5.0, -0.0, 0.0, 1e-300, 0.5, 15.0, 300.0, 1e17,
+                        math.inf, math.nan]),
+       st.booleans())
+def test_mask_bounds_equal_threshold_test_for_every_value(seed, thr, gate):
+    rng = np.random.default_rng(seed)
+    p = np.arange(256.0)
+    mean = np.concatenate([
+        rng.uniform(-300.0, 600.0, 200),
+        rng.integers(0, 256, 100) + rng.choice([0.0, 0.5, 0.25], 100),
+        # within 1e-13 of p +- thr
+        rng.integers(0, 256, 100) + rng.choice([-1, 1], 100) * thr
+        + rng.integers(-3, 4, 100) * 1e-13,
+        [math.nan, math.inf, -math.inf, 1e17, -1e17, 1e17 + 96.0, 1e308, -1e308],
+    ])
+    if gate:
+        var = rng.choice([0.0, 0.25, 25.0, math.inf, math.nan, -1.0], mean.size)
+        model = BackgroundModel(mean=mean, variance=var, use_variance_gate=True,
+                                sigma_gate=4.0)
+    else:
+        model = BackgroundModel(mean=mean, variance=np.zeros_like(mean),
+                                difference_threshold=thr)
+    with np.errstate(invalid="ignore", over="ignore"):
+        t = 4.0 * np.sqrt(model.variance) if gate else thr
+        gt, lt = model.mask_bounds
+        want = np.abs(p[:, None] - mean) > t
+    assert gt.dtype == lt.dtype == np.uint8
+    got = (p[:, None] > gt) | (p[:, None] < lt)
+    assert np.array_equal(got, want)
+
+
+def test_mask_bounds_are_cached_per_model():
+    model = BackgroundModel.constant((8, 8), 10.0)
+    assert model.mask_bounds is model.mask_bounds
+    updated = update_background(model, blank_frame(index=0, level=50, shape=(8, 8)))
+    assert updated.mask_bounds[0][0, 0] != model.mask_bounds[0][0, 0]
+
+
+def load_bench_scenes():
+    """The benchmark's scene builder, imported from its file (read only)."""
+    if "bench_scenes" in sys.modules:
+        return sys.modules["bench_scenes"]
+    path = Path(__file__).resolve().parents[1] / "bench" / "scenes.py"
+    if not path.exists():
+        pytest.skip("bench/scenes.py not present")
+    spec = importlib.util.spec_from_file_location("bench_scenes", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [110, 7001])
+def test_camnode_scene_matches_oracle_on_every_frame(seed):
+    scenes = load_bench_scenes()
+    scene = scenes.camnode(seed, scenes.load_records()["camnode"]["shape"])
+    cam = scene.camera
+    model = None
+    for i, img in enumerate(scene.images):
+        frame = Frame(cam_id=cam.cam_id, index=i, timestamp=i / 100.0, pixels=img)
+        model = BackgroundModel.from_frame(frame) if model is None else model
+        model = update_background(model, frame)
+        for kw in ({}, {"max_features": 1000}):
+            got = extract_features(frame, model, camera=cam, **kw)
+            assert exact(got) == exact(extract_features_oracle(frame, model,
+                                                               camera=cam, **kw))
+
+
 # ------------------------------------------------------------------ PGM + JSONL
 
 def test_pgm_round_trip(tmp_path):
@@ -213,3 +416,29 @@ def test_feature_jsonl_round_trip(tmp_path):
     write_features_jsonl(path, recs)
     loaded = list(read_features_jsonl(path))
     assert loaded == recs
+
+
+def test_load_pgm_sequence_round_trip(tmp_path):
+    rng = np.random.default_rng(4)
+    images = {name: rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
+              for name in ("cam_0012", "cam_0003", "cam_0100")}
+    for name, px in images.items():
+        write_pgm(tmp_path / f"{name}.pgm", px)
+    (tmp_path / "notes.txt").write_text("not a frame")
+    frames = list(load_pgm_sequence(tmp_path, "c7", fps=50.0))
+    assert [f.index for f in frames] == [3, 12, 100]
+    assert [f.timestamp for f in frames] == [3 / 50.0, 12 / 50.0, 100 / 50.0]
+    assert all(f.cam_id == "c7" for f in frames)
+    for f, name in zip(frames, ("cam_0003", "cam_0012", "cam_0100")):
+        assert np.array_equal(f.pixels, images[name])
+
+
+def test_load_pgm_sequence_falls_back_to_listing_position(tmp_path):
+    px = [np.full((3, 4), k, dtype=np.uint8) for k in range(3)]
+    for name, img in zip(("b_x", "a", "c7d"), px):
+        write_pgm(tmp_path / f"{name}.pgm", img)
+    frames = list(load_pgm_sequence(tmp_path, "c0"))
+    # sorted names a, b_x, c7d: no trailing digits, so the listing position
+    assert [f.index for f in frames] == [0, 1, 2]
+    assert [f.timestamp for f in frames] == [0.0, 1 / 100.0, 2 / 100.0]
+    assert [int(f.pixels[0, 0]) for f in frames] == [1, 0, 2]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,15 @@ def test_pixel_ray_consistent_with_project():
         for s in (1.0, 10.0):
             u, v = project(cam, ray.point_at(s))
             assert math.hypot(u - px[0], v - px[1]) < 1e-9
+
+
+@pytest.mark.parametrize("px", [(1e308, 100.0), (1e308, -1e308), (1e200, 1e200),
+                                (math.nan, 0.0), (math.inf, 0.0)])
+def test_pixel_ray_rejects_non_finite_direction_without_warning(px):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateGeometry):
+            pixel_ray(ring_of_cameras(1)[0], px)
 
 
 # --------------------------------------------------------------- dlt_calibrate

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,18 @@ def test_extreme_rows_do_not_disturb_tracking(bad):
     # NaN rows used to win association (a NaN ray distance scored 1.0) and
     # then make the target's updates singular; inf rows crashed the birth
     # search. 1e308 is finite: it is kept, and gated out like any far blob.
+    track_with_extreme_rows(bad)
+
+
+def test_huge_finite_rows_raise_no_warning():
+    # a row near 1e308 overflowed the norm in pixel_ray and warned on every
+    # frame; the birth search now sees DegenerateGeometry instead
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        track_with_extreme_rows(1e308)
+
+
+def track_with_extreme_rows(bad):
     spec, cams, truths, frames = noiseless_scene(n_targets=2, n_frames=30)
     world = make_world(cams, spec.fps)
     for af in frames[:10]:

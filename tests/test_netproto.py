@@ -1,11 +1,20 @@
+import socket
+import struct
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camtrack3d.netproto import (
+    MAGIC,
+    MAX_PACKET_BYTES,
+    VERSION,
+    BadCameraId,
     BadMagic,
     BadVersion,
+    FieldOutOfRange,
     FrameAssembler,
     FramePacket,
     IdTooLong,
@@ -17,6 +26,7 @@ from camtrack3d.netproto import (
     decode,
     encode,
     send_packets,
+    write_packet,
 )
 
 
@@ -108,6 +118,53 @@ def test_decode_trailing_bytes_rejected():
     data = encode(packet(rows=1))
     with pytest.raises(ProtocolError):
         decode(data + b"\x00")
+
+
+def test_decode_rejects_invalid_utf8_camera_id():
+    data = bytearray(encode(packet(cam="ab")))
+    data[6] = 0xFF
+    with pytest.raises(BadCameraId):
+        decode(bytes(data))
+
+
+def test_decode_rejects_id_length_above_limit():
+    raw = MAGIC + bytes([VERSION, 33]) + b"x" * 33 + struct.pack("<QQH", 0, 0, 0)
+    with pytest.raises(IdTooLong):
+        decode(raw)
+
+
+@pytest.mark.parametrize("frame, ts", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+def test_encode_rejects_header_fields_outside_u64(frame, ts):
+    with pytest.raises(FieldOutOfRange):
+        encode(packet(frame=frame, ts=ts))
+
+
+def test_max_packet_bytes_is_largest_legal_packet():
+    assert MAX_PACKET_BYTES == 3_145_736
+
+
+@st.composite
+def damaged_packets(draw):
+    """Encodings with a few bytes overwritten, cut or appended."""
+    data = bytearray(encode(packet(cam=draw(st.sampled_from(["", "c1", "x" * 32])),
+                                   rows=draw(st.integers(0, 3)),
+                                   seed=draw(st.integers(0, 99)))))
+    for _ in range(draw(st.integers(0, 3))):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(data)))
+    return bytes(data[:cut]) + draw(st.binary(max_size=60))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=300),
+                 st.binary(max_size=300).map(lambda b: MAGIC + bytes([VERSION]) + b),
+                 damaged_packets()))
+def test_decode_raises_only_protocol_error(buf):
+    try:
+        p = decode(buf)
+    except ProtocolError:
+        return
+    assert encode(p) == buf
 
 
 # ------------------------------------------------------------------- assembler
@@ -239,3 +296,47 @@ def test_tcp_round_trip_loopback():
             break
     listener.stop()
     assert received == sent
+
+
+def test_listener_survives_undecodable_packet_and_oversized_prefix():
+    listener = PacketListener(host="127.0.0.1", port=0).start()
+    bad_id = bytearray(encode(packet(cam="c2", frame=2)))
+    bad_id[6] = 0xFF
+    received = []
+    try:
+        with socket.create_connection(listener.address) as first:
+            first.sendall(struct.pack("<I", len(bad_id)) + bad_id)
+            write_packet(first, packet(cam="c1", frame=1, rows=2))
+            first.sendall(struct.pack("<I", MAX_PACKET_BYTES + 1))
+            with socket.create_connection(listener.address) as second:
+                write_packet(second, packet(cam="c3", frame=3, rows=1))
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline and (
+                        len(received) < 2 or listener.counters()["closed_connections"] < 1):
+                    try:
+                        item = listener.get(timeout=0.05)
+                    except EOFError:
+                        continue
+                    if item is not None:
+                        received.append(item[1])
+                # the listener closed the first connection: it reads EOF
+                first.settimeout(5.0)
+                assert first.recv(1) == b""
+    finally:
+        listener.stop()
+    assert sorted(p.cam_id for p in received) == ["c1", "c3"]
+    assert listener.counters() == {"undecodable": 1, "closed_connections": 1}
+
+
+def test_listener_accepts_packet_of_largest_legal_size():
+    big = FramePacket(cam_id="x" * 32, frame=5, timestamp_us=9,
+                      features=np.arange(6.0 * 0xFFFF).reshape(-1, 6))
+    assert len(encode(big)) == MAX_PACKET_BYTES
+    listener = PacketListener(host="127.0.0.1", port=0).start()
+    try:
+        send_packets(*listener.address, [big])
+        received = [p for _, p in listener.packets(idle_timeout=0.2)]
+    finally:
+        listener.stop()
+    assert received == [big]
+    assert listener.counters() == {"undecodable": 0, "closed_connections": 0}
