@@ -6,17 +6,21 @@ that multiplies two indicator gates (image distance, blob area) with
 exp(-d) where d is the Mahalanobis distance between the back-projected
 pixel ray and the predicted 3D position.
 
-The hub scores each frame once. :func:`pair_table` projects every target
-through every camera, back-projects every feature and computes the image
-distance and the ray distance of every (target, camera, feature) pair in
-a fixed number of array operations. Assignment (:func:`assign`), merge
-prevention (:func:`resolve_shared`) and the birth search's claim test
-(:func:`gate_claimed_features`) all read that table and apply their own
-thresholds. Since the table computes every ray distance anyway, the gates
-no longer save work; ``LikelihoodCounters`` still counts the stages a
-pair-by-pair evaluation would run. :func:`feature_likelihood` and
-:func:`mahalanobis_closest_point` compute the same quantities one pair at
-a time and are the reference the table is tested against.
+The hub keeps each camera's features as the (n, 6) float rows
+(u, v, area, peak, theta, ecc) that arrive on the wire, and scores each
+frame once. :func:`pair_table` projects every target through every camera
+(:func:`~camtrack3d.geometry.project_points`), back-projects every
+feature and computes the image distance and the ray distance of every
+(target, camera, feature) pair in a fixed number of array operations.
+Assignment (:func:`assign`), merge prevention (:func:`resolve_shared`) and
+the birth search's claim test (:func:`gate_claimed_features`) take that
+table and apply their own thresholds. Since the table computes every ray
+distance anyway, the gates no longer save work; ``LikelihoodCounters``
+still counts the stages a pair-by-pair evaluation would run. The birth
+search (:func:`spawn_targets`) reads the rows no target claimed.
+:func:`feature_likelihood` and :func:`mahalanobis_closest_point` compute
+the same quantities one pair at a time and are the reference the table is
+tested against.
 """
 
 from __future__ import annotations
@@ -38,11 +42,14 @@ from .geometry import (
     _T_EPS,
     pixel_ray,
     project,
+    project_points,
     triangulate,
 )
 from .tracker import TargetState
 
 _COND_LIMIT = 1e12
+
+_NO_ROWS = np.empty((0, 6))  # a camera that reported no features
 
 
 class SingularCovariance(Exception):
@@ -172,12 +179,14 @@ class AssignmentMatrix:
 class PairTable:
     """Geometry of every (target, camera, feature) pairing of one frame.
 
-    Rows follow the targets in the order given to :func:`pair_table`.
-    Columns are the frame's features, camera by camera in camera-id order;
-    ``slices[cam_id]`` selects one camera's columns, in its feature order.
-    The table holds no thresholds: each consumer applies its own gates.
+    Rows follow the targets in the order given to :func:`pair_table`, whose
+    ids are ``target_ids``. Columns are the frame's features, camera by
+    camera in camera-id order; ``slices[cam_id]`` selects one camera's
+    columns, in its row order. The table holds no thresholds: each
+    consumer applies its own gates.
     """
 
+    target_ids: tuple[int, ...]
     slices: dict[str, slice]
     area: np.ndarray       # (N,) blob area per feature
     visible: np.ndarray    # (T, N) target projects in front of the feature's camera
@@ -185,11 +194,12 @@ class PairTable:
     ray_dist: np.ndarray   # (T, N) Mahalanobis ray distance; inf where undefined
 
 
-def pair_table(features_by_camera: Mapping[str, Sequence[Feature]],
+def pair_table(features_by_camera: Mapping[str, np.ndarray],
                targets: Sequence[TargetState],
                cameras: Sequence[CameraModel]) -> PairTable:
     """Project every target, back-project every feature and score every
-    pair, in one pass over the frame.
+    pair, in one pass over the frame. `features_by_camera` maps a camera
+    id to its (n, 6) feature rows.
 
     Per pair this is what :func:`project`, :func:`pixel_ray` and
     :func:`mahalanobis_closest_point` compute one call at a time, with the
@@ -205,29 +215,26 @@ def pair_table(features_by_camera: Mapping[str, Sequence[Feature]],
     cancel.
     """
     cams = sorted(cameras, key=lambda c: c.cam_id)
-    feats = [features_by_camera.get(c.cam_id, ()) for c in cams]
-    counts = [len(f) for f in feats]
+    rows = [features_by_camera.get(c.cam_id, _NO_ROWS) for c in cams]
+    counts = [len(r) for r in rows]
     ends = list(itertools.accumulate(counts, initial=0))
     slices = {c.cam_id: slice(ends[k], ends[k + 1]) for k, c in enumerate(cams)}
+    target_ids = tuple(t.target_id for t in targets)
     n_t, n_f = len(targets), ends[-1]
-    uva = np.array([(z.u, z.v, z.area) for f in feats for z in f],
-                   dtype=float).reshape(n_f, 3)
+    uva = np.concatenate([_NO_ROWS, *rows])[:, :3]
     if n_t == 0 or n_f == 0:
-        return PairTable(slices=slices, area=uva[:, 2],
+        return PairTable(target_ids=target_ids, slices=slices, area=uva[:, 2],
                          visible=np.zeros((n_t, n_f), dtype=bool),
                          dist2d=np.full((n_t, n_f), np.inf),
                          ray_dist=np.full((n_t, n_f), np.inf))
     cam_of = np.repeat(np.arange(len(cams)), counts)
     pos = np.array([t.mean[:3] for t in targets])
     cov = np.array([t.cov[:3, :3] for t in targets])
+    # targets through every camera: (T, C, 3) homogeneous image points
+    x, seen = project_points(cams, pos)
+    visible = seen[:, cam_of]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # targets through every camera: (T, C, 3) homogeneous image points
-        P = np.stack([c.projection for c in cams])
-        x = np.einsum("cij,tj->tci", P, np.column_stack([pos, np.ones(n_t)]))
         depth = x[..., 2]
-        front = np.array([c._front_sign for c in cams])
-        seen = ~(np.abs(depth) < _T_EPS) & ~(front * depth < 0)
-        visible = seen[:, cam_of]
         dist2d = np.where(visible,
                           np.hypot(uva[:, 0] - (x[..., 0] / depth)[:, cam_of],
                                    uva[:, 1] - (x[..., 1] / depth)[:, cam_of]),
@@ -257,7 +264,8 @@ def pair_table(features_by_camera: Mapping[str, Sequence[Feature]],
         d2 = np.einsum("tni,tij,tnj->tn", resid, s_inv, resid)
         ray_dist = np.sqrt(np.maximum(d2, 0.0))
         ok = cov_ok[:, None] & ray_ok & ~(dsd <= 0) & np.isfinite(ray_dist)
-    return PairTable(slices=slices, area=uva[:, 2], visible=visible, dist2d=dist2d,
+    return PairTable(target_ids=target_ids, slices=slices, area=uva[:, 2],
+                     visible=visible, dist2d=dist2d,
                      ray_dist=np.where(ok, ray_dist, np.inf))
 
 
@@ -276,41 +284,28 @@ def pair_likelihoods(table: PairTable, gate: GateConfig,
                     np.exp(-table.ray_dist), 0.0)
 
 
-def assign(features_by_camera: Mapping[str, Sequence[Feature]],
-           targets: Sequence[TargetState],
-           cameras: Sequence[CameraModel],
-           gate: GateConfig,
-           counters: LikelihoodCounters | None = None,
-           table: PairTable | None = None) -> AssignmentMatrix:
+def assign(table: PairTable, gate: GateConfig,
+           counters: LikelihoodCounters | None = None) -> AssignmentMatrix:
     """Nearest-neighbor assignment: per target and camera, the feature
-    maximizing the likelihood (None when every feature gates to zero).
-    Ties break to the lowest feature index.
-
-    The likelihoods are read from `table`, which is built here when not
-    given."""
-    if table is None:
-        table = pair_table(features_by_camera, targets, cameras)
+    maximizing the likelihood read from `table` (None when every feature
+    gates to zero). Ties break to the lowest feature index."""
     likelihood = pair_likelihoods(table, gate, counters)
-    rows = np.arange(len(targets))
+    rows = np.arange(len(table.target_ids))
     per_camera = []
     for sl in table.slices.values():
         if sl.start == sl.stop:
-            per_camera.append([None] * len(targets))
+            per_camera.append([None] * len(rows))
             continue
         block = likelihood[:, sl]
         best = block.argmax(axis=1)
         per_camera.append([int(j) if p > 0.0 else None
                            for j, p in zip(best, block[rows, best])])
-    columns = {t.target_id: tuple(col[i] for col in per_camera)
-               for i, t in enumerate(targets)}
+    columns = {tid: tuple(col[i] for col in per_camera)
+               for i, tid in enumerate(table.target_ids)}
     return AssignmentMatrix(camera_ids=tuple(table.slices), columns=columns)
 
 
-def resolve_shared(assignments: AssignmentMatrix,
-                   targets: Sequence[TargetState],
-                   features_by_camera: Mapping[str, Sequence[Feature]],
-                   cameras: Sequence[CameraModel],
-                   table: PairTable | None = None) -> AssignmentMatrix:
+def resolve_shared(assignments: AssignmentMatrix, table: PairTable) -> AssignmentMatrix:
     """Merge prevention: when several targets hold the exact same non-null
     assignment subset, the one whose predicted observation is closest
     (summed image distance, read from `table`) keeps it; the others are
@@ -323,9 +318,7 @@ def resolve_shared(assignments: AssignmentMatrix,
     shared = {col: tids for col, tids in groups.items() if len(tids) >= 2}
     if not shared:
         return assignments
-    if table is None:
-        table = pair_table(features_by_camera, targets, cameras)
-    row = {t.target_id: i for i, t in enumerate(targets)}
+    row = {tid: i for i, tid in enumerate(table.target_ids)}
     columns = dict(assignments.columns)
     null_col = (None,) * len(assignments.camera_ids)
     for col, tids in shared.items():
@@ -346,11 +339,7 @@ def resolve_shared(assignments: AssignmentMatrix,
     return replace(assignments, columns=columns)
 
 
-def gate_claimed_features(features_by_camera: Mapping[str, Sequence[Feature]],
-                          targets: Sequence[TargetState],
-                          cameras: Sequence[CameraModel],
-                          gate: GateConfig,
-                          table: PairTable | None = None) -> set[tuple[str, int]]:
+def gate_claimed_features(table: PairTable, gate: GateConfig) -> set[tuple[str, int]]:
     """Features plausibly explained by an existing target: inside its
     image-distance gate AND with a back-projected ray passing the target's
     3D Mahalanobis gate.
@@ -362,10 +351,6 @@ def gate_claimed_features(features_by_camera: Mapping[str, Sequence[Feature]],
     keeps the claim local in 3D; a feature that merely projects near a
     distant track along its viewing ray stays available for births.
     """
-    if not targets:
-        return set()
-    if table is None:
-        table = pair_table(features_by_camera, targets, cameras)
     hit = (~(table.dist2d >= gate.dist2d_threshold)
            & (table.ray_dist <= gate.mahalanobis_gate)).any(axis=0)
     return {(cam_id, int(j)) for cam_id, sl in table.slices.items()
@@ -374,16 +359,11 @@ def gate_claimed_features(features_by_camera: Mapping[str, Sequence[Feature]],
 
 def _cameras_viewing(point, cameras: Sequence[CameraModel]) -> int:
     """How many cameras have `point` in front of them and inside the image."""
-    n = 0
-    for cam in cameras:
-        try:
-            u, v = project(cam, point)
-        except (BehindCamera, PointAtInfinity):
-            continue
-        w, h = cam.image_size
-        if 0 <= u <= w and 0 <= v <= h:
-            n += 1
-    return n
+    x, ok = project_points(cameras, point)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = x[0, :, 0] / x[0, :, 2], x[0, :, 1] / x[0, :, 2]
+    w, h = np.array([c.image_size for c in cameras], dtype=float).T
+    return int(np.count_nonzero(ok[0] & (0 <= u) & (u <= w) & (0 <= v) & (v <= h)))
 
 
 def _ray_ray_distance(r1: Ray3, r2: Ray3) -> float:
@@ -400,7 +380,8 @@ def _ray_ray_distance(r1: Ray3, r2: Ray3) -> float:
     return float(np.linalg.norm(r1.point_at(s) - r2.point_at(t)))
 
 
-def spawn_targets(unclaimed_by_camera: Mapping[str, Sequence[tuple[int, Feature]]],
+def spawn_targets(features_by_camera: Mapping[str, np.ndarray],
+                  claimed: set[tuple[str, int]],
                   cameras: Sequence[CameraModel],
                   gate: GateConfig,
                   frame_number: int,
@@ -422,19 +403,22 @@ def spawn_targets(unclaimed_by_camera: Mapping[str, Sequence[tuple[int, Feature]
     smaller error then lexicographic feature choice; its features are
     consumed and the search repeats until nothing acceptable remains.
 
-    `unclaimed_by_camera` maps camera id to (feature index, feature) pairs;
-    returns the new targets and the set of consumed (camera id, index).
+    `features_by_camera` maps camera id to its (n, 6) feature rows; rows
+    named in `claimed` as (camera id, row index) are left out. Returns the
+    new targets and the set of consumed (camera id, row index).
     """
     cams = sorted(cameras, key=lambda c: c.cam_id)
-    pool: dict[str, list[tuple[int, Feature]]] = {
-        c.cam_id: list(unclaimed_by_camera.get(c.cam_id, ())) for c in cams}
+    uv = {c.cam_id: features_by_camera.get(c.cam_id, _NO_ROWS)[:, :2] for c in cams}
+    pool: dict[str, list[int]] = {
+        cam_id: [j for j in range(len(rows)) if (cam_id, j) not in claimed]
+        for cam_id, rows in uv.items()}
     rays: dict[tuple[str, int], Ray3] = {}
 
-    def ray_of(cam: CameraModel, idx: int, z: Feature) -> Ray3 | None:
+    def ray_of(cam: CameraModel, idx: int) -> Ray3 | None:
         key = (cam.cam_id, idx)
         if key not in rays:
             try:
-                rays[key] = pixel_ray(cam, (z.u, z.v))
+                rays[key] = pixel_ray(cam, uv[cam.cam_id][idx])
             except DegenerateGeometry:
                 return None
         return rays[key]
@@ -452,7 +436,7 @@ def spawn_targets(unclaimed_by_camera: Mapping[str, Sequence[tuple[int, Feature]
                 if stats is not None:
                     stats.camera_combinations += 1
                 for choice in _consistent_tuples(combo, pool, ray_of, gate):
-                    views = [(cam, (z.u, z.v)) for cam, _, z in choice]
+                    views = [(cam, uv[cam.cam_id][idx]) for cam, idx in choice]
                     if stats is not None:
                         stats.hypotheses_triangulated += 1
                     try:
@@ -464,7 +448,7 @@ def spawn_targets(unclaimed_by_camera: Mapping[str, Sequence[tuple[int, Feature]
                     viewing = _cameras_viewing(point, cams)
                     if size < viewing - gate.birth_miss_tolerance:
                         continue
-                    key = (-size, err, tuple((cam.cam_id, idx) for cam, idx, _ in choice))
+                    key = (-size, err, tuple((cam.cam_id, idx) for cam, idx in choice))
                     if best is None or key < best[0]:
                         best = (key, point, choice)
         if best is None:
@@ -476,9 +460,9 @@ def spawn_targets(unclaimed_by_camera: Mapping[str, Sequence[tuple[int, Feature]
                                 cov=cov, frames_since_observation=0,
                                 born_at=frame_number))
         next_id += 1
-        for cam, idx, _ in choice:
+        for cam, idx in choice:
             used.add((cam.cam_id, idx))
-            pool[cam.cam_id] = [(i, z) for i, z in pool[cam.cam_id] if i != idx]
+            pool[cam.cam_id].remove(idx)
     return born, used
 
 
@@ -493,18 +477,18 @@ def _consistent_tuples(combo, pool, ray_of, gate):
             yield list(chosen)
             return
         cam = combo[level]
-        for idx, z in pool[cam.cam_id]:
-            ray = ray_of(cam, idx, z)
+        for idx in pool[cam.cam_id]:
+            ray = ray_of(cam, idx)
             if ray is None:
                 continue
             ok = True
-            for pcam, pidx, pz in chosen:
-                pray = ray_of(pcam, pidx, pz)
+            for pcam, pidx in chosen:
+                pray = ray_of(pcam, pidx)
                 if pray is None or _ray_ray_distance(ray, pray) >= gate.birth_pair_distance:
                     ok = False
                     break
             if ok:
-                chosen.append((cam, idx, z))
+                chosen.append((cam, idx))
                 yield from grow(level + 1, chosen)
                 chosen.pop()
 

@@ -229,8 +229,10 @@ def extract_features(frame: Frame, model: BackgroundModel,
     ``moment_fraction`` of the regional peak are dropped before moments are
     computed. At most ``max_features`` features are returned, largest area
     first (ties by raw centroid u then v, then by the region's first pixel
-    in raster order).
+    in raster order). Raises ValueError unless 0 <= moment_fraction <= 1.
     """
+    if not 0.0 <= moment_fraction <= 1.0:
+        raise ValueError(f"moment_fraction must lie in [0, 1], got {moment_fraction!r}")
     pixels = frame.pixels
     if pixels.shape != model.mean.shape:
         raise DimensionMismatch(

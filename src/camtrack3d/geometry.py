@@ -51,12 +51,6 @@ class NoConvergence(GeometryError):
 _T_EPS = 1e-15
 
 
-def to_homogeneous(x) -> np.ndarray:
-    """Append a unit coordinate to a finite 2- or 3-vector."""
-    x = np.asarray(x, dtype=float).ravel()
-    return np.append(x, 1.0)
-
-
 def dehomogenize(p) -> tuple[float, float]:
     """Convert a homogeneous image point (r, s, t) to pixel coordinates (r/t, s/t).
 
@@ -107,9 +101,6 @@ class Plane3:
     @property
     def normal(self) -> np.ndarray:
         return self.coefficients[:3]
-
-    def distance(self, point) -> float:
-        return float(self.coefficients @ to_homogeneous(point))
 
 
 @dataclass(frozen=True)
@@ -188,6 +179,24 @@ def project(cam: CameraModel, X) -> tuple[float, float]:
     if cam._front_sign * x[2] * np.sign(X[3]) < 0:
         raise BehindCamera(cam.cam_id)
     return dehomogenize(x)
+
+
+def project_points(cameras: Sequence[CameraModel], points
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Project T finite 3D points through C cameras at once.
+
+    Returns the homogeneous image points, shape (T, C, 3), and the (T, C)
+    mask of the pairs :func:`project` accepts: not on the camera's
+    principal plane and not behind it. The einsum gives the bits of
+    ``cam.projection @ (X, 1)``; a stacked ``matmul`` does not.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    P = np.array([c.projection for c in cameras]).reshape(-1, 3, 4)
+    front = np.array([c._front_sign for c in cameras])
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.einsum("cij,tj->tci", P, np.column_stack([points, np.ones(len(points))]))
+        depth = x[..., 2]
+        return x, ~(np.abs(depth) < _T_EPS) & ~(front * depth < 0)
 
 
 def apply_distortion(cam: CameraModel, ideal) -> tuple[float, float]:

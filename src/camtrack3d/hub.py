@@ -2,6 +2,12 @@
 associate features, resolve shared assignments, update, spawn new targets
 from unclaimed features and cull lost ones.
 
+Features stay the (n, 6) float rows of each camera's packet from ingress
+to the birth search; rows that are not finite are dropped and counted
+first. Every (target, camera, feature) pair is scored once per frame into
+an :class:`~camtrack3d.association.PairTable`, which assignment, merge
+resolution and the gate-claim test read.
+
 Processing is single-threaded and deterministic: identical assembled-frame
 sequences and configuration produce bit-identical trajectory output.
 """
@@ -28,7 +34,9 @@ from .association import (
     resolve_shared,
     spawn_targets,
 )
-from .features import Feature, feature_from_row
+# not called here; the traced benchmark wraps hub.feature_from_row by name
+from .features import feature_from_row  # noqa: F401
+from .metrics import latency_percentiles
 from .netproto import AssembledFrame
 from .tracker import (
     ObservationModel,
@@ -55,12 +63,7 @@ class RunStats:
     spawn: SpawnStats = field(default_factory=SpawnStats)
 
     def latency_percentiles(self) -> dict[str, float]:
-        if not self.latencies:
-            return {}
-        ls = np.asarray(self.latencies)
-        return {"p50": float(np.percentile(ls, 50)),
-                "p90": float(np.percentile(ls, 90)),
-                "p99": float(np.percentile(ls, 99))}
+        return latency_percentiles(self.latencies)
 
     def summary(self) -> dict:
         out = {"frames": self.frames, "births": self.births,
@@ -96,16 +99,17 @@ class TrackerWorld:
         return sorted(self.targets, key=lambda t: t.target_id)
 
 
-def _frame_features(aframe: AssembledFrame, stats: RunStats) -> dict[str, list[Feature]]:
-    """The frame's feature rows as Features, per camera. Rows holding a NaN
-    or an infinity are dropped and counted: no gate rejects them reliably,
-    and they break the birth search's triangulation."""
-    out: dict[str, list[Feature]] = {}
+def _frame_features(aframe: AssembledFrame, stats: RunStats) -> dict[str, np.ndarray]:
+    """The frame's finite feature rows, an (n, 6) float array per camera.
+    Rows holding a NaN or an infinity are dropped and counted: no gate
+    rejects them reliably, and they break the birth search's
+    triangulation."""
+    out: dict[str, np.ndarray] = {}
     for cam_id, rows in aframe.features_by_camera.items():
         rows = np.asarray(rows, dtype=float).reshape(-1, 6)
         finite = np.isfinite(rows).all(axis=1)
         stats.nonfinite_rows += int(np.count_nonzero(~finite))
-        out[cam_id] = [feature_from_row(r) for r in rows[finite]]
+        out[cam_id] = rows[finite]
     return out
 
 
@@ -143,19 +147,15 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     # every (target, camera, feature) pair, scored once for steps 2, 3 and 5
     table = pair_table(features, priors, cameras)
     # 2: associate
-    assignments = assign(features, priors, cameras, world.gate,
-                         world.stats.likelihood, table=table)
+    assignments = assign(table, world.gate, world.stats.likelihood)
     # 3: shared-measurement resolution (merge prevention)
-    assignments = resolve_shared(assignments, priors, features, cameras, table=table)
+    assignments = resolve_shared(assignments, table)
     # 4: update
     posteriors = []
     for prior in priors:
         col = assignments.columns[prior.target_id]
-        obs = []
-        for cam, idx in zip(cameras, col):
-            if idx is not None:
-                z = features[cam.cam_id][idx]
-                obs.append((cam, (z.u, z.v)))
+        obs = [(cam, features[cam.cam_id][idx, :2])
+               for cam, idx in zip(cameras, col) if idx is not None]
         try:
             posteriors.append(update(prior, obs, world.observation))
         except SingularInnovation:
@@ -167,12 +167,8 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     # 5: birth from unclaimed features; a feature counts as claimed when a
     # track selected it OR when it falls inside any track's image gate
     # (else clutter next to a live target seeds a duplicate that fights it)
-    claimed = assignments.claimed()
-    claimed |= gate_claimed_features(features, priors, cameras, world.gate, table=table)
-    unclaimed = {
-        cam_id: [(j, z) for j, z in enumerate(lst) if (cam_id, j) not in claimed]
-        for cam_id, lst in features.items()}
-    born, birth_features = spawn_targets(unclaimed, cameras, world.gate,
+    claimed = assignments.claimed() | gate_claimed_features(table, world.gate)
+    born, birth_features = spawn_targets(features, claimed, cameras, world.gate,
                                          aframe.frame, world.next_target_id,
                                          world.stats.spawn)
     world.next_target_id += len(born)

@@ -138,6 +138,14 @@ def _greedy_match(est: Mapping[int, np.ndarray], truth: Mapping[int, np.ndarray]
     return out
 
 
+def latency_percentiles(latencies) -> dict[str, float]:
+    """The p50, p90 and p99 of latency samples; empty when there are none."""
+    if not len(latencies):
+        return {}
+    ls = np.asarray(latencies, dtype=float)
+    return {f"p{q}": float(np.percentile(ls, q)) for q in (50, 90, 99)}
+
+
 def evaluate(trajectory, truths, matching_radius: float = 0.05,
              cameras: Sequence[CameraModel] | None = None,
              landmark=None, latencies=None, fps: float | None = None) -> dict:
@@ -217,11 +225,8 @@ def evaluate(trajectory, truths, matching_radius: float = 0.05,
         "death_lag_frames": float(np.mean(death_lags)) if death_lags else math.nan,
         "mean_reprojection_error_px": (reproj_err / n_reproj) if n_reproj else math.nan,
     }
-    if latencies is not None and len(latencies):
-        ls = np.asarray(latencies, dtype=float)
-        report["latency_p50"] = float(np.percentile(ls, 50))
-        report["latency_p90"] = float(np.percentile(ls, 90))
-        report["latency_p99"] = float(np.percentile(ls, 99))
+    if latencies is not None:
+        report.update({f"latency_{k}": v for k, v in latency_percentiles(latencies).items()})
     if fps is not None:
         dt = 1.0 / fps
         speeds = []

@@ -257,10 +257,6 @@ class FrameAssembler:
                 self._emitted.popitem(last=False)
         return out
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
-
     def counters(self) -> dict[str, int]:
         return {"late": self.late, "duplicates": self.duplicates,
                 "partial": self.partial}

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import linalg as sla
 
-from .geometry import BehindCamera, CameraModel, PointAtInfinity
+from .geometry import BehindCamera, CameraModel, project_points
 
 # defaults: position noise 100 mm^2 (= 1e-4 m^2), velocity noise 0.25 (m/s)^2,
 # pixel observation variance 1 px^2
@@ -84,10 +84,6 @@ class ObservationModel:
         if not cams:
             raise ValueError("observation model needs at least one camera")
         object.__setattr__(self, "cameras", tuple(cams))
-        object.__setattr__(self, "by_id", {c.cam_id: c for c in cams})
-
-    def camera(self, cam_id: str) -> CameraModel:
-        return self.by_id[cam_id]
 
 
 def symmetrize(P: np.ndarray) -> np.ndarray:
@@ -112,39 +108,42 @@ def predict(state: TargetState, pm: ProcessModel) -> TargetState:
     return replace(state, mean=mean, cov=cov)
 
 
-def _linearize(X: np.ndarray, cam: CameraModel):
-    """Projection of the homogeneous world point `X` by `cam` and the two
-    rows of its Jacobian with respect to the state. Raises PointAtInfinity
-    or BehindCamera (tagged with the camera id) when it does not project."""
-    P = cam.projection
-    x = P @ X
-    if abs(x[2]) < 1e-15:
-        raise PointAtInfinity(cam.cam_id)
-    if cam._front_sign * x[2] < 0:
-        raise BehindCamera(cam.cam_id)
-    t = x[2]
-    # d(r/t)/dX_j = (P[0,j] t - r P[2,j]) / t^2 for world components j
-    rows = np.zeros((2, 6))
-    rows[0, :3] = (P[0, :3] * t - x[0] * P[2, :3]) / (t * t)
-    rows[1, :3] = (P[1, :3] * t - x[1] * P[2, :3]) / (t * t)
-    return (x[0] / t, x[1] / t), rows
+def _linearize(position, cams: Sequence[CameraModel]):
+    """Projections of the 3D `position` by `cams`, shape (C, 2), the two
+    rows of each one's Jacobian with respect to the state, shape (C, 2, 6),
+    and the (C,) mask of cameras it projects through (in front, not on the
+    principal plane); entries outside the mask mean nothing."""
+    x, ok = project_points(cams, position)
+    x, t = x[0], x[0, :, 2:]
+    P = np.array([c.projection for c in cams]).reshape(-1, 3, 4)
+    rows = np.zeros((len(cams), 2, 6))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # d(r/t)/dX_j = (P[0,j] t - r P[2,j]) / t^2 for world components j
+        rows[:, :, :3] = ((P[:, :2, :3] * t[:, :, None] - x[:, :2, None] * P[:, 2:, :3])
+                          / (t * t)[:, :, None])
+        return x[:, :2] / t, rows, ok[0]
+
+
+def _observe(mean, cams: Sequence[CameraModel]):
+    cams = sorted(cams, key=lambda c: c.cam_id)
+    pred, rows, ok = _linearize(np.asarray(mean, dtype=float).ravel()[:3], cams)
+    if not ok.all():
+        raise BehindCamera(cams[int(np.argmin(ok))].cam_id)
+    return pred.reshape(-1), rows.reshape(-1, 6)
 
 
 def observation_function(mean, cams: Sequence[CameraModel]) -> np.ndarray:
     """Predicted stacked pixel observation (u_1, v_1, ..., u_n, v_n) for
     the given cameras, in camera-id order. Raises BehindCamera (tagged with
-    the offending camera id) if the position is behind any camera."""
-    X = np.append(np.asarray(mean, dtype=float).ravel()[:3], 1.0)
-    cams = sorted(cams, key=lambda c: c.cam_id)
-    return np.array([uv for cam in cams for uv in _linearize(X, cam)[0]], dtype=float)
+    the offending camera id) if the position is behind any camera or on its
+    principal plane."""
+    return _observe(mean, cams)[0]
 
 
 def observation_jacobian(mean, cams: Sequence[CameraModel]) -> np.ndarray:
     """Analytic Jacobian of :func:`observation_function` with respect to
     the 6 state components (velocity columns are zero)."""
-    X = np.append(np.asarray(mean, dtype=float).ravel()[:3], 1.0)
-    cams = sorted(cams, key=lambda c: c.cam_id)
-    return np.vstack([np.zeros((0, 6))] + [_linearize(X, cam)[1] for cam in cams])
+    return _observe(mean, cams)[1]
 
 
 def update(prior: TargetState,
@@ -157,22 +156,15 @@ def update(prior: TargetState,
     position is not projectable (behind the camera) are skipped. Covariance
     is updated in Joseph form to preserve positive semidefiniteness.
     """
-    X = np.append(prior.mean[:3], 1.0)
-    y, h, C = [], [], []
-    for cam, px in sorted(observations, key=lambda o: o[0].cam_id):
-        try:
-            pred, rows = _linearize(X, cam)
-        except (BehindCamera, PointAtInfinity):
-            continue
-        y += (px[0], px[1])
-        h += pred
-        C.append(rows)
-    if not C:
+    observations = sorted(observations, key=lambda o: o[0].cam_id)
+    pred, rows, ok = _linearize(prior.mean[:3], [cam for cam, _ in observations])
+    if not ok.any():
         return replace(prior,
                        frames_since_observation=prior.frames_since_observation + 1)
-    y = np.array(y, dtype=float)
-    h = np.array(h)
-    C = np.vstack(C)
+    y = np.array([px for (_, px), good in zip(observations, ok) if good],
+                 dtype=float).reshape(-1)
+    h = pred[ok].reshape(-1)
+    C = rows[ok].reshape(-1, 6)
     R = np.eye(len(y)) * om.r_px
     S = C @ prior.cov @ C.T + R
     if not np.all(np.isfinite(S)) or np.linalg.cond(S) > _COND_LIMIT:

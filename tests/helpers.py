@@ -50,6 +50,28 @@ def make_feature(u, v, area=20.0, peak=150.0, theta=0.0, ecc=2.0):
                    area=area, peak=peak, theta=theta, ecc=ecc)
 
 
+def feature_rows(features_by_camera):
+    """Per camera, a list of Features as the hub holds it: (n, 6) rows."""
+    return {cam_id: np.array([z.as_row() for z in lst], dtype=float).reshape(-1, 6)
+            for cam_id, lst in features_by_camera.items()}
+
+
+def table_of(features_by_camera, targets, cameras):
+    """association.pair_table of per-camera Feature lists."""
+    from camtrack3d.association import pair_table
+
+    return pair_table(feature_rows(features_by_camera), targets, cameras)
+
+
+def unclaimed_rows(unclaimed_by_camera):
+    """The feature rows spawn_targets reads, from per-camera lists of
+    (index, Feature) pairs numbered 0, 1, ... (nothing claimed)."""
+    for pairs in unclaimed_by_camera.values():
+        assert [i for i, _ in pairs] == list(range(len(pairs)))
+    return feature_rows({cam_id: [z for _, z in pairs]
+                         for cam_id, pairs in unclaimed_by_camera.items()})
+
+
 def bruteforce_assignment(features_by_camera, targets, cameras, gate,
                           miss=2e-22):
     """Exhaustive maximum-likelihood assignment oracle.

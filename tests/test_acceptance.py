@@ -40,7 +40,7 @@ from camtrack3d.tracker import (
     predict,
     update,
 )
-from helpers import bruteforce_assignment, make_feature
+from helpers import bruteforce_assignment, make_feature, table_of
 
 # observation noise stated as "1 px" means unit RMS of the 2D displacement
 ONE_PX_RMS = 2 ** -0.5
@@ -311,7 +311,7 @@ def test_criterion_6_nnsf_equals_bruteforce():
                     lst.append(make_feature(rng.uniform(0, 640),
                                             rng.uniform(0, 480)))
                 feats[c.cam_id] = lst
-            am = assign(feats, targets, cams, gate)
+            am = assign(table_of(feats, targets, cams), gate)
             oracle = bruteforce_assignment(feats, targets, cams, gate)
             instances += 1
             if am.columns == oracle:

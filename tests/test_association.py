@@ -25,10 +25,13 @@ from camtrack3d.geometry import BehindCamera, PointAtInfinity, Ray3, project, tr
 from camtrack3d.tracker import ProcessModel, TargetState, predict
 from helpers import (
     bruteforce_assignment,
+    feature_rows,
     gate_claimed_features_oracle,
     look_at_camera,
     make_feature,
     ring_of_cameras,
+    table_of,
+    unclaimed_rows,
 )
 
 
@@ -190,7 +193,7 @@ def association_frames(draw):
 @given(association_frames())
 def test_pair_table_matches_scalar_likelihood(frame):
     cams, targets, feats = frame
-    table = pair_table(feats, targets, cams)
+    table = pair_table(feature_rows(feats), targets, cams)
     kernel_counts, scalar_counts = LikelihoodCounters(), LikelihoodCounters()
     likelihood = pair_likelihoods(table, GATE, kernel_counts)
     for i, t in enumerate(targets):
@@ -201,7 +204,7 @@ def test_pair_table_matches_scalar_likelihood(frame):
                 assert (q > 0) == (p > 0), (i, cam.cam_id, j, p, q)
                 assert q == pytest.approx(p, rel=1e-12, abs=0.0)
     assert kernel_counts == scalar_counts
-    assert (gate_claimed_features(feats, targets, cams, GATE, table=table)
+    assert (gate_claimed_features(table, GATE)
             == gate_claimed_features_oracle(feats, targets, cams, GATE))
 
 
@@ -209,9 +212,9 @@ def test_pair_table_empty_frame():
     cams = ring_of_cameras(2)
     table = pair_table({}, [target_at([0.0, 0.0, 0.3])], cams)
     assert table.dist2d.shape == (1, 0)
-    am = assign({}, [target_at([0.0, 0.0, 0.3])], cams, GATE)
+    am = assign(pair_table({}, [target_at([0.0, 0.0, 0.3])], cams), GATE)
     assert am.columns == {0: (None, None)}
-    assert gate_claimed_features({}, [], cams, GATE) == set()
+    assert gate_claimed_features(pair_table({}, [], cams), GATE) == set()
 
 
 # ---------------------------------------------------------------------- assign
@@ -221,7 +224,7 @@ def test_assign_single_in_gate_feature():
     gate = GateConfig()
     t = target_at([0.0, 0.0, 0.3])
     feats = {c.cam_id: [make_feature(*project(c, t.position))] for c in cams}
-    am = assign(feats, [t], cams, gate)
+    am = assign(table_of(feats, [t], cams), gate)
     assert am.columns[t.target_id] == (0, 0, 0)
 
 
@@ -234,7 +237,7 @@ def test_assign_smaller_ray_distance_wins():
     z_far = make_feature(u + 8.0, v)   # in gate, off the ray
     z_near = make_feature(u, v)        # on the ray
     feats = {cam.cam_id: [z_far, z_near]}
-    am = assign(feats, [t], [cam], gate)
+    am = assign(table_of(feats, [t], [cam]), gate)
     assert am.columns[t.target_id] == (1,)
     # exhaustive check: the chosen feature has the max likelihood
     ps = [feature_likelihood(z, t, cam, gate) for z in feats[cam.cam_id]]
@@ -247,7 +250,7 @@ def test_assign_all_out_of_gate_gives_null_column():
     t = target_at([0.0, 0.0, 0.3])
     feats = {c.cam_id: [make_feature(*(np.array(project(c, t.position)) + 200.0))]
              for c in cams}
-    am = assign(feats, [t], cams, gate)
+    am = assign(table_of(feats, [t], cams), gate)
     assert am.columns[t.target_id] == (None, None, None)
 
 
@@ -262,8 +265,8 @@ def test_assign_gating_monotonicity():
         feats[c.cam_id] = [make_feature(u + rng.uniform(-20, 20),
                                         v + rng.uniform(-20, 20))
                            for _ in range(3)]
-    small = assign(feats, [t], cams, GateConfig(dist2d_threshold=15.0))
-    large = assign(feats, [t], cams, GateConfig(dist2d_threshold=60.0))
+    small = assign(table_of(feats, [t], cams), GateConfig(dist2d_threshold=15.0))
+    large = assign(table_of(feats, [t], cams), GateConfig(dist2d_threshold=60.0))
     for cam_idx, idx in enumerate(small.columns[t.target_id]):
         if idx is not None:
             assert large.columns[t.target_id][cam_idx] is not None
@@ -286,7 +289,7 @@ def test_assign_matches_bruteforce_small_instances():
             if rng.random() < 0.5:
                 lst.append(make_feature(rng.uniform(0, 640), rng.uniform(0, 480)))
             feats[c.cam_id] = lst
-        am = assign(feats, [t1, t2], cams, gate)
+        am = assign(table_of(feats, [t1, t2], cams), gate)
         oracle = bruteforce_assignment(feats, [t1, t2], cams, gate)
         if am.columns == oracle:
             agree += 1
@@ -304,9 +307,9 @@ def test_resolve_shared_closest_prediction_keeps_data():
     far = TargetState(target_id=1, mean=far.mean + np.array([0.01, 0.01, 0, 0, 0, 0]),
                       cov=far.cov)
     feats = {c.cam_id: [make_feature(*project(c, near.position))] for c in cams}
-    am = assign(feats, [near, far], cams, gate)
+    am = assign(table_of(feats, [near, far], cams), gate)
     assert am.columns[0] == am.columns[1] == (0, 0)
-    resolved = resolve_shared(am, [near, far], feats, cams)
+    resolved = resolve_shared(am, table_of(feats, [near, far], cams))
     assert resolved.columns[0] == (0, 0)
     assert resolved.columns[1] == (None, None)
 
@@ -317,7 +320,7 @@ def test_resolve_shared_different_columns_untouched():
                           columns={0: (0, 1), 1: (1, 0)})
     feats = {c.cam_id: [make_feature(10, 10), make_feature(20, 20)] for c in cams}
     t0, t1 = target_at([0, 0, 0.3], 0), target_at([0.1, 0, 0.3], 1)
-    resolved = resolve_shared(am, [t0, t1], feats, cams)
+    resolved = resolve_shared(am, table_of(feats, [t0, t1], cams))
     assert resolved.columns == am.columns
 
 
@@ -333,7 +336,7 @@ def test_resolve_shared_only_equal_subset_groups():
              for c in cams}
     am = AssignmentMatrix(camera_ids=tuple(c.cam_id for c in cams),
                           columns={0: shared, 1: shared, 2: distinct})
-    resolved = resolve_shared(am, [t0, t1, t2], feats, cams)
+    resolved = resolve_shared(am, table_of(feats, [t0, t1, t2], cams))
     assert resolved.columns[2] == distinct  # untouched
     nulled = sum(1 for tid in (0, 1)
                  if resolved.columns[tid] == (None, None))
@@ -353,7 +356,8 @@ def test_resolve_shared_no_identical_nonnull_subsets_property():
             feats[c.cam_id] = [make_feature(*(np.array(project(c, t.position))
                                               + rng.normal(0, 3, size=2)))
                                for t in targets[:2]]
-        am = resolve_shared(assign(feats, targets, cams, gate), targets, feats, cams)
+        table = table_of(feats, targets, cams)
+        am = resolve_shared(assign(table, gate), table)
         nonnull = [col for col in am.columns.values()
                    if any(i is not None for i in col)]
         assert len(nonnull) == len(set(nonnull))
@@ -366,7 +370,8 @@ def test_spawn_from_consistent_triple():
     gate = GateConfig()
     X = np.array([0.05, -0.03, 0.35])
     unclaimed = {c.cam_id: [(0, make_feature(*project(c, X)))] for c in cams}
-    born, used = spawn_targets(unclaimed, cams, gate, frame_number=12, next_id=5)
+    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate,
+                               frame_number=12, next_id=5)
     assert len(born) == 1
     t = born[0]
     assert t.target_id == 5 and t.born_at == 12
@@ -397,7 +402,7 @@ def test_spawn_enumerates_all_camera_combinations():
                 continue
             assert err >= gate.birth_reprojection_threshold
     stats = SpawnStats()
-    born, used = spawn_targets(unclaimed, cams, gate, 0, 0, stats)
+    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0, stats)
     assert born == [] and used == set()
     assert stats.passes == 1
     assert stats.camera_combinations == 4
@@ -408,7 +413,7 @@ def test_spawn_prefers_maximal_camera_count():
     gate = GateConfig()
     X = np.array([0.0, 0.05, 0.3])
     unclaimed = {c.cam_id: [(0, make_feature(*project(c, X)))] for c in cams}
-    born, used = spawn_targets(unclaimed, cams, gate, 0, 0)
+    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
     assert len(born) == 1
     assert len(used) == 4  # all four cameras participate
 
@@ -480,7 +485,7 @@ def test_spawn_matches_exhaustive_oracle():
             if rng.random() < 0.5:
                 lst.append((1, make_feature(rng.uniform(0, 640), rng.uniform(0, 480))))
             unclaimed[c.cam_id] = lst
-        born, used = spawn_targets(unclaimed, cams, gate, 0, 0)
+        born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
         oracle = exhaustive_spawn_oracle(unclaimed, cams, gate)
         assert len(born) == len(oracle)
         for t, pos in zip(born, oracle):
@@ -492,7 +497,7 @@ def test_spawn_needs_min_cameras():
     gate = GateConfig()
     X = np.array([0.0, 0.0, 0.3])
     unclaimed = {cams[0].cam_id: [(0, make_feature(*project(cams[0], X)))]}
-    born, used = spawn_targets(unclaimed, cams, gate, 0, 0)
+    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
     assert born == []
 
 

@@ -112,6 +112,17 @@ def test_moment_fraction_zeroes_dim_pixels():
     assert f.area == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("fraction", [1.5, -0.1, math.nan])
+def test_moment_fraction_outside_unit_interval_is_rejected(fraction):
+    # above 1 (or NaN) every region kept no pixel and the moments raised
+    # numpy's zero-size reduction error instead of naming the argument
+    px = np.zeros((8, 8), dtype=np.uint8)
+    px[3:6, 3:6] = 200
+    model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=20.0)
+    with pytest.raises(ValueError, match="moment_fraction"):
+        extract_features(frame_with(px), model, moment_fraction=fraction)
+
+
 def test_translation_equivariance():
     rng = np.random.default_rng(9)
     for _ in range(100):

@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import importlib.util
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,3 +326,54 @@ def test_smalltunnel_assignment_digest_is_recorded_value():
                            sorted(ev.deaths))).encode())
     assert int.from_bytes(h.digest(), "big") == 2497656049722698907
     assert (world.stats.births, world.stats.deaths) == (14, 11)
+
+
+def test_bigcyl_birth_search_digest_is_recorded_value():
+    # Digest of every frame's assignment columns, births, deaths and the
+    # features each birth consumed on a short cluttered bigcyl run, where
+    # the birth search spawns eleven targets; recorded before the hub kept
+    # feature rows as arrays, which must reproduce it.
+    spec = preset("bigcyl", seed=21, clutter_rate=1.0, detection_prob=0.95)
+    cams = generate_rig(spec)
+    truths = simulate_truth(spec, 3, 90, crossing=True)
+    frames = packets_to_assembled(synthesize_observations(truths, cams, spec),
+                                  spec.n_cameras)
+    world = make_world(cams, spec.fps)
+    h = hashlib.blake2b(digest_size=8)
+    for af in frames:
+        for ev in process_frame(world, af):
+            cols = sorted((tid, tuple(-1 if i is None else i for i in col))
+                          for tid, col in ev.assignments.columns.items())
+            h.update(repr((ev.frame, cols, sorted(ev.births), sorted(ev.deaths),
+                           sorted(ev.birth_features))).encode())
+    assert int.from_bytes(h.digest(), "big") == 2564956075376412310
+    assert (world.stats.births, world.stats.deaths) == (11, 8)
+
+
+# ------------------------------------------------------- benchmark tracing
+
+def test_benchmark_tracer_finds_every_name_it_wraps():
+    # bench/tracing.py wraps hub and association functions by name, so a
+    # rename there would crash every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    if not path.exists():
+        pytest.skip("bench/tracing.py not present")
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)  # read only: nothing under bench/ is written
+    from camtrack3d import association, hub
+
+    names = [(hub, "process_frame"), (hub, "assign"), (association, "project")]
+    before = [getattr(owner, attr) for owner, attr in names]
+    scene_spec, cams, truths, frames = noiseless_scene(n_frames=2)
+    world = make_world(cams, scene_spec.fps)
+    with tracing.installed(tracing.Tracer()) as tracer:
+        for af in frames:
+            hub.process_frame(world, af)
+    assert [getattr(owner, attr) for owner, attr in names] == before
+    spans = tracer.per_name()
+    assert spans["hub.process_frame"]["calls"] == 2
+    for stage in ("assign", "resolve_shared", "gate_claimed_features",
+                  "spawn_targets", "cull_targets"):
+        assert spans[stage]["calls"] == 2
+    assert world.stats.births == 1
