@@ -500,10 +500,9 @@ def cull_targets(targets: Sequence[TargetState], gate: GateConfig
     """Split targets into (kept, removed): removed when the largest
     eigenvalue of the position covariance block exceeds the death
     threshold."""
-    kept, removed = [], []
-    for t in targets:
-        if np.linalg.eigvalsh(t.cov[:3, :3])[-1] > gate.death_covariance_threshold:
-            removed.append(t)
-        else:
-            kept.append(t)
-    return kept, removed
+    if not targets:
+        return [], []
+    worst = np.linalg.eigvalsh(np.array([t.cov[:3, :3] for t in targets]))[:, -1]
+    dead = worst > gate.death_covariance_threshold
+    return ([t for t, d in zip(targets, dead) if not d],
+            [t for t, d in zip(targets, dead) if d])

@@ -97,13 +97,15 @@ def _cmd_track(args) -> int:
                             dump_assignments_path=args.dump_assignments)
         finally:
             listener.stop()
+        transport = {**asm.counters(), **listener.counters()}
     else:
         records = read_features_jsonl(args.features)
         frames = hub.assembled_frames_from_records(records,
                                                    complete_cameras=len(cameras))
         stats = hub.run(frames, world, trajectory_path=args.out,
                         dump_assignments_path=args.dump_assignments)
-    summary = stats.summary()
+        transport = {}
+    summary = {**stats.summary(), **transport}
     if args.stats_out:
         payload = dict(summary)
         payload["latencies"] = list(stats.latencies)

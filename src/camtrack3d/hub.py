@@ -1,6 +1,7 @@
 """The central tracking loop: per assembled frame, predict every target,
 associate features, resolve shared assignments, update, spawn new targets
-from unclaimed features and cull lost ones.
+from unclaimed features and cull lost ones. Each stage is one call per
+frame over all of the frame's targets.
 
 Features stay the (n, 6) float rows of each camera's packet from ingress
 to the birth search; rows that are not finite are dropped and counted
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,7 +43,6 @@ from .netproto import AssembledFrame
 from .tracker import (
     ObservationModel,
     ProcessModel,
-    SingularInnovation,
     TargetState,
     TrajectoryWriter,
     predict,
@@ -50,7 +51,6 @@ from .tracker import (
 
 log = logging.getLogger(__name__)
 
-
 @dataclass
 class RunStats:
     frames: int = 0
@@ -58,6 +58,7 @@ class RunStats:
     deaths: int = 0
     singular_drops: int = 0
     nonfinite_rows: int = 0  # feature rows dropped at ingress
+    gap_drops: int = 0  # frames past the death horizon that no frame confirmed
     latencies: list = field(default_factory=list)
     likelihood: LikelihoodCounters = field(default_factory=LikelihoodCounters)
     spawn: SpawnStats = field(default_factory=SpawnStats)
@@ -68,7 +69,9 @@ class RunStats:
     def summary(self) -> dict:
         out = {"frames": self.frames, "births": self.births,
                "deaths": self.deaths, "singular_drops": self.singular_drops,
-               "nonfinite_rows": self.nonfinite_rows}
+               "nonfinite_rows": self.nonfinite_rows, "gap_drops": self.gap_drops}
+        out.update({f"likelihood_{k}": v for k, v in asdict(self.likelihood).items()})
+        out.update({f"spawn_{k}": v for k, v in asdict(self.spawn).items()})
         out.update({f"latency_{k}": v for k, v in self.latency_percentiles().items()})
         return out
 
@@ -94,6 +97,9 @@ class TrackerWorld:
     next_target_id: int = 0
     frame_counter: int | None = None  # latched to first frame - 1
     stats: RunStats = field(default_factory=RunStats)
+    # a frame past the death horizon and its receipt time, waiting for the
+    # next frame (see process_frame)
+    held: tuple[AssembledFrame, float | None] | None = None
 
     def live_posteriors(self) -> list[TargetState]:
         return sorted(self.targets, key=lambda t: t.target_id)
@@ -113,6 +119,29 @@ def _frame_features(aframe: AssembledFrame, stats: RunStats) -> dict[str, np.nda
     return out
 
 
+def death_horizon(world: TrackerWorld) -> float:
+    """Number of frames without an update after which
+    :func:`~camtrack3d.association.cull_targets` has removed every target
+    of `world`, whatever its covariance: k predictions add
+    ``k q_pos + q_vel dt^2 (k-1) k (2k-1) / 6`` to each position variance
+    (the noise accumulated from a zero covariance). Infinite when that sum
+    never passes the death threshold."""
+    pm, threshold = world.process, world.gate.death_covariance_threshold
+
+    def grown(k: int) -> float:
+        return k * pm.q_pos + pm.q_vel * pm.dt * pm.dt * ((k - 1) * k * (2 * k - 1) // 6)
+
+    if not grown(2**62) > threshold:
+        return math.inf
+    lo, hi = 0, 1
+    while not grown(hi) > threshold:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if grown(mid) > threshold else (mid, hi)
+    return hi
+
+
 def process_frame(world: TrackerWorld, aframe: AssembledFrame,
                   receipt_time: float | None = None) -> list[FrameEvents]:
     """Advance the world through `aframe`.
@@ -120,6 +149,17 @@ def process_frame(world: TrackerWorld, aframe: AssembledFrame,
     Frames skipped by assembly are processed as all-missing so the
     constant-dt process model stays valid; one FrameEvents per processed
     frame is returned (gap frames included, the given frame last).
+
+    A gap of at least :func:`death_horizon` frames would end every target,
+    so a frame that far ahead waits for the next one. When the next frame
+    is further ahead still, it confirms the new numbering and the events
+    of both are returned; otherwise the waiting frame is taken for a
+    corrupt frame number, dropped and counted (``RunStats.gap_drops``).
+    Once a gap has emptied the world, the rest of it is skipped (no
+    FrameEvents) when at least the horizon is left, since nothing would
+    happen in it; no gap costs more than twice the horizon in frames. With
+    no process noise the horizon is infinite, and every gap is predicted
+    through frame by frame.
     """
     if world.frame_counter is None:
         world.frame_counter = aframe.frame - 1
@@ -127,7 +167,31 @@ def process_frame(world: TrackerWorld, aframe: AssembledFrame,
         raise ValueError(
             f"frame {aframe.frame} not ahead of counter {world.frame_counter}")
     events = []
+    if world.held is not None:
+        (held, held_receipt), world.held = world.held, None
+        if held.frame < aframe.frame:
+            events = _advance(world, held, held_receipt)
+        else:
+            world.stats.gap_drops += 1
+            log.warning("frame %d: %d frames ahead of frame %d, and frame %d "
+                        "follows it; dropped", held.frame,
+                        held.frame - world.frame_counter, world.frame_counter,
+                        aframe.frame)
+    gap = aframe.frame - world.frame_counter - 1
+    if gap and gap >= death_horizon(world):
+        world.held = (aframe, receipt_time)
+        return events
+    return events + _advance(world, aframe, receipt_time)
+
+
+def _advance(world: TrackerWorld, aframe: AssembledFrame,
+             receipt_time: float | None) -> list[FrameEvents]:
+    events = []
     while world.frame_counter + 1 < aframe.frame:
+        left = aframe.frame - world.frame_counter - 1
+        if not world.targets and left >= death_horizon(world):
+            world.frame_counter = aframe.frame - 1
+            break
         gap = AssembledFrame(frame=world.frame_counter + 1, features_by_camera={},
                              complete=False, latency=0.0,
                              timestamp_us=aframe.timestamp_us)
@@ -143,7 +207,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     features = _frame_features(aframe, world.stats)
 
     # 1: predict
-    priors = [predict(t, world.process) for t in world.targets]
+    priors = predict(world.targets, world.process)
     # every (target, camera, feature) pair, scored once for steps 2, 3 and 5
     table = pair_table(features, priors, cameras)
     # 2: associate
@@ -151,18 +215,14 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     # 3: shared-measurement resolution (merge prevention)
     assignments = resolve_shared(assignments, table)
     # 4: update
-    posteriors = []
-    for prior in priors:
-        col = assignments.columns[prior.target_id]
-        obs = [(cam, features[cam.cam_id][idx, :2])
-               for cam, idx in zip(cameras, col) if idx is not None]
-        try:
-            posteriors.append(update(prior, obs, world.observation))
-        except SingularInnovation:
-            world.stats.singular_drops += 1
-            log.warning("frame %d target %d: singular innovation, update dropped",
-                        aframe.frame, prior.target_id)
-            posteriors.append(update(prior, [], world.observation))
+    observations = [[(cam, features[cam.cam_id][idx, :2])
+                     for cam, idx in zip(cameras, assignments.columns[p.target_id])
+                     if idx is not None] for p in priors]
+    posteriors, dropped = update(priors, observations, world.observation)
+    world.stats.singular_drops += len(dropped)
+    for tid in dropped:
+        log.warning("frame %d target %d: singular innovation, update dropped",
+                    aframe.frame, tid)
 
     # 5: birth from unclaimed features; a feature counts as claimed when a
     # track selected it OR when it falls inside any track's image gate
@@ -208,6 +268,9 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
                     dump.write(json.dumps({"frame": ev.frame, "assignments": cols,
                                            "births": ev.births,
                                            "deaths": ev.deaths}) + "\n")
+        if world.held is not None:  # nothing came after it to confirm it
+            world.held = None
+            world.stats.gap_drops += 1
     finally:
         if writer is not None:
             writer.close()

@@ -169,6 +169,13 @@ class FrameAssembler:
     increasing by frame number: whenever a frame is emitted, every older
     pending frame is flushed (partial) first. Late and duplicate packets
     are counted and dropped.
+
+    A packet more than ``emitted_window`` frames past the newest pending or
+    emitted frame waits for a second packet to agree with it, one at or
+    past its frame or at most ``emitted_window`` frames before it: a
+    corrupt frame number would otherwise be emitted and make every later
+    packet late. When its own camera goes on below it instead, or the
+    stream ends, it is dropped and counted (``far_ahead``).
     """
 
     def __init__(self, n_cameras: int, wait_budget: float = 0.005,
@@ -182,6 +189,8 @@ class FrameAssembler:
         self.late = 0
         self.duplicates = 0
         self.partial = 0
+        self.far_ahead = 0
+        self._ahead: FramePacket | None = None  # waiting for a second packet
         self._pending: dict[int, _Pending] = {}
         self._last_seen: dict[str, int] = {}
         self._last_emitted: int | None = None
@@ -190,6 +199,23 @@ class FrameAssembler:
 
     def feed(self, packet: FramePacket, now: float | None = None) -> list[AssembledFrame]:
         now = self.clock() if now is None else now
+        if (self._last_emitted is not None
+                and packet.frame - self._last_emitted > self._window
+                and packet.frame - max(self._pending, default=0) > self._window):
+            held, self._ahead = self._ahead, packet
+            if held is None:
+                return []
+            if packet.frame - held.frame < -self._window:
+                self.far_ahead += 1
+                return []
+            self._ahead = None
+            return self._accept(held, now) + self._accept(packet, now)
+        if self._ahead is not None and self._ahead.cam_id == packet.cam_id:
+            self._ahead = None
+            self.far_ahead += 1
+        return self._accept(packet, now)
+
+    def _accept(self, packet: FramePacket, now: float) -> list[AssembledFrame]:
         frame = packet.frame
         prev = self._last_seen.get(packet.cam_id, -1)
         self._last_seen[packet.cam_id] = max(prev, frame)
@@ -236,6 +262,9 @@ class FrameAssembler:
 
     def finish(self) -> list[AssembledFrame]:
         """Flush everything still pending, in order (end of stream)."""
+        if self._ahead is not None:
+            self._ahead = None
+            self.far_ahead += 1
         if not self._pending:
             return []
         return self._emit_through(max(self._pending), self.clock())
@@ -259,7 +288,7 @@ class FrameAssembler:
 
     def counters(self) -> dict[str, int]:
         return {"late": self.late, "duplicates": self.duplicates,
-                "partial": self.partial}
+                "partial": self.partial, "far_ahead": self.far_ahead}
 
 
 def assemble(packets: Iterable[FramePacket], n_cameras: int,

@@ -195,3 +195,117 @@ def extract_features_oracle(frame, model, max_features=10, camera=None,
                            peak=peak, theta=theta, ecc=ecc))
     out.sort(key=lambda f: (-f.area, f.u_raw, f.v_raw))
     return out[:max_features]
+
+
+# ------------------------------------------------------------- EKF, one target
+
+class SingularInnovation(Exception):
+    """A one-target update dropped: its innovation covariance is singular
+    (tracker.update reports these targets' ids instead of raising)."""
+
+
+def predict_one(state, pm):
+    """tracker.predict of a single target."""
+    from camtrack3d.tracker import predict
+
+    return predict([state], pm)[0]
+
+
+def update_one(prior, observations, om):
+    """tracker.update of a single target; raises SingularInnovation when
+    its update is dropped, as the one-target filter step did."""
+    from camtrack3d.tracker import update
+
+    posteriors, dropped = update([prior], [observations], om)
+    if dropped:
+        raise SingularInnovation("innovation covariance is singular")
+    return posteriors[0]
+
+
+def _symmetrize(P):
+    return 0.5 * (P + P.T)
+
+
+def predict_oracle(state, pm):
+    """The one-target time update that tracker.predict batches."""
+    from dataclasses import replace
+
+    mean = pm.A @ state.mean
+    cov = _symmetrize(pm.A @ state.cov @ pm.A.T + pm.Q)
+    return replace(state, mean=mean, cov=cov)
+
+
+def _clamp_psd_oracle(P, floor=0.0):
+    P = _symmetrize(P)
+    w, V = np.linalg.eigh(P)
+    if w[0] >= floor:
+        return P
+    w = np.maximum(w, floor)
+    return _symmetrize((V * w) @ V.T)
+
+
+def update_oracle(prior, observations, om):
+    """The one-target measurement update that tracker.update batches:
+    projection and Jacobian per observing camera, SVD condition number,
+    scipy's Cholesky factor and solve, a full eigendecomposition to clamp
+    the posterior covariance. Raises SingularInnovation."""
+    from dataclasses import replace
+
+    from scipy import linalg as sla
+
+    from camtrack3d.geometry import project_points
+
+    observations = sorted(observations, key=lambda o: o[0].cam_id)
+    cams = [cam for cam, _ in observations]
+    x, ok = project_points(cams, prior.mean[:3])
+    x, t, ok = x[0], x[0, :, 2:], ok[0]
+    if not ok.any():
+        return replace(prior,
+                       frames_since_observation=prior.frames_since_observation + 1)
+    P = np.array([c.projection for c in cams]).reshape(-1, 3, 4)
+    rows = np.zeros((len(cams), 2, 6))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows[:, :, :3] = ((P[:, :2, :3] * t[:, :, None] - x[:, :2, None] * P[:, 2:, :3])
+                          / (t * t)[:, :, None])
+        pred = x[:, :2] / t
+    y = np.array([px for (_, px), good in zip(observations, ok) if good],
+                 dtype=float).reshape(-1)
+    h = pred[ok].reshape(-1)
+    C = rows[ok].reshape(-1, 6)
+    R = np.eye(len(y)) * om.r_px
+    S = C @ prior.cov @ C.T + R
+    if not np.all(np.isfinite(S)) or np.linalg.cond(S) > 1e12:
+        raise SingularInnovation("innovation covariance condition too high")
+    try:
+        cho = sla.cho_factor(_symmetrize(S))
+    except np.linalg.LinAlgError as e:
+        raise SingularInnovation(str(e)) from e
+    K = sla.cho_solve(cho, C @ prior.cov).T
+    mean = prior.mean + K @ (y - h)
+    IKC = np.eye(6) - K @ C
+    cov = IKC @ prior.cov @ IKC.T + K @ R @ K.T
+    cov = _clamp_psd_oracle(cov)
+    return replace(prior, mean=mean, cov=cov, frames_since_observation=0)
+
+
+def cull_targets_oracle(targets, gate):
+    """The one-target-at-a-time death test that cull_targets batches."""
+    kept, removed = [], []
+    for t in targets:
+        if np.linalg.eigvalsh(t.cov[:3, :3])[-1] > gate.death_covariance_threshold:
+            removed.append(t)
+        else:
+            kept.append(t)
+    return kept, removed
+
+
+def trajectory_rows_oracle(frame_number, targets):
+    """The text TrajectoryWriter.write_frame wrote with one float() and
+    repr() per element."""
+    out = []
+    for t in sorted(targets, key=lambda t: t.target_id):
+        vals = [str(frame_number), str(t.target_id)]
+        vals += [repr(float(x)) for x in t.mean]
+        vals += [repr(float(x)) for x in t.cov.ravel()]
+        out.append(",".join(vals) + "\n")
+    return "".join(out)

@@ -37,10 +37,8 @@ from camtrack3d.tracker import (
     TargetState,
     observation_function,
     observation_jacobian,
-    predict,
-    update,
 )
-from helpers import bruteforce_assignment, make_feature, table_of
+from helpers import bruteforce_assignment, make_feature, predict_one, table_of, update_one
 
 # observation noise stated as "1 px" means unit RMS of the 2D displacement
 ONE_PX_RMS = 2 ** -0.5
@@ -143,7 +141,7 @@ def test_criterion_3_ekf_correctness():
         truth_pos = np.array([0.0, 0.0, 0.15])
         lo, hi = spec.bounds
         for k in range(10_000):
-            s = predict(s, pm)
+            s = predict_one(s, pm)
             truth_pos = np.clip(truth_pos + rng.normal(0, 0.005, 3),
                                 lo + 0.05, hi - 0.05)
             views = []
@@ -151,7 +149,7 @@ def test_criterion_3_ekf_correctness():
                 if rng.random() < 0.7:
                     u, v = project(c, truth_pos)
                     views.append((c, (u + rng.normal(0, 1), v + rng.normal(0, 1))))
-            s = update(s, views, om)
+            s = update_one(s, views, om)
             if k % 100 == 0 or k > 9_900:
                 assert np.allclose(s.cov, s.cov.T, atol=1e-12)
                 assert np.linalg.eigvalsh(s.cov)[0] >= -1e-12
@@ -161,7 +159,7 @@ def test_criterion_3_ekf_correctness():
                         cov=np.diag([1e-4] * 3 + [1e-2] * 3))
         oracle = s.cov.copy()
         for _ in range(20):
-            s = update(predict(s, pm), [], om)
+            s = update_one(predict_one(s, pm), [], om)
             raw = pm.A @ oracle @ pm.A.T + pm.Q
             oracle = 0.5 * (raw + raw.T)
             assert np.array_equal(s.cov, oracle)
@@ -181,12 +179,12 @@ def test_criterion_3_ekf_correctness():
             s = TargetState(target_id=0, mean=mean0.copy(), cov=P0.copy())
             for t in range(n_frames):
                 truth = pm_c.A @ truth + sq * rng.standard_normal(6)
-                s = predict(s, pm_c)
+                s = predict_one(s, pm_c)
                 y = observation_function(truth, om_c.cameras)
                 y = y + rng.standard_normal(len(y)) * math.sqrt(r_px)
                 obs = [(c, (y[2 * i], y[2 * i + 1]))
                        for i, c in enumerate(om_c.cameras)]
-                s = update(s, obs, om_c)
+                s = update_one(s, obs, om_c)
                 e = s.mean - truth
                 nees[r, t] = e @ np.linalg.solve(s.cov, e)
         anees = nees.mean(axis=0)  # per time step, averaged over runs

@@ -22,13 +22,14 @@ from camtrack3d.association import (
     spawn_targets,
 )
 from camtrack3d.geometry import BehindCamera, PointAtInfinity, Ray3, project, triangulate
-from camtrack3d.tracker import ProcessModel, TargetState, predict
+from camtrack3d.tracker import ProcessModel, TargetState
 from helpers import (
     bruteforce_assignment,
     feature_rows,
     gate_claimed_features_oracle,
     look_at_camera,
     make_feature,
+    predict_one,
     ring_of_cameras,
     table_of,
     unclaimed_rows,
@@ -527,7 +528,7 @@ def test_cull_crossing_frame_matches_recursion_oracle():
         assert k_oracle < 10_000
     s = t
     for k in range(1, k_oracle + 1):
-        s = predict(s, pm)
+        s = predict_one(s, pm)
         kept, removed = cull_targets([s], gate)
         if k < k_oracle:
             assert removed == []

@@ -147,3 +147,48 @@ def test_track_over_tcp(tmp_path, capsys):
 
     rows = read_trajectory_csv(traj)
     assert len(rows) == 60
+
+
+def test_track_over_tcp_reports_transport_counters(tmp_path, capsys):
+    # one packet that does not decode, sent ahead of the scene on the same
+    # connection, is dropped, counted and reported with the hub's counters
+    import socket
+    import struct
+    import time
+
+    from camtrack3d.netproto import write_packet
+    from camtrack3d.simharness import simulate_truth, synthesize_observations
+
+    spec = preset("smalltunnel", seed=13, pixel_noise=0.5)
+    cams = generate_rig(spec, calibration_path=tmp_path / "rig.cal")
+    truths = simulate_truth(spec, 1, 20, maneuver_sigma=0.0, speed=0.05)
+    flat = [p for per_cam in synthesize_observations(truths, cams, spec) for p in per_cam]
+
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()
+
+    def feed():
+        time.sleep(0.3)  # let the CLI listener start
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            sock.sendall(struct.pack("<I", 3) + b"\x00\x01\x02")
+            for p in flat:
+                write_packet(sock, p)
+
+    sender = threading.Thread(target=feed)
+    sender.start()
+    stats_path = tmp_path / "stats.json"
+    rc = main(["track", "--features", str(port), "--calibration", str(tmp_path / "rig.cal"),
+               "--out", str(tmp_path / "traj.csv"), "--stats-out", str(stats_path)])
+    sender.join()
+    assert rc == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    saved = json.loads(stats_path.read_text())
+    for summary in (printed, saved):
+        assert summary["undecodable"] == 1
+        assert summary["closed_connections"] == 0
+        assert {"late", "duplicates", "partial"} <= set(summary)
+        assert summary["frames"] == 20
+        assert summary["likelihood_dist2d_evals"] > 0
+        assert summary["spawn_passes"] > 0

@@ -56,3 +56,13 @@ def test_models_from_config():
     assert pm.Q[3, 3] == pytest.approx(0.25)
     assert om.r_px == 2.0
     assert len(om.cameras) == 3
+
+
+@pytest.mark.parametrize("key, text", [
+    ("r_px", "nan"), ("r_px", "0"), ("r_px", "-1"), ("r_px", "inf"),
+    ("dt", "-0.01"), ("q_vel", "-1"),
+])
+def test_invalid_model_value_in_config_file_rejected(key, text):
+    cfg = parse_config(f"{key} = {text}\n")
+    with pytest.raises(ValueError, match=key):
+        models_from_config(cfg, ring_of_cameras(3))

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import importlib.util
 import math
+import time
 import warnings
 from pathlib import Path
 
@@ -10,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camtrack3d.association import GateConfig
+from camtrack3d.association import GateConfig, cull_targets
 from camtrack3d.hub import (
     TrackerWorld,
     assembled_frames_from_records,
+    death_horizon,
     packets_to_assembled,
     process_frame,
     run,
@@ -25,7 +27,8 @@ from camtrack3d.simharness import (
     simulate_truth,
     synthesize_observations,
 )
-from camtrack3d.tracker import ObservationModel, ProcessModel
+from camtrack3d.tracker import ObservationModel, ProcessModel, TargetState, predict
+from helpers import ring_of_cameras
 
 
 def make_world(cams, fps, **gate_kw):
@@ -82,6 +85,97 @@ def test_gap_frames_processed_as_missing():
     assert [e.frame for e in events] == [1, 2, 3, 4]
     assert world.frame_counter == 4
     assert world.targets[0].frames_since_observation == 0
+
+
+def test_corrupt_frame_number_is_dropped_counted_and_tracking_continues():
+    spec, cams, truths, frames = noiseless_scene(n_frames=10)
+    world = make_world(cams, spec.fps)
+    process_frame(world, frames[0])
+    corrupt = AssembledFrame(frame=frames[1].frame + 2**62,
+                             features_by_camera=frames[1].features_by_camera,
+                             complete=True, latency=0.0)
+    t0 = time.perf_counter()
+    assert process_frame(world, corrupt) == []
+    assert time.perf_counter() - t0 < 0.1
+    # the next in-order frame shows the waiting frame was not a new numbering
+    events = process_frame(world, frames[1])
+    assert [ev.frame for ev in events] == [frames[1].frame]
+    assert world.stats.gap_drops == 1
+    assert world.stats.summary()["gap_drops"] == 1
+    assert world.stats.frames == 2
+    assert len(world.targets) == 1
+    assert world.targets[0].frames_since_observation == 0
+    # a waiting frame that nothing follows is dropped at the end of the run
+    stats = run([frames[0], corrupt], make_world(cams, spec.fps))
+    assert (stats.frames, stats.gap_drops) == (1, 1)
+
+
+def test_jump_past_the_death_horizon_resumes_as_if_predicted_through():
+    spec, cams, truths, frames = noiseless_scene(n_frames=112)
+    world = make_world(cams, spec.fps)
+    assert 1 < death_horizon(world) < 50
+    got = []
+    for af in frames[:5]:
+        got += process_frame(world, af)
+    assert process_frame(world, frames[101]) == []  # waits for the next frame
+    for af in frames[102:]:
+        got += process_frame(world, af)
+    assert world.stats.gap_drops == 0
+    # oracle: every frame of the gap given as an empty frame
+    oracle = make_world(cams, spec.fps)
+    want = []
+    for f in range(112):
+        af = frames[f] if f < 5 or f > 100 else AssembledFrame(
+            frame=f, features_by_camera={}, complete=False, latency=0.0)
+        want += process_frame(oracle, af)
+    # only frames after every target died are skipped
+    skipped = {e.frame for e in want} - {e.frame for e in got}
+    assert skipped and all(e.births == e.deaths == [] for e in want if e.frame in skipped)
+    assert min(skipped) > max(e.frame for e in want if e.deaths)
+    assert [(e.frame, e.births, e.deaths) for e in got] == [
+        (e.frame, e.births, e.deaths) for e in want if e.frame not in skipped]
+    assert len(world.targets) == len(oracle.targets) == 1
+    for t, u in zip(world.live_posteriors(), oracle.live_posteriors()):
+        assert (t.target_id, t.born_at) == (u.target_id, u.born_at)
+        assert np.array_equal(t.mean, u.mean) and np.array_equal(t.cov, u.cov)
+    assert np.linalg.norm(world.targets[0].position - truths[0].position(111)) < 1e-3
+
+
+@pytest.mark.parametrize("dt, q_pos, q_vel, threshold", [
+    (0.01, 1e-4, 0.25, 0.004), (1 / 30, 1e-4, 0.25, 0.004), (0.01, 1e-6, 1.0, 0.01),
+    (0.005, 0.0, 0.25, 0.004), (0.01, 1.1e-3, 0.0, 0.004),
+])
+def test_death_horizon_is_when_a_zero_covariance_target_dies(dt, q_pos, q_vel, threshold):
+    world = TrackerWorld(process=ProcessModel(dt=dt, q_pos=q_pos, q_vel=q_vel),
+                         observation=ObservationModel(cameras=ring_of_cameras(2)),
+                         gate=GateConfig(death_covariance_threshold=threshold))
+    horizon = death_horizon(world)
+    targets = [TargetState(target_id=0, mean=np.zeros(6), cov=np.zeros((6, 6)))]
+    for k in range(1, horizon + 1):
+        targets = predict(targets, world.process)
+        assert bool(cull_targets(targets, world.gate)[1]) == (k == horizon)
+
+
+def test_death_horizon_infinite_without_process_noise():
+    for pm, gate in [(ProcessModel(dt=0.01, q_pos=0.0, q_vel=0.0), GateConfig()),
+                     (ProcessModel(dt=0.01), GateConfig(death_covariance_threshold=math.inf))]:
+        world = TrackerWorld(process=pm, observation=ObservationModel(
+            cameras=ring_of_cameras(2)), gate=gate)
+        assert death_horizon(world) == math.inf
+
+
+def test_summary_reports_likelihood_and_spawn_counters():
+    spec, cams, truths, frames = noiseless_scene(n_frames=5)
+    world = make_world(cams, spec.fps)
+    summary = run(frames, world).summary()
+    lk, sp = world.stats.likelihood, world.stats.spawn
+    assert lk.dist2d_evals > 0 and sp.passes > 0
+    assert summary["likelihood_dist2d_evals"] == lk.dist2d_evals
+    assert summary["likelihood_area_evals"] == lk.area_evals
+    assert summary["likelihood_mahalanobis_evals"] == lk.mahalanobis_evals
+    assert summary["spawn_camera_combinations"] == sp.camera_combinations
+    assert summary["spawn_hypotheses_triangulated"] == sp.hypotheses_triangulated
+    assert summary["spawn_passes"] == sp.passes
 
 
 def test_frame_number_must_advance():
@@ -373,7 +467,9 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     assert [getattr(owner, attr) for owner, attr in names] == before
     spans = tracer.per_name()
     assert spans["hub.process_frame"]["calls"] == 2
-    for stage in ("assign", "resolve_shared", "gate_claimed_features",
-                  "spawn_targets", "cull_targets"):
+    # one span per frame for each stage, the EKF steps included: the
+    # traced tracker.* metrics read these names
+    for stage in ("predict", "assign", "resolve_shared", "update",
+                  "gate_claimed_features", "spawn_targets", "cull_targets"):
         assert spans[stage]["calls"] == 2
     assert world.stats.births == 1

@@ -281,6 +281,46 @@ def test_assemble_generator_flushes_tail():
     assert frames[1].complete is False
 
 
+def test_assembler_drops_a_lone_frame_number_far_ahead():
+    # one corrupt frame number must not make every later packet late
+    clock = FakeClock()
+    asm = FrameAssembler(n_cameras=2, wait_budget=0.005, clock=clock)
+    out = []
+    for f in range(3):
+        for cam in ("a", "b"):
+            out += asm.feed(packet(cam=cam, frame=f))
+    assert asm.feed(packet(cam="a", frame=2 + 2**62)) == []
+    clock.t = 1.0
+    out += asm.flush_due()
+    for f in range(3, 8):
+        for cam in ("b", "a"):
+            out += asm.feed(packet(cam=cam, frame=f))
+    out += asm.finish()
+    assert [af.frame for af in out] == list(range(8))
+    assert all(af.complete for af in out)
+    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 1}
+
+
+def test_assembler_follows_a_jump_agreed_by_a_second_packet():
+    for n_cameras in (1, 2):
+        cams = ["a", "b"][:n_cameras]
+        asm = FrameAssembler(n_cameras=n_cameras, clock=FakeClock())
+        stream = [packet(cam=c, frame=f) for f in [0, 1, 5000, 5001, 5002] for c in cams]
+        out = [af.frame for p in stream for af in asm.feed(p)] + [
+            af.frame for af in asm.finish()]
+        assert out == [0, 1, 5000, 5001, 5002]
+        assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0,
+                                  "far_ahead": 0}
+
+
+def test_assembler_counts_a_far_packet_left_at_end_of_stream():
+    asm = FrameAssembler(n_cameras=1, clock=FakeClock())
+    assert [af.frame for af in asm.feed(packet(frame=0))] == [0]
+    assert asm.feed(packet(frame=2**40)) == []
+    assert asm.finish() == []
+    assert asm.far_ahead == 1
+
+
 # ------------------------------------------------------------------- transport
 
 def test_tcp_round_trip_loopback():

@@ -1,9 +1,14 @@
 import math
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camtrack3d.geometry import project, triangulate
+from camtrack3d.association import GateConfig, cull_targets
+from camtrack3d.geometry import BehindCamera, PointAtInfinity, project, triangulate
 from camtrack3d.tracker import (
     ObservationModel,
     ProcessModel,
@@ -16,7 +21,17 @@ from camtrack3d.tracker import (
     read_trajectory_csv,
     update,
 )
-from helpers import ring_of_cameras
+from helpers import (
+    SingularInnovation,
+    cull_targets_oracle,
+    look_at_camera,
+    predict_oracle,
+    predict_one,
+    ring_of_cameras,
+    trajectory_rows_oracle,
+    update_one,
+    update_oracle,
+)
 
 
 def state(mean, cov, tid=0):
@@ -24,12 +39,36 @@ def state(mean, cov, tid=0):
                        cov=np.asarray(cov, dtype=float))
 
 
+# ------------------------------------------------------------ model parameters
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", 0.0), ("dt", -0.01), ("dt", math.nan), ("dt", math.inf),
+    ("q_pos", -1e-4), ("q_pos", math.nan), ("q_pos", math.inf),
+    ("q_vel", -0.25), ("q_vel", math.nan), ("q_vel", math.inf),
+])
+def test_process_model_rejects_invalid_parameter(field, value):
+    kw = {"dt": 0.01, field: value}
+    with pytest.raises(ValueError, match=field):
+        ProcessModel(**kw)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_observation_model_rejects_invalid_r_px(value):
+    with pytest.raises(ValueError, match="r_px"):
+        ObservationModel(cameras=ring_of_cameras(2), r_px=value)
+
+
+def test_zero_process_noise_is_accepted():
+    pm = ProcessModel(dt=0.01, q_pos=0.0, q_vel=0.0)
+    assert np.array_equal(pm.Q, np.zeros((6, 6)))
+
+
 # --------------------------------------------------------------------- predict
 
 def test_predict_zero_state_covariance_becomes_q():
     pm = ProcessModel(dt=0.01)
     s = state(np.zeros(6), np.zeros((6, 6)))
-    out = predict(s, pm)
+    out = predict_one(s, pm)
     assert np.array_equal(out.mean, np.zeros(6))
     assert np.array_equal(out.cov, pm.Q)
 
@@ -37,7 +76,7 @@ def test_predict_zero_state_covariance_becomes_q():
 def test_predict_constant_velocity_step():
     pm = ProcessModel(dt=0.01)
     s = state([1, 2, 3, 1, 0, 0], np.eye(6))
-    out = predict(s, pm)
+    out = predict_one(s, pm)
     assert np.allclose(out.mean, [1.01, 2, 3, 1, 0, 0])
     assert np.array_equal(out.mean[3:], s.mean[3:])
 
@@ -49,7 +88,7 @@ def test_predict_trace_strictly_increases_without_updates():
     s = state(rng.normal(size=6), A @ A.T)
     traces = [np.trace(s.cov)]
     for _ in range(10):
-        s = predict(s, pm)
+        s = predict_one(s, pm)
         traces.append(np.trace(s.cov))
     assert all(b > a for a, b in zip(traces, traces[1:]))
 
@@ -67,8 +106,8 @@ def test_missing_observations_equal_bare_prediction_recursion():
     bare = s0
     oracle_cov = s0.cov.copy()
     for k in range(8):
-        with_updates = update(predict(with_updates, pm), [], om)
-        bare = predict(bare, pm)
+        with_updates = update_one(predict_one(with_updates, pm), [], om)
+        bare = predict_one(bare, pm)
         raw = pm.A @ oracle_cov @ pm.A.T + pm.Q
         oracle_cov = 0.5 * (raw + raw.T)  # predict re-enforces symmetry
         assert np.array_equal(with_updates.cov, bare.cov)  # bitwise
@@ -143,7 +182,7 @@ def test_update_empty_observations_keeps_prior():
     cams = ring_of_cameras(3)
     om = ObservationModel(cameras=cams)
     s = state([0.1, 0.0, 0.3, 0.0, 0.0, 0.0], np.eye(6) * 1e-3)
-    out = update(s, [], om)
+    out = update_one(s, [], om)
     assert np.array_equal(out.mean, s.mean)
     assert np.array_equal(out.cov, s.cov)
     assert out.frames_since_observation == 1
@@ -155,7 +194,7 @@ def test_update_zero_gain_limit():
     X = np.array([0.02, -0.05, 0.3])
     s = state(np.append(X, [0, 0, 0]), np.eye(6) * 1e-18)
     obs = [(c, (project(c, X)[0] + 1.0, project(c, X)[1] - 1.0)) for c in cams]
-    out = update(s, obs, om)
+    out = update_one(s, obs, om)
     assert np.linalg.norm(out.mean[:3] - X) < 1e-9
     assert out.frames_since_observation == 0
 
@@ -178,7 +217,7 @@ def test_update_beats_per_frame_triangulation():
         for c in cams:
             u, v = project(c, truth)
             views.append((c, (u + rng.normal(0, 1), v + rng.normal(0, 1))))
-        s = update(predict(s, pm), views, om)
+        s = update_one(predict_one(s, pm), views, om)
         tri, _ = triangulate(views)
         ekf_err.append(np.sum((s.position - truth) ** 2))
         tri_err.append(np.sum((tri - truth) ** 2))
@@ -194,7 +233,7 @@ def test_covariance_stays_psd_through_random_sequences():
     s = state([0, 0, 0.3, 0, 0, 0], np.diag([0.01] * 3 + [1.0] * 3))
     truth = np.array([0.0, 0.0, 0.3])
     for i in range(300):
-        s = predict(s, pm)
+        s = predict_one(s, pm)
         truth = np.clip(truth + rng.normal(0, 0.01, size=3),
                         [-0.3, -0.3, 0.1], [0.3, 0.3, 0.5])
         if rng.random() < 0.7:
@@ -204,7 +243,7 @@ def test_covariance_stays_psd_through_random_sequences():
                 if rng.random() < 0.8:
                     u, v = project(c, X)
                     views.append((c, (u + rng.normal(0, 1), v + rng.normal(0, 1))))
-            s = update(s, views, om)
+            s = update_one(s, views, om)
         assert np.allclose(s.cov, s.cov.T, atol=1e-12)
         assert np.linalg.eigvalsh(s.cov)[0] >= -1e-12
 
@@ -217,7 +256,7 @@ def test_single_camera_update_uncertainty_along_ray():
     X = np.array([0.0, 0.0, 0.3])
     prior = state(np.append(X, [0, 0, 0]), np.diag([0.05**2] * 3 + [0.5] * 3))
     cam = cams[0]
-    out = update(prior, [(cam, project(cam, X))], om)
+    out = update_one(prior, [(cam, project(cam, X))], om)
     pos_cov = out.cov[:3, :3]
     w, V = np.linalg.eigh(pos_cov)
     dominant = V[:, -1]
@@ -255,7 +294,7 @@ def test_extrapolate_three_frame_horizon_error_bound():
         for c in cams:
             u, v = project(c, truth)
             views.append((c, (u + rng.normal(0, 1), v + rng.normal(0, 1))))
-        s = update(predict(s, pm), views, om)
+        s = update_one(predict_one(s, pm), views, om)
         single.append(np.linalg.norm(s.position - truth))
         future = pos + vel * ((t + 3) * pm.dt)
         extrap.append(np.linalg.norm(extrapolate(s, 3 * pm.dt) - future))
@@ -275,3 +314,156 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert set(frames) == {7}
     assert set(frames[7]) == {1, 3}
     assert np.array_equal(frames[7][3], s1.mean)  # repr round-trip is exact
+
+
+def test_trajectory_rows_are_byte_identical_to_per_element_formatting():
+    rng = np.random.default_rng(59)
+    targets = [state(rng.normal(size=6) * 10.0 ** rng.integers(-300, 300, size=6),
+                     rng.normal(size=(6, 6)), tid=tid) for tid in (4, 0, 17)]
+    targets.append(state([0.0, -0.0, math.inf, -math.inf, math.nan, 1e-320],
+                         np.eye(6) * 0.1, tid=2))
+    buf = io.StringIO()
+    w = TrajectoryWriter(buf)
+    header = buf.getvalue()
+    w.write_frame(12, targets)
+    w.write_frame(13, [])
+    assert buf.getvalue() == header + trajectory_rows_oracle(12, targets)
+
+
+# ------------------------------------- frame-level EKF vs the per-target oracle
+
+def assert_same_state(got, want):
+    assert (got.target_id, got.frames_since_observation, got.born_at) == \
+        (want.target_id, want.frames_since_observation, want.born_at)
+    assert got.mean.tobytes() == want.mean.tobytes()
+    assert got.cov.tobytes() == want.cov.tobytes()
+
+
+def oracle_update(priors, observations, om):
+    """Per-target updates as the hub ran them: a singular innovation drops
+    the update and the target counts a missed frame."""
+    posteriors, dropped = [], []
+    for prior, obs in zip(priors, observations):
+        try:
+            posteriors.append(update_oracle(prior, obs, om))
+        except SingularInnovation:
+            dropped.append(prior.target_id)
+            posteriors.append(update_oracle(prior, [], om))
+    return posteriors, dropped
+
+
+def condition_limit_r_px(prior, obs):
+    """The pixel variance that puts the innovation covariance of `prior`
+    seen through two or more cameras of `obs` at the 1e12 condition limit:
+    C P C^T has rank 3 at most, so cond(C P C^T + r I) = 1 + a / r with a
+    its largest eigenvalue."""
+    C = observation_jacobian(prior.mean, [cam for cam, _ in obs])
+    a = np.linalg.eigvalsh(C @ prior.cov @ C.T)[-1]
+    return a / (1e12 - 1.0)
+
+
+@st.composite
+def ekf_frames(draw):
+    """A random rig, process and observation model, and one frame of
+    targets: positions anywhere around the rig (some behind cameras),
+    covariances from 1e-12 to 1e2 and sometimes rank-deficient, each
+    target seen by any subset of the cameras (none included), and a pixel
+    variance either random or at the condition limit of one target."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_cams = draw(st.integers(1, 6))
+    ids = rng.permutation(n_cams)
+    cams = []
+    for k in range(n_cams):
+        d = rng.normal(size=3)
+        pos = d / np.linalg.norm(d) * rng.uniform(1.5, 3.0)
+        cams.append(look_at_camera(pos, rng.uniform(-0.3, 0.3, size=3), cam_id=f"c{ids[k]}"))
+    pm = ProcessModel(dt=draw(st.sampled_from([0.01, 1 / 60, 0.2])),
+                      q_pos=10.0 ** rng.uniform(-8, -2), q_vel=10.0 ** rng.uniform(-4, 0))
+    states, observations = [], []
+    for tid in range(draw(st.integers(0, 6))):
+        L = rng.normal(size=(6, 6))
+        if rng.random() < 0.2:
+            L[:, rng.integers(0, 6)] = 0.0  # rank-deficient
+        cov = L @ L.T * 10.0 ** rng.uniform(-12, 2)
+        mean = np.append(rng.uniform(-3.0, 3.0, size=3), rng.normal(size=3))
+        states.append(TargetState(target_id=3 * tid + 1, mean=mean, cov=cov,
+                                  frames_since_observation=int(rng.integers(0, 4)),
+                                  born_at=int(rng.integers(0, 100))))
+        seen = [c for c in cams if rng.random() < draw(st.sampled_from([0.0, 0.5, 1.0]))]
+        obs = []
+        for c in seen:
+            try:
+                u, v = project(c, mean[:3])
+            except (BehindCamera, PointAtInfinity):
+                u, v = rng.uniform(0, 640, size=2)
+            obs.append((c, (u + rng.normal() * 3.0, v + rng.normal() * 3.0)))
+        observations.append(obs)
+    priors = [predict_oracle(s, pm) for s in states]
+    r_px = 10.0 ** rng.uniform(-10, 1)
+    at_limit = [i for i, obs in enumerate(observations) if len(obs) >= 2]
+    if at_limit and draw(st.booleans()):
+        i = at_limit[0]
+        try:
+            r_px = condition_limit_r_px(priors[i], observations[i]) * 10.0 ** rng.uniform(-1e-3, 1e-3)
+        except BehindCamera:  # behind one of its cameras: keep the random r_px
+            pass
+    om = ObservationModel(cameras=cams, r_px=r_px)
+    return pm, om, states, observations
+
+
+@settings(max_examples=300, deadline=None)
+@given(ekf_frames())
+def test_frame_ekf_matches_per_target_oracle_bit_for_bit(frame):
+    pm, om, states, observations = frame
+    priors = predict(states, pm)
+    assert len(priors) == len(states)
+    for got, s in zip(priors, states):
+        assert_same_state(got, predict_oracle(s, pm))
+    posteriors, dropped = update(priors, observations, om)
+    want, want_dropped = oracle_update(priors, observations, om)
+    assert dropped == want_dropped
+    for got, w in zip(posteriors, want):
+        assert_same_state(got, w)
+    gate = GateConfig(death_covariance_threshold=10.0 ** np.random.default_rng(
+        len(states)).uniform(-10, 2))
+    kept, removed = cull_targets(posteriors, gate)
+    want_kept, want_removed = cull_targets_oracle(posteriors, gate)
+    assert [t.target_id for t in kept] == [t.target_id for t in want_kept]
+    assert [t.target_id for t in removed] == [t.target_id for t in want_removed]
+
+
+def test_update_singular_rule_at_condition_limit_matches_oracle():
+    # r_px just below the limit drops the update, just above keeps it, and
+    # in a frame that mixes both targets the frame-level call agrees
+    cams = ring_of_cameras(4)
+    pm = ProcessModel(dt=0.01)
+    X = np.array([0.05, -0.02, 0.3])
+    prior = predict_one(state(np.append(X, [0.1, 0, 0]), np.diag([1e-2] * 3 + [1.0] * 3)), pm)
+    obs = [(c, project(c, X)) for c in cams[:3]]
+    r_limit = condition_limit_r_px(prior, obs)
+    far = state(np.append(X, [0, 0, 0]), np.eye(6) * 1e-3, tid=1)
+    decisions = []
+    for factor in (0.999, 1.001):
+        om = ObservationModel(cameras=cams, r_px=r_limit * factor)
+        frame = ([prior, far, prior], [obs, obs[:1], []])
+        got = update(*frame, om)
+        want = oracle_update(*frame, om)
+        assert got[1] == want[1]
+        for g, w in zip(got[0], want[0]):
+            assert_same_state(g, w)
+        decisions.append(got[1])
+    assert decisions == [[prior.target_id], []]
+
+
+def test_update_rejects_camera_outside_model():
+    cams = ring_of_cameras(3)
+    om = ObservationModel(cameras=cams[:2])
+    s = state([0.0, 0.0, 0.3, 0, 0, 0], np.eye(6) * 1e-3)
+    with pytest.raises(ValueError, match=cams[2].cam_id):
+        update([s], [[(cams[2], (320.0, 240.0))]], om)
+    # a camera with a model camera's id is not that camera (say recalibrated)
+    moved = look_at_camera((2.0, 0.1, 0.6), (0.0, 0.0, 0.3), cam_id=cams[0].cam_id)
+    with pytest.raises(ValueError, match=cams[0].cam_id):
+        update([s], [[(moved, (320.0, 240.0))]], om)
+    with pytest.raises(ValueError):
+        update([s], [], om)
