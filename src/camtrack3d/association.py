@@ -17,7 +17,9 @@ the birth search's claim test (:func:`gate_claimed_features`) take that
 table and apply their own thresholds. Since the table computes every ray
 distance anyway, the gates no longer save work; ``LikelihoodCounters``
 still counts the stages a pair-by-pair evaluation would run. The birth
-search (:func:`spawn_targets`) reads the rows no target claimed.
+search (:func:`spawn_targets`) reads the rows no target claimed,
+triangulates each ray-consistent tuple of them once and takes births in
+one scan of the acceptable hypotheses, best first.
 :func:`feature_likelihood` and :func:`mahalanobis_closest_point` compute
 the same quantities one pair at a time and are the reference the table is
 tested against.
@@ -93,11 +95,11 @@ class LikelihoodCounters:
 
 @dataclass
 class SpawnStats:
-    """Instrumentation for the birth search."""
+    """Instrumentation for the birth search, summed over its calls."""
 
-    camera_combinations: int = 0
-    hypotheses_triangulated: int = 0
-    passes: int = 0
+    camera_combinations: int = 0      # of cameras holding a usable unclaimed row
+    hypotheses_triangulated: int = 0  # each ray-consistent tuple, once
+    passes: int = 0                   # one per call
 
 
 def mahalanobis_closest_point(ray: Ray3, center, cov) -> tuple[np.ndarray, float]:
@@ -390,109 +392,92 @@ def spawn_targets(features_by_camera: Mapping[str, np.ndarray],
                   ) -> tuple[list[TargetState], set[tuple[str, int]]]:
     """Hypothesize new targets from features no existing track claimed.
 
-    Every camera combination of size min_birth_cameras..n is enumerated;
-    within a combination, feature tuples (one per camera) are grown
-    depth-first with a pairwise ray-consistency prune, then triangulated.
+    `features_by_camera` maps camera id to its (n, 6) feature rows; rows
+    named in `claimed` as (camera id, row index) are left out, and so are
+    rows whose pixel ray is degenerate. Two remaining rows of different
+    cameras are compatible when their rays pass closer than
+    ``birth_pair_distance``; each pair is tested once. For every
+    combination of at least ``min_birth_cameras`` of the cameras that hold
+    such rows, the tuples of one row per camera that are pairwise
+    compatible are grown camera by camera and each is triangulated once.
     A hypothesis is acceptable when its mean reprojection error is below
     the birth threshold AND it is supported by nearly every camera able to
     see the hypothesized point (all but `birth_miss_tolerance` of them):
     with detection thresholds set low a real target is seen by almost all
     covering cameras, whereas clutter coincidences and mixed-target
-    phantom points muster only two or three consistent rays. The
-    acceptable hypothesis with the most cameras wins, ties broken by
-    smaller error then lexicographic feature choice; its features are
-    consumed and the search repeats until nothing acceptable remains.
+    phantom points muster only two or three consistent rays.
 
-    `features_by_camera` maps camera id to its (n, 6) feature rows; rows
-    named in `claimed` as (camera id, row index) are left out. Returns the
-    new targets and the set of consumed (camera id, row index).
+    Births are taken in one scan of the acceptable hypotheses sorted by
+    (most cameras, smaller error, lexicographic feature choice): a
+    hypothesis is born when none of its features went to an earlier birth.
+    That equals repeating the search over the features left after each
+    birth, since whether a tuple is acceptable does not depend on the
+    other features. Returns the new targets and the set of consumed
+    (camera id, row index).
+
+    `stats` counts one pass per call, every camera combination enumerated
+    (only cameras with a usable row take part) and every tuple
+    triangulated.
     """
     cams = sorted(cameras, key=lambda c: c.cam_id)
-    uv = {c.cam_id: features_by_camera.get(c.cam_id, _NO_ROWS)[:, :2] for c in cams}
-    pool: dict[str, list[int]] = {
-        cam_id: [j for j in range(len(rows)) if (cam_id, j) not in claimed]
-        for cam_id, rows in uv.items()}
-    rays: dict[tuple[str, int], Ray3] = {}
-
-    def ray_of(cam: CameraModel, idx: int) -> Ray3 | None:
-        key = (cam.cam_id, idx)
-        if key not in rays:
+    ids, views, rays = [], [], []  # usable rows, camera by camera
+    groups: dict[str, list[int]] = {}
+    for cam in cams:
+        for j, uv in enumerate(features_by_camera.get(cam.cam_id, _NO_ROWS)[:, :2]):
+            if (cam.cam_id, j) in claimed:
+                continue
             try:
-                rays[key] = pixel_ray(cam, uv[cam.cam_id][idx])
+                rays.append(pixel_ray(cam, uv))
             except DegenerateGeometry:
-                return None
-        return rays[key]
+                continue
+            groups.setdefault(cam.cam_id, []).append(len(ids))
+            ids.append((cam.cam_id, j))
+            views.append((cam, uv))
+    # later ray first, since the distance is not bitwise symmetric; a NaN
+    # distance counts as compatible
+    compatible = [set() for _ in ids]
+    for b in range(len(ids)):
+        for a in range(b):
+            if ids[a][0] != ids[b][0] and not (
+                    _ray_ray_distance(rays[b], rays[a]) >= gate.birth_pair_distance):
+                compatible[a].add(b)
+                compatible[b].add(a)
 
+    if stats is not None:
+        stats.passes += 1
+    accepted = {}  # (-n_cams, err, feature ids) -> triangulated point
+    for size in range(max(2, gate.min_birth_cameras), len(groups) + 1):
+        for first, *rest in itertools.combinations(groups.values(), size):
+            if stats is not None:
+                stats.camera_combinations += 1
+            tuples = [((r,), compatible[r]) for r in first]
+            for rows in rest:
+                tuples = [(t + (r,), ok & compatible[r])
+                          for t, ok in tuples for r in rows if r in ok]
+            for t, _ in tuples:
+                if stats is not None:
+                    stats.hypotheses_triangulated += 1
+                try:
+                    point, err = triangulate([views[r] for r in t])
+                except DegenerateGeometry:
+                    continue
+                if err >= gate.birth_reprojection_threshold:
+                    continue
+                if size < _cameras_viewing(point, cams) - gate.birth_miss_tolerance:
+                    continue
+                accepted[(-size, err, tuple(ids[r] for r in t))] = point
+
+    cov = np.diag([gate.sigma_birth**2] * 3 + [gate.sigma_vbirth**2] * 3)
     born: list[TargetState] = []
     used: set[tuple[str, int]] = set()
-    min_size = max(2, gate.min_birth_cameras)
-
-    while True:
-        if stats is not None:
-            stats.passes += 1
-        best = None  # (-n_cams, err, cam_ids, idx tuple, point)
-        for size in range(len(cams), min_size - 1, -1):
-            for combo in itertools.combinations(cams, size):
-                if stats is not None:
-                    stats.camera_combinations += 1
-                for choice in _consistent_tuples(combo, pool, ray_of, gate):
-                    views = [(cam, uv[cam.cam_id][idx]) for cam, idx in choice]
-                    if stats is not None:
-                        stats.hypotheses_triangulated += 1
-                    try:
-                        point, err = triangulate(views)
-                    except DegenerateGeometry:
-                        continue
-                    if err >= gate.birth_reprojection_threshold:
-                        continue
-                    viewing = _cameras_viewing(point, cams)
-                    if size < viewing - gate.birth_miss_tolerance:
-                        continue
-                    key = (-size, err, tuple((cam.cam_id, idx) for cam, idx in choice))
-                    if best is None or key < best[0]:
-                        best = (key, point, choice)
-        if best is None:
-            break
-        _, point, choice = best
-        cov = np.diag([gate.sigma_birth**2] * 3 + [gate.sigma_vbirth**2] * 3)
-        born.append(TargetState(target_id=next_id,
-                                mean=np.append(point, [0.0, 0.0, 0.0]),
-                                cov=cov, frames_since_observation=0,
-                                born_at=frame_number))
-        next_id += 1
-        for cam, idx in choice:
-            used.add((cam.cam_id, idx))
-            pool[cam.cam_id].remove(idx)
+    for key in sorted(accepted):
+        if used.isdisjoint(key[2]):
+            used.update(key[2])
+            born.append(TargetState(target_id=next_id + len(born),
+                                    mean=np.append(accepted[key], [0.0, 0.0, 0.0]),
+                                    cov=cov.copy(), frames_since_observation=0,
+                                    born_at=frame_number))
     return born, used
-
-
-def _consistent_tuples(combo, pool, ray_of, gate):
-    """Depth-first enumeration of one-feature-per-camera choices over a
-    camera combination, pruning pairs whose back-projected rays pass
-    farther apart than the birth consistency distance."""
-    combo = list(combo)
-
-    def grow(level, chosen):
-        if level == len(combo):
-            yield list(chosen)
-            return
-        cam = combo[level]
-        for idx in pool[cam.cam_id]:
-            ray = ray_of(cam, idx)
-            if ray is None:
-                continue
-            ok = True
-            for pcam, pidx in chosen:
-                pray = ray_of(pcam, pidx)
-                if pray is None or _ray_ray_distance(ray, pray) >= gate.birth_pair_distance:
-                    ok = False
-                    break
-            if ok:
-                chosen.append((cam, idx))
-                yield from grow(level + 1, chosen)
-                chosen.pop()
-
-    yield from grow(0, [])
 
 
 def cull_targets(targets: Sequence[TargetState], gate: GateConfig

@@ -309,3 +309,104 @@ def trajectory_rows_oracle(frame_number, targets):
         vals += [repr(float(x)) for x in t.cov.ravel()]
         out.append(",".join(vals) + "\n")
     return "".join(out)
+
+
+def spawn_targets_oracle(features_by_camera, claimed, cameras, gate,
+                         frame_number, next_id, stats=None):
+    """The birth search that association.spawn_targets replaced: it walks
+    every camera combination of size min_birth_cameras..n, grows
+    one-row-per-camera tuples depth-first with the pairwise ray prune,
+    takes the best acceptable hypothesis (most cameras, then smaller
+    error, then lexicographic feature choice), removes its features and
+    repeats the whole search until nothing acceptable remains."""
+    import itertools
+
+    from camtrack3d.association import _NO_ROWS, _cameras_viewing
+    from camtrack3d.geometry import DegenerateGeometry, pixel_ray, triangulate
+    from camtrack3d.tracker import TargetState
+
+    cams = sorted(cameras, key=lambda c: c.cam_id)
+    uv = {c.cam_id: features_by_camera.get(c.cam_id, _NO_ROWS)[:, :2] for c in cams}
+    pool = {cam_id: [j for j in range(len(rows)) if (cam_id, j) not in claimed]
+            for cam_id, rows in uv.items()}
+    rays = {}
+
+    def ray_of(cam, idx):
+        key = (cam.cam_id, idx)
+        if key not in rays:
+            try:
+                rays[key] = pixel_ray(cam, uv[cam.cam_id][idx])
+            except DegenerateGeometry:
+                return None
+        return rays[key]
+
+    born, used = [], set()
+    min_size = max(2, gate.min_birth_cameras)
+    while True:
+        if stats is not None:
+            stats.passes += 1
+        best = None  # (key, point, choice)
+        for size in range(len(cams), min_size - 1, -1):
+            for combo in itertools.combinations(cams, size):
+                if stats is not None:
+                    stats.camera_combinations += 1
+                for choice in _consistent_tuples_oracle(combo, pool, ray_of, gate):
+                    views = [(cam, uv[cam.cam_id][idx]) for cam, idx in choice]
+                    if stats is not None:
+                        stats.hypotheses_triangulated += 1
+                    try:
+                        point, err = triangulate(views)
+                    except DegenerateGeometry:
+                        continue
+                    if err >= gate.birth_reprojection_threshold:
+                        continue
+                    viewing = _cameras_viewing(point, cams)
+                    if size < viewing - gate.birth_miss_tolerance:
+                        continue
+                    key = (-size, err, tuple((cam.cam_id, idx) for cam, idx in choice))
+                    if best is None or key < best[0]:
+                        best = (key, point, choice)
+        if best is None:
+            break
+        _, point, choice = best
+        cov = np.diag([gate.sigma_birth**2] * 3 + [gate.sigma_vbirth**2] * 3)
+        born.append(TargetState(target_id=next_id,
+                                mean=np.append(point, [0.0, 0.0, 0.0]),
+                                cov=cov, frames_since_observation=0,
+                                born_at=frame_number))
+        next_id += 1
+        for cam, idx in choice:
+            used.add((cam.cam_id, idx))
+            pool[cam.cam_id].remove(idx)
+    return born, used
+
+
+def _consistent_tuples_oracle(combo, pool, ray_of, gate):
+    """Depth-first enumeration of one-feature-per-camera choices over a
+    camera combination, pruning pairs whose back-projected rays pass
+    farther apart than the birth consistency distance."""
+    from camtrack3d.association import _ray_ray_distance
+
+    combo = list(combo)
+
+    def grow(level, chosen):
+        if level == len(combo):
+            yield list(chosen)
+            return
+        cam = combo[level]
+        for idx in pool[cam.cam_id]:
+            ray = ray_of(cam, idx)
+            if ray is None:
+                continue
+            ok = True
+            for pcam, pidx in chosen:
+                pray = ray_of(pcam, pidx)
+                if pray is None or _ray_ray_distance(ray, pray) >= gate.birth_pair_distance:
+                    ok = False
+                    break
+            if ok:
+                chosen.append((cam, idx))
+                yield from grow(level + 1, chosen)
+                chosen.pop()
+
+    yield from grow(0, [])

@@ -31,6 +31,7 @@ from helpers import (
     make_feature,
     predict_one,
     ring_of_cameras,
+    spawn_targets_oracle,
     table_of,
     unclaimed_rows,
 )
@@ -500,6 +501,66 @@ def test_spawn_needs_min_cameras():
     unclaimed = {cams[0].cam_id: [(0, make_feature(*project(cams[0], X)))]}
     born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
     assert born == []
+
+
+@st.composite
+def birth_frames(draw):
+    """A random rig of 2-8 cameras, given in shuffled order, with the rows
+    a birth search reads: noisy projections of a few points, uniform
+    clutter, exact duplicate rows (equal reprojection errors, so the
+    feature ids decide), rows whose pixel ray is degenerate, and a random
+    claimed set that may name rows no camera holds."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cams = []
+    for k in range(draw(st.integers(2, 8))):
+        direction = rng.normal(size=3)
+        position = rng.uniform(1.2, 3.0) * direction / np.linalg.norm(direction)
+        cams.append(look_at_camera(position, rng.uniform(-0.2, 0.2, size=3),
+                                   cam_id=f"c{k}", focal=rng.uniform(400, 1200)))
+    points = rng.uniform(-0.3, 0.3, size=(draw(st.integers(0, 3)), 3))
+    noise = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    clutter = draw(st.integers(0, 3))
+    duplicates, degenerate = draw(st.booleans()), draw(st.booleans())
+    rows = {}
+    for cam in cams:
+        uv = []
+        for X in points:
+            if rng.random() < 0.9:
+                try:
+                    uv.append(np.array(project(cam, X)) + rng.normal(0, noise, 2))
+                except (BehindCamera, PointAtInfinity):
+                    pass
+        uv += list(rng.uniform([0, 0], [640, 480], size=(rng.integers(clutter + 1), 2)))
+        if duplicates and uv:
+            uv.append(uv[rng.integers(len(uv))].copy())
+        if degenerate and rng.random() < 0.5:
+            uv.append(np.array([[np.nan, 10.0], [np.inf, 10.0], [5.0, -np.inf]][
+                rng.integers(3)]))
+        rng.shuffle(uv)
+        if uv or rng.random() < 0.5:
+            uv = np.array(uv).reshape(-1, 2)
+            rows[cam.cam_id] = np.column_stack(
+                [uv, np.tile([20.0, 150.0, 0.0, 2.0], (len(uv), 1))])
+    p_claim = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    claimed = {(cam.cam_id, j) for cam in cams for j in range(5) if rng.random() < p_claim}
+    gate = GateConfig(min_birth_cameras=draw(st.integers(2, 4)),
+                      birth_miss_tolerance=draw(st.integers(0, 2)))
+    return [cams[i] for i in rng.permutation(len(cams))], rows, claimed, gate
+
+
+@settings(max_examples=300, deadline=None)
+@given(birth_frames())
+def test_spawn_matches_repeated_search_oracle(frame):
+    # one enumeration with a sorted greedy scan must give, bit for bit,
+    # the births of the search repeated after every birth
+    cams, rows, claimed, gate = frame
+    born, used = spawn_targets(rows, claimed, cams, gate, 17, 3)
+    want_born, want_used = spawn_targets_oracle(rows, claimed, cams, gate, 17, 3)
+    assert used == want_used
+    assert [(t.target_id, t.born_at, t.frames_since_observation,
+             t.mean.tobytes(), t.cov.tobytes()) for t in born] == [
+        (t.target_id, t.born_at, t.frames_since_observation,
+         t.mean.tobytes(), t.cov.tobytes()) for t in want_born]
 
 
 # ---------------------------------------------------------------- cull_targets

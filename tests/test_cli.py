@@ -150,8 +150,11 @@ def test_track_over_tcp(tmp_path, capsys):
 
 
 def test_track_over_tcp_reports_transport_counters(tmp_path, capsys):
-    # one packet that does not decode, sent ahead of the scene on the same
-    # connection, is dropped, counted and reported with the hub's counters
+    # one packet that does not decode and one from a camera the calibration
+    # does not name, sent ahead of the scene on the same connection, are
+    # dropped, counted and reported with the hub's counters; the unknown
+    # camera's packet completes no frame, so no real packet arrives late
+    import dataclasses
     import socket
     import struct
     import time
@@ -173,6 +176,7 @@ def test_track_over_tcp_reports_transport_counters(tmp_path, capsys):
         time.sleep(0.3)  # let the CLI listener start
         with socket.create_connection(("127.0.0.1", port)) as sock:
             sock.sendall(struct.pack("<I", 3) + b"\x00\x01\x02")
+            write_packet(sock, dataclasses.replace(flat[0], cam_id="ghost"))
             for p in flat:
                 write_packet(sock, p)
 
@@ -187,6 +191,8 @@ def test_track_over_tcp_reports_transport_counters(tmp_path, capsys):
     saved = json.loads(stats_path.read_text())
     for summary in (printed, saved):
         assert summary["undecodable"] == 1
+        assert summary["unknown_camera"] == 1
+        assert summary["late"] == 0
         assert summary["closed_connections"] == 0
         assert {"late", "duplicates", "partial"} <= set(summary)
         assert summary["frames"] == 20

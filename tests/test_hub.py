@@ -444,6 +444,27 @@ def test_bigcyl_birth_search_digest_is_recorded_value():
     assert (world.stats.births, world.stats.deaths) == (11, 8)
 
 
+def test_birth_search_work_is_bounded_on_criterion_5_scene():
+    # The birth search enumerates combinations only of the cameras that
+    # hold an unclaimed row, once per frame: at most every combination of
+    # two or more of the 11 cameras (2036) in any frame, and far fewer on
+    # average, since most frames leave only a few cameras with a row.
+    spec = preset("bigcyl", seed=105, clutter_rate=1.0, detection_prob=0.95)
+    cams = generate_rig(spec)
+    truths = simulate_truth(spec, 3, 600, crossing=True)
+    frames = packets_to_assembled(synthesize_observations(truths, cams, spec),
+                                  spec.n_cameras)
+    world = make_world(cams, spec.fps)
+    per_frame = []
+    for af in frames:
+        before = world.stats.spawn.camera_combinations
+        process_frame(world, af)
+        per_frame.append(world.stats.spawn.camera_combinations - before)
+    assert world.stats.spawn.passes == world.stats.frames == len(frames)
+    assert max(per_frame) <= 2036
+    assert sum(per_frame) / len(per_frame) <= 400
+
+
 # ------------------------------------------------------- benchmark tracing
 
 def test_benchmark_tracer_finds_every_name_it_wraps():
