@@ -6,23 +6,25 @@ that multiplies two indicator gates (image distance, blob area) with
 exp(-d) where d is the Mahalanobis distance between the back-projected
 pixel ray and the predicted 3D position.
 
-The hub keeps each camera's features as the (n, 6) float rows
-(u, v, area, peak, theta, ecc) that arrive on the wire, and scores each
-frame once. :func:`pair_table` projects every target through every camera
-(:func:`~camtrack3d.geometry.project_points`), back-projects every
-feature and computes the image distance and the ray distance of every
-(target, camera, feature) pair in a fixed number of array operations.
-Assignment (:func:`assign`), merge prevention (:func:`resolve_shared`) and
-the birth search's claim test (:func:`gate_claimed_features`) take that
-table and apply their own thresholds. Since the table computes every ray
-distance anyway, the gates no longer save work; ``LikelihoodCounters``
-still counts the stages a pair-by-pair evaluation would run. The birth
-search (:func:`spawn_targets`) reads the rows no target claimed,
-triangulates each ray-consistent tuple of them once and takes births in
-one scan of the acceptable hypotheses, best first.
-:func:`feature_likelihood` and :func:`mahalanobis_closest_point` compute
-the same quantities one pair at a time and are the reference the table is
-tested against.
+The hub keeps a frame's features as one :class:`FrameFeatures` table of
+(n, 6) float rows (u, v, area, peak, theta, ecc), camera by camera, and its
+targets as one :class:`~camtrack3d.tracker.Targets` stack. :func:`pair_table`
+takes the targets' projection through every camera (made once per frame
+and shared with the EKF update), back-projects every feature with the
+rig's stacked constants and computes the image distance and the ray
+distance of every (target, camera, feature) pair in a fixed number of
+array operations. Assignment (:func:`assign`), merge prevention
+(:func:`resolve_shared`) and the birth search's claim test
+(:func:`gate_claimed_features`) take that table and apply their own
+thresholds. Since the table computes every ray distance anyway, the gates
+no longer save work; ``LikelihoodCounters`` still counts the stages a
+pair-by-pair evaluation would run. The birth search (:func:`spawn_targets`)
+reads the rows no target claimed, triangulates each ray-consistent tuple
+of them once, counts the cameras that see every hypothesis with one
+projection and takes births in one scan of the acceptable hypotheses, best
+first. :func:`feature_likelihood` and :func:`mahalanobis_closest_point`
+compute the same quantities one pair at a time and are the reference the
+table is tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,15 +43,13 @@ from .geometry import (
     DegenerateGeometry,
     PointAtInfinity,
     Ray3,
+    Rig,
     _T_EPS,
     pixel_ray,
     project,
-    project_points,
     triangulate,
 )
-from .tracker import TargetState
-
-_COND_LIMIT = 1e12
+from .tracker import _COND_LIMIT, Targets, TargetState, well_conditioned
 
 _NO_ROWS = np.empty((0, 6))  # a camera that reported no features
 
@@ -177,31 +177,62 @@ class AssignmentMatrix:
         return used
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
+class FrameFeatures:
+    """One frame's feature rows as one table: `rows` (N, 6), camera by
+    camera in the rig's camera order. ``slices[cam_id]`` selects one
+    camera's rows, in its row order; ``cam_of[n]`` is row n's camera
+    index and ``starts[k]`` the first row of camera k."""
+
+    rows: np.ndarray
+    slices: dict[str, slice]
+    cam_of: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def stack(cls, rows: np.ndarray, counts: Sequence[int], rig: Rig) -> FrameFeatures:
+        """The table of `rows`, which hold ``counts[k]`` rows of the rig's
+        camera k, camera after camera."""
+        ends = list(itertools.accumulate(counts, initial=0))
+        return cls(rows=rows,
+                   slices={cam_id: slice(ends[k], ends[k + 1])
+                           for k, cam_id in enumerate(rig.ids)},
+                   cam_of=np.repeat(np.arange(len(counts)), counts),
+                   starts=np.array(ends[:-1]))
+
+    def ids(self, rows: np.ndarray) -> set[tuple[str, int]]:
+        """The (camera id, row index) of the table's rows `rows`."""
+        cam_ids = list(self.slices)
+        k = self.cam_of[rows]
+        return {(cam_ids[c], j) for c, j in zip(k.tolist(), (rows - self.starts[k]).tolist())}
+
+
+@dataclass(frozen=True, eq=False)
 class PairTable:
     """Geometry of every (target, camera, feature) pairing of one frame.
 
     Rows follow the targets in the order given to :func:`pair_table`, whose
-    ids are ``target_ids``. Columns are the frame's features, camera by
+    ids are ``target_ids``. Columns are the rows of `features`, camera by
     camera in camera-id order; ``slices[cam_id]`` selects one camera's
     columns, in its row order. The table holds no thresholds: each
     consumer applies its own gates.
     """
 
     target_ids: tuple[int, ...]
-    slices: dict[str, slice]
-    area: np.ndarray       # (N,) blob area per feature
+    features: FrameFeatures
     visible: np.ndarray    # (T, N) target projects in front of the feature's camera
     dist2d: np.ndarray     # (T, N) image distance to the prediction; inf if not visible
     ray_dist: np.ndarray   # (T, N) Mahalanobis ray distance; inf where undefined
 
+    @property
+    def slices(self) -> dict[str, slice]:
+        return self.features.slices
 
-def pair_table(features_by_camera: Mapping[str, np.ndarray],
-               targets: Sequence[TargetState],
-               cameras: Sequence[CameraModel]) -> PairTable:
-    """Project every target, back-project every feature and score every
-    pair, in one pass over the frame. `features_by_camera` maps a camera
-    id to its (n, 6) feature rows.
+
+def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected) -> PairTable:
+    """Back-project every feature of `frame` (a table over `rig`) and score
+    every pair with `targets`, whose positions `projected` is
+    ``rig.project`` of, in one pass over the frame.
 
     Per pair this is what :func:`project`, :func:`pixel_ray` and
     :func:`mahalanobis_closest_point` compute one call at a time, with the
@@ -216,24 +247,17 @@ def pair_table(features_by_camera: Mapping[str, np.ndarray],
     along d (which leaves the residual unchanged), so that no large terms
     cancel.
     """
-    cams = sorted(cameras, key=lambda c: c.cam_id)
-    rows = [features_by_camera.get(c.cam_id, _NO_ROWS) for c in cams]
-    counts = [len(r) for r in rows]
-    ends = list(itertools.accumulate(counts, initial=0))
-    slices = {c.cam_id: slice(ends[k], ends[k + 1]) for k, c in enumerate(cams)}
-    target_ids = tuple(t.target_id for t in targets)
-    n_t, n_f = len(targets), ends[-1]
-    uva = np.concatenate([_NO_ROWS, *rows])[:, :3]
+    target_ids = tuple(targets.ids.tolist())
+    n_t, n_f = len(targets), len(frame.rows)
     if n_t == 0 or n_f == 0:
-        return PairTable(target_ids=target_ids, slices=slices, area=uva[:, 2],
+        return PairTable(target_ids=target_ids, features=frame,
                          visible=np.zeros((n_t, n_f), dtype=bool),
                          dist2d=np.full((n_t, n_f), np.inf),
                          ray_dist=np.full((n_t, n_f), np.inf))
-    cam_of = np.repeat(np.arange(len(cams)), counts)
-    pos = np.array([t.mean[:3] for t in targets])
-    cov = np.array([t.cov[:3, :3] for t in targets])
+    uva, cam_of = frame.rows[:, :3], frame.cam_of
+    pos, cov = targets.means[:, :3], targets.covs[:, :3, :3]
     # targets through every camera: (T, C, 3) homogeneous image points
-    x, seen = project_points(cams, pos)
+    x, seen = projected
     visible = seen[:, cam_of]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         depth = x[..., 2]
@@ -243,8 +267,7 @@ def pair_table(features_by_camera: Mapping[str, np.ndarray],
                           np.inf)
 
         # feature rays: unit directions (N, 3) from each camera's inv(M)
-        m_inv = np.stack([c._front_sign * c._m_inv for c in cams])
-        d = np.einsum("nij,nj->ni", m_inv[cam_of],
+        d = np.einsum("nij,nj->ni", rig.m_inv[cam_of],
                       np.column_stack([uva[:, :2], np.ones(n_f)]))
         norm = np.linalg.norm(d, axis=1)
         ray_ok = ~(norm < _T_EPS)
@@ -252,12 +275,12 @@ def pair_table(features_by_camera: Mapping[str, np.ndarray],
 
         # per target: the inverse position covariance, when usable
         cov_ok = np.isfinite(cov).all(axis=(1, 2))
-        cov_ok[cov_ok] = np.linalg.cond(cov[cov_ok]) <= _COND_LIMIT
+        cov_ok[cov_ok] = well_conditioned(cov[cov_ok])
         s_inv = np.zeros_like(cov)
         s_inv[cov_ok] = np.linalg.inv(cov[cov_ok])
 
         # every pair: w (T, N, 3) with its along-ray part removed
-        w = pos[:, None, :] - np.stack([c.center for c in cams])[cam_of]
+        w = pos[:, None, :] - rig.centers[cam_of]
         w -= np.einsum("tni,ni->tn", w, d)[..., None] * d
         sd = np.einsum("tij,nj->tni", s_inv, d)
         dsd = np.einsum("tni,ni->tn", sd, d)
@@ -266,9 +289,8 @@ def pair_table(features_by_camera: Mapping[str, np.ndarray],
         d2 = np.einsum("tni,tij,tnj->tn", resid, s_inv, resid)
         ray_dist = np.sqrt(np.maximum(d2, 0.0))
         ok = cov_ok[:, None] & ray_ok & ~(dsd <= 0) & np.isfinite(ray_dist)
-    return PairTable(target_ids=target_ids, slices=slices, area=uva[:, 2],
-                     visible=visible, dist2d=dist2d,
-                     ray_dist=np.where(ok, ray_dist, np.inf))
+    return PairTable(target_ids=target_ids, features=frame, visible=visible,
+                     dist2d=dist2d, ray_dist=np.where(ok, ray_dist, np.inf))
 
 
 def pair_likelihoods(table: PairTable, gate: GateConfig,
@@ -277,7 +299,7 @@ def pair_likelihoods(table: PairTable, gate: GateConfig,
     `table`. `counters` counts the gate stages that function would have
     evaluated pair by pair."""
     in_image = ~(table.dist2d >= gate.dist2d_threshold)
-    scored = in_image & (table.area > gate.area_threshold)
+    scored = in_image & (table.features.rows[:, 2] > gate.area_threshold)
     if counters is not None:
         counters.dist2d_evals += int(np.count_nonzero(table.visible))
         counters.area_evals += int(np.count_nonzero(in_image))
@@ -291,19 +313,17 @@ def assign(table: PairTable, gate: GateConfig,
     """Nearest-neighbor assignment: per target and camera, the feature
     maximizing the likelihood read from `table` (None when every feature
     gates to zero). Ties break to the lowest feature index."""
-    likelihood = pair_likelihoods(table, gate, counters)
-    rows = np.arange(len(table.target_ids))
-    per_camera = []
-    for sl in table.slices.values():
-        if sl.start == sl.stop:
-            per_camera.append([None] * len(rows))
-            continue
-        block = likelihood[:, sl]
-        best = block.argmax(axis=1)
-        per_camera.append([int(j) if p > 0.0 else None
-                           for j, p in zip(best, block[rows, best])])
-    columns = {tid: tuple(col[i] for col in per_camera)
-               for i, tid in enumerate(table.target_ids)}
+    frame = table.features
+    # each camera's likelihoods in a row of their own, zero-padded:
+    # (T, C, most rows of one camera)
+    width = max([1] + [sl.stop - sl.start for sl in frame.slices.values()])
+    padded = np.zeros((len(table.target_ids), len(frame.starts), width))
+    padded[:, frame.cam_of, np.arange(len(frame.rows)) - frame.starts[frame.cam_of]] = \
+        pair_likelihoods(table, gate, counters)
+    best = padded.argmax(axis=2)
+    best[~(padded.max(axis=2) > 0.0)] = -1
+    columns = {tid: tuple(None if j < 0 else j for j in col)
+               for tid, col in zip(table.target_ids, best.tolist())}
     return AssignmentMatrix(camera_ids=tuple(table.slices), columns=columns)
 
 
@@ -355,17 +375,7 @@ def gate_claimed_features(table: PairTable, gate: GateConfig) -> set[tuple[str, 
     """
     hit = (~(table.dist2d >= gate.dist2d_threshold)
            & (table.ray_dist <= gate.mahalanobis_gate)).any(axis=0)
-    return {(cam_id, int(j)) for cam_id, sl in table.slices.items()
-            for j in np.flatnonzero(hit[sl])}
-
-
-def _cameras_viewing(point, cameras: Sequence[CameraModel]) -> int:
-    """How many cameras have `point` in front of them and inside the image."""
-    x, ok = project_points(cameras, point)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u, v = x[0, :, 0] / x[0, :, 2], x[0, :, 1] / x[0, :, 2]
-    w, h = np.array([c.image_size for c in cameras], dtype=float).T
-    return int(np.count_nonzero(ok[0] & (0 <= u) & (u <= w) & (0 <= v) & (v <= h)))
+    return table.features.ids(np.flatnonzero(hit))
 
 
 def _ray_ray_distance(r1: Ray3, r2: Ray3) -> float:
@@ -382,19 +392,15 @@ def _ray_ray_distance(r1: Ray3, r2: Ray3) -> float:
     return float(np.linalg.norm(r1.point_at(s) - r2.point_at(t)))
 
 
-def spawn_targets(features_by_camera: Mapping[str, np.ndarray],
-                  claimed: set[tuple[str, int]],
-                  cameras: Sequence[CameraModel],
-                  gate: GateConfig,
-                  frame_number: int,
-                  next_id: int,
+def spawn_targets(frame: FrameFeatures, claimed: set[tuple[str, int]], rig: Rig,
+                  gate: GateConfig, frame_number: int, next_id: int,
                   stats: SpawnStats | None = None
                   ) -> tuple[list[TargetState], set[tuple[str, int]]]:
-    """Hypothesize new targets from features no existing track claimed.
+    """Hypothesize new targets from the rows of `frame`, a table over
+    `rig`, that no existing track claimed.
 
-    `features_by_camera` maps camera id to its (n, 6) feature rows; rows
-    named in `claimed` as (camera id, row index) are left out, and so are
-    rows whose pixel ray is degenerate. Two remaining rows of different
+    Rows named in `claimed` as (camera id, row index) are left out, and so
+    are rows whose pixel ray is degenerate. Two remaining rows of different
     cameras are compatible when their rays pass closer than
     ``birth_pair_distance``; each pair is tested once. For every
     combination of at least ``min_birth_cameras`` of the cameras that hold
@@ -402,10 +408,12 @@ def spawn_targets(features_by_camera: Mapping[str, np.ndarray],
     compatible are grown camera by camera and each is triangulated once.
     A hypothesis is acceptable when its mean reprojection error is below
     the birth threshold AND it is supported by nearly every camera able to
-    see the hypothesized point (all but `birth_miss_tolerance` of them):
-    with detection thresholds set low a real target is seen by almost all
-    covering cameras, whereas clutter coincidences and mixed-target
-    phantom points muster only two or three consistent rays.
+    see the hypothesized point (all but `birth_miss_tolerance` of them; a
+    point on the image border counts as seen): with detection thresholds
+    set low a real target is seen by almost all covering cameras, whereas
+    clutter coincidences and mixed-target phantom points muster only two
+    or three consistent rays. The points that pass the error test go
+    through the rig in one projection to count the cameras that see them.
 
     Births are taken in one scan of the acceptable hypotheses sorted by
     (most cameras, smaller error, lexicographic feature choice): a
@@ -419,13 +427,14 @@ def spawn_targets(features_by_camera: Mapping[str, np.ndarray],
     (only cameras with a usable row take part) and every tuple
     triangulated.
     """
-    cams = sorted(cameras, key=lambda c: c.cam_id)
     ids, views, rays = [], [], []  # usable rows, camera by camera
     groups: dict[str, list[int]] = {}
-    for cam in cams:
-        for j, uv in enumerate(features_by_camera.get(cam.cam_id, _NO_ROWS)[:, :2]):
+    for cam in rig.cameras:
+        rows = frame.slices[cam.cam_id]
+        for j in range(rows.stop - rows.start):
             if (cam.cam_id, j) in claimed:
                 continue
+            uv = frame.rows[rows.start + j, :2]
             try:
                 rays.append(pixel_ray(cam, uv))
             except DegenerateGeometry:
@@ -445,7 +454,7 @@ def spawn_targets(features_by_camera: Mapping[str, np.ndarray],
 
     if stats is not None:
         stats.passes += 1
-    accepted = {}  # (-n_cams, err, feature ids) -> triangulated point
+    hypotheses = []  # ((-n_cams, err, feature ids), point) below the error threshold
     for size in range(max(2, gate.min_birth_cameras), len(groups) + 1):
         for first, *rest in itertools.combinations(groups.values(), size):
             if stats is not None:
@@ -461,33 +470,40 @@ def spawn_targets(features_by_camera: Mapping[str, np.ndarray],
                     point, err = triangulate([views[r] for r in t])
                 except DegenerateGeometry:
                     continue
-                if err >= gate.birth_reprojection_threshold:
-                    continue
-                if size < _cameras_viewing(point, cams) - gate.birth_miss_tolerance:
-                    continue
-                accepted[(-size, err, tuple(ids[r] for r in t))] = point
-
-    cov = np.diag([gate.sigma_birth**2] * 3 + [gate.sigma_vbirth**2] * 3)
+                if err < gate.birth_reprojection_threshold:
+                    hypotheses.append(((-size, err, tuple(ids[r] for r in t)), point))
     born: list[TargetState] = []
     used: set[tuple[str, int]] = set()
-    for key in sorted(accepted):
-        if used.isdisjoint(key[2]):
+    if not hypotheses:
+        return born, used
+    # cameras with each point in front of them and inside the image
+    x, ok = rig.project([point for _, point in hypotheses])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = x[..., 0] / x[..., 2], x[..., 1] / x[..., 2]
+    w, h = rig.size.T
+    viewing = np.count_nonzero(ok & (0 <= u) & (u <= w) & (0 <= v) & (v <= h), axis=1)
+    cov = np.diag([gate.sigma_birth**2] * 3 + [gate.sigma_vbirth**2] * 3)
+    for (key, point), n in sorted(zip(hypotheses, viewing.tolist()),
+                                  key=lambda hyp: hyp[0][0]):
+        if not -key[0] < n - gate.birth_miss_tolerance and used.isdisjoint(key[2]):
             used.update(key[2])
             born.append(TargetState(target_id=next_id + len(born),
-                                    mean=np.append(accepted[key], [0.0, 0.0, 0.0]),
+                                    mean=np.append(point, [0.0, 0.0, 0.0]),
                                     cov=cov.copy(), frames_since_observation=0,
                                     born_at=frame_number))
     return born, used
 
 
-def cull_targets(targets: Sequence[TargetState], gate: GateConfig
-                 ) -> tuple[list[TargetState], list[TargetState]]:
+def cull_targets(targets, gate: GateConfig):
     """Split targets into (kept, removed): removed when the largest
     eigenvalue of the position covariance block exceeds the death
-    threshold."""
-    if not targets:
-        return [], []
-    worst = np.linalg.eigvalsh(np.array([t.cov[:3, :3] for t in targets]))[:, -1]
-    dead = worst > gate.death_covariance_threshold
-    return ([t for t, d in zip(targets, dead) if not d],
-            [t for t, d in zip(targets, dead) if d])
+    threshold. Takes a :class:`~camtrack3d.tracker.Targets` stack and
+    returns two, or a list of states and returns two lists of them."""
+    stack = targets if isinstance(targets, Targets) else Targets.of(targets)
+    dead = np.linalg.eigvalsh(stack.covs[:, :3, :3])[:, -1] > gate.death_covariance_threshold
+    if stack is not targets:
+        return ([t for t, d in zip(targets, dead) if not d],
+                [t for t, d in zip(targets, dead) if d])
+    if not dead.any():  # most frames: no copies
+        return targets, targets.take(slice(0, 0))
+    return targets.take(~dead), targets.take(dead)

@@ -190,13 +190,37 @@ def project_points(cameras: Sequence[CameraModel], points
     principal plane and not behind it. The einsum gives the bits of
     ``cam.projection @ (X, 1)``; a stacked ``matmul`` does not.
     """
+    return _project(np.array([c.projection for c in cameras]).reshape(-1, 3, 4),
+                    np.array([c._front_sign for c in cameras]), points)
+
+
+def _project(P, front, points) -> tuple[np.ndarray, np.ndarray]:
     points = np.asarray(points, dtype=float).reshape(-1, 3)
-    P = np.array([c.projection for c in cameras]).reshape(-1, 3, 4)
-    front = np.array([c._front_sign for c in cameras])
     with np.errstate(over="ignore", invalid="ignore"):
         x = np.einsum("cij,tj->tci", P, np.column_stack([points, np.ones(len(points))]))
         depth = x[..., 2]
         return x, ~(np.abs(depth) < _T_EPS) & ~(front * depth < 0)
+
+
+class Rig:
+    """A camera set sorted by id, with the constants the batched kernels
+    read stacked once: projection matrices ``P`` (C, 3, 4), front signs
+    (C,), the signed ``inv(M)`` that back-projects a pixel to a ray toward
+    the scene (C, 3, 3), centers (C, 3) and image sizes (C, 2)."""
+
+    def __init__(self, cameras: Iterable[CameraModel]):
+        cams = self.cameras = tuple(sorted(cameras, key=lambda c: c.cam_id))
+        self.ids = tuple(c.cam_id for c in cams)
+        self.column = {cam_id: k for k, cam_id in enumerate(self.ids)}
+        self.P = np.array([c.projection for c in cams]).reshape(-1, 3, 4)
+        self.front = np.array([c._front_sign for c in cams])
+        self.m_inv = np.array([c._front_sign * c._m_inv for c in cams]).reshape(-1, 3, 3)
+        self.centers = np.array([c.center for c in cams]).reshape(-1, 3)
+        self.size = np.array([c.image_size for c in cams], dtype=float).reshape(-1, 2)
+
+    def project(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`project_points` of `points` through the rig's cameras."""
+        return _project(self.P, self.front, points)
 
 
 def apply_distortion(cam: CameraModel, ideal) -> tuple[float, float]:

@@ -3,11 +3,16 @@ associate features, resolve shared assignments, update, spawn new targets
 from unclaimed features and cull lost ones. Each stage is one call per
 frame over all of the frame's targets.
 
-Features stay the (n, 6) float rows of each camera's packet from ingress
-to the birth search; rows that are not finite are dropped and counted
-first. Every (target, camera, feature) pair is scored once per frame into
-an :class:`~camtrack3d.association.PairTable`, which assignment, merge
-resolution and the gate-claim test read.
+The frame state is stacked from ingress to trajectory row. At ingress the
+cameras' (n, 6) float rows become one
+:class:`~camtrack3d.association.FrameFeatures` table, with rows that are
+not finite dropped and counted by one test. The world keeps its targets as
+one :class:`~camtrack3d.tracker.Targets` stack in id order, which predict,
+update and cull read and replace. The priors are projected through the
+rig once; every (target, camera, feature) pair is scored once into an
+:class:`~camtrack3d.association.PairTable`, which assignment, merge
+resolution and the gate-claim test read, and the update's Jacobians reuse
+the projection. ``RunStats.stages`` sums the time of each stage.
 
 Processing is single-threaded and deterministic: identical assembled-frame
 sequences and configuration produce bit-identical trajectory output.
@@ -15,6 +20,7 @@ sequences and configuration produce bit-identical trajectory output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -25,7 +31,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .association import (
+    _NO_ROWS,
     AssignmentMatrix,
+    FrameFeatures,
     GateConfig,
     LikelihoodCounters,
     SpawnStats,
@@ -38,11 +46,13 @@ from .association import (
 )
 # not called here; the traced benchmark wraps hub.feature_from_row by name
 from .features import feature_from_row  # noqa: F401
+from .geometry import Rig
 from .metrics import latency_percentiles
 from .netproto import AssembledFrame
 from .tracker import (
     ObservationModel,
     ProcessModel,
+    Targets,
     TargetState,
     TrajectoryWriter,
     predict,
@@ -50,6 +60,31 @@ from .tracker import (
 )
 
 log = logging.getLogger(__name__)
+
+
+@dataclass
+class StageTimes:
+    """Seconds spent in each stage of the frame loop, summed over frames:
+    ingress (the feature table), predict, score (projection and pair
+    table), assign, resolve, update, claim (the claimed features), spawn
+    and cull."""
+
+    ingress: float = 0.0
+    predict: float = 0.0
+    score: float = 0.0
+    assign: float = 0.0
+    resolve: float = 0.0
+    update: float = 0.0
+    claim: float = 0.0
+    spawn: float = 0.0
+    cull: float = 0.0
+
+    def lap(self, stage: str, since: float) -> float:
+        """Add the time from `since` to now to `stage`; returns now."""
+        now = time.perf_counter()
+        setattr(self, stage, getattr(self, stage) + (now - since))
+        return now
+
 
 @dataclass
 class RunStats:
@@ -62,6 +97,7 @@ class RunStats:
     latencies: list = field(default_factory=list)
     likelihood: LikelihoodCounters = field(default_factory=LikelihoodCounters)
     spawn: SpawnStats = field(default_factory=SpawnStats)
+    stages: StageTimes = field(default_factory=StageTimes)
 
     def latency_percentiles(self) -> dict[str, float]:
         return latency_percentiles(self.latencies)
@@ -72,6 +108,7 @@ class RunStats:
                "nonfinite_rows": self.nonfinite_rows, "gap_drops": self.gap_drops}
         out.update({f"likelihood_{k}": v for k, v in asdict(self.likelihood).items()})
         out.update({f"spawn_{k}": v for k, v in asdict(self.spawn).items()})
+        out.update({f"stage_{k}_s": v for k, v in asdict(self.stages).items()})
         out.update({f"latency_{k}": v for k, v in self.latency_percentiles().items()})
         return out
 
@@ -93,7 +130,7 @@ class TrackerWorld:
     process: ProcessModel
     observation: ObservationModel
     gate: GateConfig
-    targets: list[TargetState] = field(default_factory=list)
+    live: Targets = field(default_factory=lambda: Targets.of([]))  # in id order
     next_target_id: int = 0
     frame_counter: int | None = None  # latched to first frame - 1
     stats: RunStats = field(default_factory=RunStats)
@@ -101,22 +138,36 @@ class TrackerWorld:
     # next frame (see process_frame)
     held: tuple[AssembledFrame, float | None] | None = None
 
+    @property
+    def targets(self) -> list[TargetState]:
+        """The live targets in id order, as states: a new list on every
+        read, so changing it changes nothing in the world."""
+        return self.live.states()
+
     def live_posteriors(self) -> list[TargetState]:
-        return sorted(self.targets, key=lambda t: t.target_id)
+        return self.targets
 
 
-def _frame_features(aframe: AssembledFrame, stats: RunStats) -> dict[str, np.ndarray]:
-    """The frame's finite feature rows, an (n, 6) float array per camera.
-    Rows holding a NaN or an infinity are dropped and counted: no gate
-    rejects them reliably, and they break the birth search's
-    triangulation."""
-    out: dict[str, np.ndarray] = {}
-    for cam_id, rows in aframe.features_by_camera.items():
-        rows = np.asarray(rows, dtype=float).reshape(-1, 6)
-        finite = np.isfinite(rows).all(axis=1)
+def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameFeatures:
+    """The frame's finite feature rows as one table over the rig's
+    cameras. Rows holding a NaN or an infinity are dropped and counted,
+    those of cameras outside the rig included: no gate rejects them
+    reliably, and they break the birth search's triangulation."""
+    feats = aframe.features_by_camera
+    blocks = [np.asarray(feats.get(cam_id, _NO_ROWS), dtype=float).reshape(-1, 6)
+              for cam_id in rig.ids]
+    counts = [len(b) for b in blocks]
+    n = sum(counts)
+    blocks += [np.asarray(rows, dtype=float).reshape(-1, 6)
+               for cam_id, rows in feats.items() if cam_id not in rig.column]
+    rows = np.concatenate(blocks)
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
         stats.nonfinite_rows += int(np.count_nonzero(~finite))
-        out[cam_id] = rows[finite]
-    return out
+        kept = np.concatenate([[0], np.cumsum(finite[:n])])
+        counts = np.diff(kept[list(itertools.accumulate(counts, initial=0))]).tolist()
+        rows = rows[:n][finite[:n]]
+    return FrameFeatures.stack(rows[:n], counts, rig)
 
 
 def death_horizon(world: TrackerWorld) -> float:
@@ -189,7 +240,7 @@ def _advance(world: TrackerWorld, aframe: AssembledFrame,
     events = []
     while world.frame_counter + 1 < aframe.frame:
         left = aframe.frame - world.frame_counter - 1
-        if not world.targets and left >= death_horizon(world):
+        if not len(world.live) and left >= death_horizon(world):
             world.frame_counter = aframe.frame - 1
             break
         gap = AssembledFrame(frame=world.frame_counter + 1, features_by_camera={},
@@ -202,52 +253,75 @@ def _advance(world: TrackerWorld, aframe: AssembledFrame,
 
 def _process_one(world: TrackerWorld, aframe: AssembledFrame,
                  receipt_time: float | None) -> FrameEvents:
-    t0 = time.perf_counter() if receipt_time is None else receipt_time
-    cameras = world.observation.cameras
-    features = _frame_features(aframe, world.stats)
+    t = time.perf_counter()
+    t0 = t if receipt_time is None else receipt_time
+    stats, rig, gate = world.stats, world.observation.rig, world.gate
+    lap = stats.stages.lap
+    frame = _frame_features(aframe, rig, stats)
+    t = lap("ingress", t)
 
     # 1: predict
-    priors = predict(world.targets, world.process)
-    # every (target, camera, feature) pair, scored once for steps 2, 3 and 5
-    table = pair_table(features, priors, cameras)
+    priors = predict(world.live, world.process)
+    t = lap("predict", t)
+    # the priors through every camera, once, for the pair table and the
+    # update's Jacobians; every (target, camera, feature) pair is scored
+    # once for steps 2, 3 and 5
+    projected = rig.project(priors.means[:, :3])
+    table = pair_table(frame, priors, rig, projected)
+    t = lap("score", t)
     # 2: associate
-    assignments = assign(table, world.gate, world.stats.likelihood)
+    assignments = assign(table, gate, stats.likelihood)
+    t = lap("assign", t)
     # 3: shared-measurement resolution (merge prevention)
     assignments = resolve_shared(assignments, table)
+    t = lap("resolve", t)
     # 4: update
-    observations = [[(cam, features[cam.cam_id][idx, :2])
-                     for cam, idx in zip(cameras, assignments.columns[p.target_id])
-                     if idx is not None] for p in priors]
-    posteriors, dropped = update(priors, observations, world.observation)
-    world.stats.singular_drops += len(dropped)
+    posteriors, dropped = update(priors, _observations(frame, assignments),
+                                 world.observation, projected)
+    stats.singular_drops += len(dropped)
     for tid in dropped:
         log.warning("frame %d target %d: singular innovation, update dropped",
                     aframe.frame, tid)
+    t = lap("update", t)
 
     # 5: birth from unclaimed features; a feature counts as claimed when a
     # track selected it OR when it falls inside any track's image gate
     # (else clutter next to a live target seeds a duplicate that fights it)
-    claimed = assignments.claimed() | gate_claimed_features(table, world.gate)
-    born, birth_features = spawn_targets(features, claimed, cameras, world.gate,
-                                         aframe.frame, world.next_target_id,
-                                         world.stats.spawn)
+    claimed = assignments.claimed() | gate_claimed_features(table, gate)
+    t = lap("claim", t)
+    born, birth_features = spawn_targets(frame, claimed, rig, gate, aframe.frame,
+                                         world.next_target_id, stats.spawn)
     world.next_target_id += len(born)
+    t = lap("spawn", t)
     # 6: death by covariance threshold
-    kept, removed = cull_targets(posteriors + born, world.gate)
+    kept, removed = cull_targets(posteriors.join(born), gate)
+    lap("cull", t)
     latency = time.perf_counter() - t0
 
-    world.targets = kept
+    world.live = kept
     world.frame_counter = aframe.frame
-    world.stats.frames += 1
-    world.stats.births += len(born)
-    world.stats.deaths += len(removed)
-    world.stats.latencies.append(latency)
+    stats.frames += 1
+    stats.births += len(born)
+    stats.deaths += len(removed)
+    stats.latencies.append(latency)
     return FrameEvents(frame=aframe.frame,
                        births=[t.target_id for t in born],
-                       deaths=[t.target_id for t in removed],
+                       deaths=removed.ids.tolist(),
                        latency=latency,
                        assignments=assignments,
                        birth_features=birth_features)
+
+
+def _observations(frame: FrameFeatures, assignments: AssignmentMatrix
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The (T, C) mask of the features assigned to each target, by camera,
+    and their (T, C, 2) pixels."""
+    index = np.array(list(assignments.columns.values()), dtype=float  # None -> NaN
+                     ).reshape(len(assignments.columns), len(assignments.camera_ids))
+    seen = ~np.isnan(index)
+    px = np.zeros(seen.shape + (2,))
+    px[seen] = frame.rows[(index + frame.starts)[seen].astype(int), :2]
+    return seen, px
 
 
 def run(source: Iterable[AssembledFrame], world: TrackerWorld,
@@ -261,7 +335,7 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
         for aframe in source:
             for ev in process_frame(world, aframe):
                 if writer is not None:
-                    writer.write_frame(ev.frame, world.live_posteriors())
+                    writer.write_frame(ev.frame, world.live)
                 if dump is not None:
                     cols = {str(tid): [i for i in col]
                             for tid, col in ev.assignments.columns.items()}

@@ -1,29 +1,30 @@
 """Extended Kalman filters with constant-velocity dynamics and a
-multi-camera projective observation model, one per target, stepped a frame
-at a time.
+multi-camera projective observation model, stepped a frame at a time over
+every target at once.
 
 State is (x, y, z, vx, vy, vz) in SI units. The observation for a frame is
 the stacked distortion-corrected pixel pair from each reporting camera, in
 camera-id order; the filter linearizes the projection analytically.
 
-:func:`predict` and :func:`update` take every target of a frame at once and
-do the same arithmetic as one filter step per target, with the same bits:
-the targets are stacked and each product is a stacked ``matmul``, which
-calls the same BLAS routine per target that the 2D product calls, and each
-factorization is the same LAPACK call.
+:func:`predict` and :func:`update` step a :class:`Targets` stack (a list
+of :class:`TargetState` is stacked, stepped and returned as states) with
+the same bits as one filter step per target: each product is a stacked
+``matmul``, which calls the same BLAS routine per target that the 2D
+product calls, and each factorization is the same LAPACK call.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .geometry import BehindCamera, CameraModel, project_points
+from .geometry import BehindCamera, CameraModel, Rig, project_points
 
 # defaults: position noise 100 mm^2 (= 1e-4 m^2), velocity noise 0.25 (m/s)^2,
 # pixel observation variance 1 px^2
@@ -32,9 +33,6 @@ DEFAULT_Q_VEL = 0.25
 DEFAULT_R_PX = 1.0
 
 _COND_LIMIT = 1e12
-
-Observation = tuple[CameraModel, tuple[float, float]]
-
 
 @dataclass(frozen=True)
 class TargetState:
@@ -59,6 +57,46 @@ class TargetState:
     @property
     def velocity(self) -> np.ndarray:
         return self.mean[3:]
+
+
+@dataclass(frozen=True, eq=False)
+class Targets:
+    """Targets stacked row by row: ids (T,), means (T, 6), covariances
+    (T, 6, 6), frames since the last observation and birth frames (T,).
+    The arrays are never written, so the states of :meth:`states`, which
+    view them, stay valid."""
+
+    ids: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    missed: np.ndarray
+    born_at: np.ndarray
+
+    @classmethod
+    def of(cls, states: Sequence[TargetState]) -> Targets:
+        return cls(np.array([s.target_id for s in states], dtype=int),
+                   np.array([s.mean for s in states]).reshape(-1, 6),
+                   np.array([s.cov for s in states]).reshape(-1, 6, 6),
+                   np.array([s.frames_since_observation for s in states], dtype=int),
+                   np.array([s.born_at for s in states], dtype=int))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def states(self) -> list[TargetState]:
+        return list(map(TargetState, self.ids.tolist(), self.means, self.covs,
+                        self.missed.tolist(), self.born_at.tolist()))
+
+    def take(self, index) -> Targets:
+        """The targets an index array, a boolean mask or a slice selects."""
+        return Targets(*(a[index] for a in vars(self).values()))
+
+    def join(self, states: Sequence[TargetState]) -> Targets:
+        """These targets followed by `states`."""
+        if not states:
+            return self
+        return Targets(*map(np.concatenate, zip(vars(self).values(),
+                                                vars(Targets.of(states)).values())))
 
 
 def _check(name: str, value: float, positive: bool) -> None:
@@ -89,20 +127,20 @@ class ProcessModel:
 @dataclass(frozen=True)
 class ObservationModel:
     """The camera set and per-camera pixel noise. Cameras are kept sorted
-    by id so stacked observation vectors have a canonical layout."""
+    by id so stacked observation vectors have a canonical layout; `rig`
+    holds their constants, stacked once."""
 
     cameras: Sequence[CameraModel]
     r_px: float = DEFAULT_R_PX
-    # camera id -> position in `cameras`
-    _column: dict = field(init=False, repr=False, compare=False)
+    rig: Rig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check("r_px", self.r_px, positive=True)
-        cams = sorted(self.cameras, key=lambda c: c.cam_id)
-        if not cams:
+        rig = Rig(self.cameras)
+        if not rig.cameras:
             raise ValueError("observation model needs at least one camera")
-        object.__setattr__(self, "cameras", tuple(cams))
-        object.__setattr__(self, "_column", {c.cam_id: k for k, c in enumerate(cams)})
+        object.__setattr__(self, "cameras", rig.cameras)
+        object.__setattr__(self, "rig", rig)
 
 
 def symmetrize(P: np.ndarray) -> np.ndarray:
@@ -124,39 +162,48 @@ def clamp_psd(P: np.ndarray, floor: float = 0.0) -> np.ndarray:
     return P
 
 
-def predict(states: Sequence[TargetState], pm: ProcessModel) -> list[TargetState]:
-    """Time update of every target: mean <- A mean, cov <- A P A^T + Q."""
-    if not states:
-        return []
+def well_conditioned(M) -> np.ndarray:
+    """Which matrices of the stack `M` have a condition number of at most
+    1e12, computed as ``np.linalg.cond`` does; a NaN ratio (a zero matrix)
+    fails, as the infinite number ``cond`` gives it does."""
+    s = np.linalg.svd(M, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return s[..., 0] / s[..., -1] <= _COND_LIMIT
+
+
+def predict(targets, pm: ProcessModel):
+    """Time update of every target: mean <- A mean, cov <- A P A^T + Q.
+    Takes and returns a :class:`Targets` stack, or a list of states."""
+    if not isinstance(targets, Targets):
+        return predict(Targets.of(targets), pm).states()
     # A broadcast over (T, 6, 1) is one gemv per target, as A @ mean is; a
     # stacked (T, 6) @ A^T is a gemm and rounds differently
-    means = (pm.A @ np.array([s.mean for s in states])[:, :, None])[:, :, 0]
-    covs = symmetrize(pm.A @ np.array([s.cov for s in states]) @ pm.A.T + pm.Q)
-    return [replace(s, mean=m, cov=P) for s, m, P in zip(states, means, covs)]
+    means = (pm.A @ targets.means[:, :, None])[:, :, 0]
+    covs = symmetrize(pm.A @ targets.covs @ pm.A.T + pm.Q)
+    return Targets(targets.ids, means, covs, targets.missed, targets.born_at)
 
 
-def _linearize(points, cams: Sequence[CameraModel]):
-    """Projections of the (T, 3) `points` by `cams`, shape (T, C, 2), the
-    two rows of each one's Jacobian with respect to the state, shape
-    (T, C, 2, 6), and the (T, C) mask of the pairs that project (in front,
-    not on the principal plane); entries outside the mask mean nothing."""
-    x, ok = project_points(cams, points)
+def _linearize(x, P):
+    """Pixel predictions, shape (..., 2), and the two rows of each one's
+    Jacobian with respect to the state, shape (..., 2, 6), of homogeneous
+    image points `x` (..., 3) projected by the matching projection matrices
+    `P` (..., 3, 4); meaningless where `x` does not project."""
     t = x[..., 2:]
-    P = np.array([c.projection for c in cams]).reshape(-1, 3, 4)
-    rows = np.zeros(x.shape[:2] + (2, 6))
+    rows = np.zeros(x.shape[:-1] + (2, 6))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # d(r/t)/dX_j = (P[0,j] t - r P[2,j]) / t^2 for world components j
-        rows[..., :3] = ((P[:, :2, :3] * t[..., None] - x[..., :2, None] * P[:, 2:, :3])
+        rows[..., :3] = ((P[..., :2, :3] * t[..., None] - x[..., :2, None] * P[..., 2:, :3])
                          / (t * t)[..., None])
-        return x[..., :2] / t, rows, ok
+        return x[..., :2] / t, rows
 
 
 def _observe(mean, cams: Sequence[CameraModel]):
     cams = sorted(cams, key=lambda c: c.cam_id)
-    pred, rows, ok = _linearize(np.asarray(mean, dtype=float).ravel()[:3], cams)
+    x, ok = project_points(cams, np.asarray(mean, dtype=float).ravel()[:3])
     if not ok.all():
         raise BehindCamera(cams[int(np.argmin(ok[0]))].cam_id)
-    return pred[0].reshape(-1), rows[0].reshape(-1, 6)
+    pred, rows = _linearize(x[0], np.array([c.projection for c in cams]).reshape(-1, 3, 4))
+    return pred.reshape(-1), rows.reshape(-1, 6)
 
 
 def observation_function(mean, cams: Sequence[CameraModel]) -> np.ndarray:
@@ -185,7 +232,7 @@ def _kalman_stack(means, P, C, y, h, r_px):
     S = CP @ C.transpose(0, 2, 1) + R
     good = np.isfinite(S).all(axis=(1, 2))
     if good.any():
-        good[good] = ~(np.linalg.cond(S[good]) > _COND_LIMIT)
+        good[good] = well_conditioned(S[good])
     S = symmetrize(S)
     K = np.empty((len(C), 6, C.shape[1]))
     for g in np.flatnonzero(good):
@@ -196,68 +243,65 @@ def _kalman_stack(means, P, C, y, h, r_px):
             good[g] = False
         else:
             K[g] = lapack.dpotrs(c, CP[g], lower=0)[0].T  # P C^T S^-1
-    K, C, P = K[good], C[good], P[good]
-    mean = means[good] + (K @ (y - h)[good][:, :, None])[:, :, 0]
+    if not good.all():
+        K, C, P, means, y, h = K[good], C[good], P[good], means[good], y[good], h[good]
+    mean = means + (K @ (y - h)[:, :, None])[:, :, 0]
     IKC = np.eye(6) - K @ C
     cov = clamp_psd(IKC @ P @ IKC.transpose(0, 2, 1) + K @ R @ K.transpose(0, 2, 1))
     return good, mean, cov
 
 
-def _camera_column(om: ObservationModel, cam: CameraModel) -> int:
-    k = om._column.get(cam.cam_id)
-    if k is None or om.cameras[k] is not cam:
-        raise ValueError(f"camera {cam.cam_id!r} is not a camera of the observation model")
-    return k
+def update(priors, observations, om: ObservationModel, projected=None):
+    """Measurement update of every target of a frame. Returns the
+    posteriors and the ids of the targets whose update was dropped because
+    the innovation covariance is singular (see :func:`_kalman_stack`).
 
+    For a :class:`Targets` stack, `observations` is the (T, C) mask of the
+    ``om.cameras`` that observed each target and the (T, C, 2) pixels, and
+    `projected` is ``om.rig.project`` of the prior positions if the caller
+    has it. For a list of states, ``observations[i]`` lists target i's
+    ``(camera, (u, v))``, each camera one of ``om.cameras`` (the same
+    object, at most once; else ValueError).
 
-def update(priors: Sequence[TargetState],
-           observations: Sequence[Sequence[Observation]],
-           om: ObservationModel) -> tuple[list[TargetState], list[int]]:
-    """Measurement update of every target of a frame; ``observations[i]``
-    is target i's list of ``(camera, (u, v))``, where each camera is one of
-    ``om.cameras`` (the same object; any other camera raises ValueError).
-
-    Returns the posteriors, in the order of `priors`, and the ids of the
-    targets whose update was dropped because the innovation covariance is
-    singular (see :func:`_kalman_stack`). A target with no observation, one
-    whose prior position no observing camera can project (behind it), and
-    a dropped one keep the prior and count a missed frame. Covariance is
-    updated in Joseph form to preserve positive semidefiniteness.
+    A target with no observation, one whose prior position no observing
+    camera can project (behind it), and a dropped one keep the prior and
+    count a missed frame. Covariance is updated in Joseph form to preserve
+    positive semidefiniteness.
     """
-    if len(observations) != len(priors):
-        raise ValueError(f"{len(observations)} observation lists for {len(priors)} targets")
-    seen = [i for i, obs in enumerate(observations) if obs]
-    if seen:
-        pred, rows, ok = _linearize(np.array([priors[i].mean[:3] for i in seen]),
-                                    om.cameras)
+    if not isinstance(priors, Targets):
+        if len(observations) != len(priors):
+            raise ValueError(
+                f"{len(observations)} observation lists for {len(priors)} targets")
+        seen = np.zeros((len(priors), len(om.cameras)), dtype=bool)
+        px = np.zeros(seen.shape + (2,))
+        for i, obs in enumerate(observations):
+            for cam, uv in obs:
+                k = om.rig.column.get(cam.cam_id)
+                if k is None or om.cameras[k] is not cam or seen[i, k]:
+                    raise ValueError(f"camera {cam.cam_id!r} is not a camera of the "
+                                     f"observation model, or observes target {i} twice")
+                seen[i, k], px[i, k] = True, uv
+        posteriors, dropped = update(Targets.of(priors), (seen, px), om)
+        return posteriors.states(), dropped
+    seen, px = observations
+    x, ok = om.rig.project(priors.means[:, :3]) if projected is None else projected
+    use = seen & ok
+    counts = np.count_nonzero(use, axis=1)
+    means, covs, missed = priors.means.copy(), priors.covs.copy(), priors.missed + 1
+    dropped = []
     # targets grouped by their number of usable cameras, so that each
     # group's innovation covariances stack
-    groups: dict[int, list] = {}
-    for row, i in enumerate(seen):
-        obs = sorted(((_camera_column(om, cam), px) for cam, px in observations[i]),
-                     key=lambda o: o[0])
-        obs = [(k, px) for k, px in obs if ok[row, k]]
-        if obs:
-            groups.setdefault(len(obs), []).append((i, row, obs))
-    posteriors = list(priors)
-    dropped = []  # indices into priors
-    for m, members in groups.items():
-        index = np.array([i for i, _, _ in members])
-        at = (np.array([[row] for _, row, _ in members]),
-              np.array([[k for k, _ in obs] for _, _, obs in members]))
-        y = np.array([[px for _, px in obs] for _, _, obs in members], dtype=float)
+    for m in sorted(set(counts.tolist()) - {0}):
+        index = np.flatnonzero(counts == m)
+        at = (index[:, None], np.nonzero(use[index])[1].reshape(len(index), m))
+        pred, rows = _linearize(x[at], om.rig.P[at[1]])
         good, mean, cov = _kalman_stack(
-            np.array([priors[i].mean for i in index]),
-            np.array([priors[i].cov for i in index]),
-            rows[at].reshape(len(index), 2 * m, 6), y.reshape(len(index), 2 * m),
-            pred[at].reshape(len(index), 2 * m), om.r_px)
-        for i, mu, Sigma in zip(index[good], mean, cov):
-            posteriors[i] = replace(priors[i], mean=mu, cov=Sigma, frames_since_observation=0)
-        dropped += list(index[~good])
-    return ([p if p is not prior else
-             replace(p, frames_since_observation=p.frames_since_observation + 1)
-             for p, prior in zip(posteriors, priors)],
-            [priors[i].target_id for i in sorted(dropped)])
+            priors.means[index], priors.covs[index], rows.reshape(len(index), 2 * m, 6),
+            px[at].reshape(len(index), 2 * m), pred.reshape(len(index), 2 * m), om.r_px)
+        means[index[good]], covs[index[good]], missed[index[good]] = mean, cov, 0
+        dropped += index[~good].tolist()
+    return (Targets(priors.ids, means, covs, missed, priors.born_at),
+            priors.ids[sorted(dropped)].tolist())
 
 
 def extrapolate(state: TargetState, horizon: float) -> np.ndarray:
@@ -271,6 +315,12 @@ def extrapolate(state: TargetState, horizon: float) -> np.ndarray:
 
 TRAJECTORY_FIELDS = (["frame", "target_id", "x", "y", "z", "vx", "vy", "vz"]
                      + [f"p{i}{j}" for i in range(6) for j in range(6)])
+
+_UPPER = np.triu_indices(6)
+# the 36 entries of a symmetric 6x6 matrix, row by row, picked from its 21
+# upper-triangle entries
+_FROM_UPPER = operator.itemgetter(*(
+    list(zip(*_UPPER)).index((min(i, j), max(i, j))) for i in range(6) for j in range(6)))
 
 
 class TrajectoryWriter:
@@ -286,12 +336,24 @@ class TrajectoryWriter:
             self._own = True
         self._file.write(",".join(TRAJECTORY_FIELDS) + "\n")
 
-    def write_frame(self, frame_number: int, targets: Iterable[TargetState]):
-        # tolist() gives Python floats, whose repr is the shortest exact form
-        self._file.write("".join(
-            ",".join([str(frame_number), str(t.target_id), *map(repr, t.mean.tolist()),
-                      *map(repr, t.cov.ravel().tolist())]) + "\n"
-            for t in sorted(targets, key=lambda t: t.target_id)))
+    def write_frame(self, frame_number: int, targets: Targets | Iterable[TargetState]):
+        """One row per target of a stack in id order, or of states in any
+        order. Numbers are ``repr`` of Python floats (the shortest exact
+        form); a covariance whose lower triangle mirrors its upper one bit
+        for bit is formatted from its 21 upper-triangle entries."""
+        if not isinstance(targets, Targets):
+            targets = Targets.of(sorted(targets, key=lambda t: t.target_id))
+        bits = targets.covs.view(np.uint64)
+        mirrored = (bits == bits.swapaxes(1, 2)).all(axis=(1, 2)).tolist()
+        rows = []
+        for tid, mean, cov, upper, sym in zip(
+                targets.ids.tolist(), targets.means.tolist(),
+                targets.covs.reshape(-1, 36).tolist(),
+                targets.covs[:, _UPPER[0], _UPPER[1]].tolist(), mirrored):
+            cells = _FROM_UPPER(list(map(repr, upper))) if sym else map(repr, cov)
+            rows.append(",".join([str(frame_number), str(tid), *map(repr, mean), *cells])
+                        + "\n")
+        self._file.write("".join(rows))
         self._file.flush()
 
     def close(self):

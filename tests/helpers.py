@@ -56,11 +56,42 @@ def feature_rows(features_by_camera):
             for cam_id, lst in features_by_camera.items()}
 
 
+def frame_table(rows_by_camera, cameras):
+    """The hub's feature table of a mapping of camera id to (n, 6) rows,
+    over the rig of `cameras` (rows of other cameras are left out), and
+    that rig."""
+    from camtrack3d.association import _NO_ROWS, FrameFeatures
+    from camtrack3d.geometry import Rig
+
+    rig = Rig(cameras)
+    blocks = [np.asarray(rows_by_camera.get(cam_id, _NO_ROWS), dtype=float).reshape(-1, 6)
+              for cam_id in rig.ids]
+    rows = np.concatenate([_NO_ROWS, *blocks])
+    return FrameFeatures.stack(rows, [len(b) for b in blocks], rig), rig
+
+
+def pair_table_of(rows_by_camera, targets, cameras):
+    """association.pair_table of per-camera rows and a list of states."""
+    from camtrack3d.association import pair_table
+    from camtrack3d.tracker import Targets
+
+    frame, rig = frame_table(rows_by_camera, cameras)
+    stack = Targets.of(targets)
+    return pair_table(frame, stack, rig, rig.project(stack.means[:, :3]))
+
+
 def table_of(features_by_camera, targets, cameras):
     """association.pair_table of per-camera Feature lists."""
-    from camtrack3d.association import pair_table
+    return pair_table_of(feature_rows(features_by_camera), targets, cameras)
 
-    return pair_table(feature_rows(features_by_camera), targets, cameras)
+
+def spawn_from_rows(rows_by_camera, claimed, cameras, gate, frame_number, next_id,
+                    stats=None):
+    """association.spawn_targets of per-camera rows."""
+    from camtrack3d.association import spawn_targets
+
+    frame, rig = frame_table(rows_by_camera, cameras)
+    return spawn_targets(frame, claimed, rig, gate, frame_number, next_id, stats)
 
 
 def unclaimed_rows(unclaimed_by_camera):
@@ -321,7 +352,7 @@ def spawn_targets_oracle(features_by_camera, claimed, cameras, gate,
     repeats the whole search until nothing acceptable remains."""
     import itertools
 
-    from camtrack3d.association import _NO_ROWS, _cameras_viewing
+    from camtrack3d.association import _NO_ROWS
     from camtrack3d.geometry import DegenerateGeometry, pixel_ray, triangulate
     from camtrack3d.tracker import TargetState
 
@@ -379,6 +410,18 @@ def spawn_targets_oracle(features_by_camera, claimed, cameras, gate,
             used.add((cam.cam_id, idx))
             pool[cam.cam_id].remove(idx)
     return born, used
+
+
+def _cameras_viewing(point, cameras):
+    """How many cameras have `point` in front of them and inside the image
+    (the border included), one projection per point."""
+    from camtrack3d.geometry import project_points
+
+    x, ok = project_points(cameras, point)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u, v = x[0, :, 0] / x[0, :, 2], x[0, :, 1] / x[0, :, 2]
+    w, h = np.array([c.image_size for c in cameras], dtype=float).T
+    return int(np.count_nonzero(ok[0] & (0 <= u) & (u <= w) & (0 <= v) & (v <= h)))
 
 
 def _consistent_tuples_oracle(combo, pool, ray_of, gate):

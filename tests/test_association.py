@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camtrack3d.association import (
@@ -17,11 +17,16 @@ from camtrack3d.association import (
     gate_claimed_features,
     mahalanobis_closest_point,
     pair_likelihoods,
-    pair_table,
     resolve_shared,
-    spawn_targets,
 )
-from camtrack3d.geometry import BehindCamera, PointAtInfinity, Ray3, project, triangulate
+from camtrack3d.geometry import (
+    BehindCamera,
+    CameraModel,
+    PointAtInfinity,
+    Ray3,
+    project,
+    triangulate,
+)
 from camtrack3d.tracker import ProcessModel, TargetState
 from helpers import (
     bruteforce_assignment,
@@ -29,8 +34,10 @@ from helpers import (
     gate_claimed_features_oracle,
     look_at_camera,
     make_feature,
+    pair_table_of,
     predict_one,
     ring_of_cameras,
+    spawn_from_rows,
     spawn_targets_oracle,
     table_of,
     unclaimed_rows,
@@ -195,7 +202,7 @@ def association_frames(draw):
 @given(association_frames())
 def test_pair_table_matches_scalar_likelihood(frame):
     cams, targets, feats = frame
-    table = pair_table(feature_rows(feats), targets, cams)
+    table = pair_table_of(feature_rows(feats), targets, cams)
     kernel_counts, scalar_counts = LikelihoodCounters(), LikelihoodCounters()
     likelihood = pair_likelihoods(table, GATE, kernel_counts)
     for i, t in enumerate(targets):
@@ -212,11 +219,11 @@ def test_pair_table_matches_scalar_likelihood(frame):
 
 def test_pair_table_empty_frame():
     cams = ring_of_cameras(2)
-    table = pair_table({}, [target_at([0.0, 0.0, 0.3])], cams)
+    table = pair_table_of({}, [target_at([0.0, 0.0, 0.3])], cams)
     assert table.dist2d.shape == (1, 0)
-    am = assign(pair_table({}, [target_at([0.0, 0.0, 0.3])], cams), GATE)
+    am = assign(pair_table_of({}, [target_at([0.0, 0.0, 0.3])], cams), GATE)
     assert am.columns == {0: (None, None)}
-    assert gate_claimed_features(pair_table({}, [], cams), GATE) == set()
+    assert gate_claimed_features(pair_table_of({}, [], cams), GATE) == set()
 
 
 # ---------------------------------------------------------------------- assign
@@ -372,8 +379,8 @@ def test_spawn_from_consistent_triple():
     gate = GateConfig()
     X = np.array([0.05, -0.03, 0.35])
     unclaimed = {c.cam_id: [(0, make_feature(*project(c, X)))] for c in cams}
-    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate,
-                               frame_number=12, next_id=5)
+    born, used = spawn_from_rows(unclaimed_rows(unclaimed), set(), cams, gate,
+                                 frame_number=12, next_id=5)
     assert len(born) == 1
     t = born[0]
     assert t.target_id == 5 and t.born_at == 12
@@ -404,7 +411,7 @@ def test_spawn_enumerates_all_camera_combinations():
                 continue
             assert err >= gate.birth_reprojection_threshold
     stats = SpawnStats()
-    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0, stats)
+    born, used = spawn_from_rows(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0, stats)
     assert born == [] and used == set()
     assert stats.passes == 1
     assert stats.camera_combinations == 4
@@ -415,7 +422,7 @@ def test_spawn_prefers_maximal_camera_count():
     gate = GateConfig()
     X = np.array([0.0, 0.05, 0.3])
     unclaimed = {c.cam_id: [(0, make_feature(*project(c, X)))] for c in cams}
-    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
+    born, used = spawn_from_rows(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
     assert len(born) == 1
     assert len(used) == 4  # all four cameras participate
 
@@ -487,7 +494,7 @@ def test_spawn_matches_exhaustive_oracle():
             if rng.random() < 0.5:
                 lst.append((1, make_feature(rng.uniform(0, 640), rng.uniform(0, 480))))
             unclaimed[c.cam_id] = lst
-        born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
+        born, used = spawn_from_rows(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
         oracle = exhaustive_spawn_oracle(unclaimed, cams, gate)
         assert len(born) == len(oracle)
         for t, pos in zip(born, oracle):
@@ -499,7 +506,7 @@ def test_spawn_needs_min_cameras():
     gate = GateConfig()
     X = np.array([0.0, 0.0, 0.3])
     unclaimed = {cams[0].cam_id: [(0, make_feature(*project(cams[0], X)))]}
-    born, used = spawn_targets(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
+    born, used = spawn_from_rows(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
     assert born == []
 
 
@@ -548,13 +555,39 @@ def birth_frames(draw):
     return [cams[i] for i in rng.permutation(len(cams))], rows, claimed, gate
 
 
+def border_frame(birth_miss_tolerance):
+    """Two cameras see a point; a third, with no rows, has the point they
+    triangulate to exactly on its left image border (u == 0.0)."""
+    X = np.array([0.05, -0.02, 0.3])
+    cams = ring_of_cameras(2)
+    rows = {c.cam_id: np.array([[*project(c, X), 20.0, 150.0, 0.0, 2.0]]) for c in cams}
+    point, _ = triangulate([(c, rows[c.cam_id][0, :2]) for c in cams])
+    border = CameraModel(projection=np.array([[1.0, 0.0, 0.0, -point[0]],
+                                              [0.0, 1.0, 0.0, 240.0 - point[1]],
+                                              [0.0, 0.0, 1.0, 1.0 - point[2]]]),
+                         cam_id="c99", image_size=(640, 480))
+    assert project(border, point)[0] == 0.0
+    gate = GateConfig(min_birth_cameras=2, birth_miss_tolerance=birth_miss_tolerance)
+    return [border, *cams], rows, set(), gate
+
+
+@pytest.mark.parametrize("tolerance, births", [(0, 0), (1, 1)])
+def test_spawn_counts_a_camera_with_the_point_on_its_border(tolerance, births):
+    # three cameras see the point, two of them report it
+    cams, rows, claimed, gate = border_frame(tolerance)
+    born, _ = spawn_from_rows(rows, claimed, cams, gate, 0, 0)
+    assert len(born) == births
+
+
 @settings(max_examples=300, deadline=None)
 @given(birth_frames())
+@example(border_frame(0))
+@example(border_frame(1))
 def test_spawn_matches_repeated_search_oracle(frame):
     # one enumeration with a sorted greedy scan must give, bit for bit,
     # the births of the search repeated after every birth
     cams, rows, claimed, gate = frame
-    born, used = spawn_targets(rows, claimed, cams, gate, 17, 3)
+    born, used = spawn_from_rows(rows, claimed, cams, gate, 17, 3)
     want_born, want_used = spawn_targets_oracle(rows, claimed, cams, gate, 17, 3)
     assert used == want_used
     assert [(t.target_id, t.born_at, t.frames_since_observation,

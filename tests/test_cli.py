@@ -28,6 +28,7 @@ def test_simulate_then_track_then_report(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert summary["frames"] == 120
     assert summary["births"] >= 1
+    assert json.loads(stats.read_text())["stage_update_s"] == summary["stage_update_s"] > 0
 
     assert main(["report", "--traj", str(traj), "--truth", str(out / "truth.csv"),
                  "--fps", "100", "--stats", str(stats),

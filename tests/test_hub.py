@@ -1,9 +1,13 @@
 import copy
+import dataclasses
 import hashlib
+import importlib
 import importlib.util
 import math
+import sys
 import time
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -201,12 +205,26 @@ def test_singular_innovation_dropped_not_fatal():
     spec, cams, truths, frames = noiseless_scene()
     world = make_world(cams, spec.fps)
     process_frame(world, frames[0])
-    # degenerate covariance: blow the state covariance to near-singular
-    t = world.targets[0]
-    bad_cov = np.full((6, 6), 1e12)
-    world.targets[0] = type(t)(target_id=t.target_id, mean=t.mean, cov=bad_cov,
-                               frames_since_observation=0, born_at=0)
+    # a covariance so large that the innovation covariance is past the
+    # 1e12 condition limit, while the target still gates its features in
+    assert len(world.live) == 1
+    world.live = dataclasses.replace(world.live, covs=np.eye(6)[None] * 1e8)
     process_frame(world, frames[1])  # must not raise
+    assert world.stats.singular_drops >= 1
+
+
+def test_stage_times_sum_within_frame_latencies():
+    spec, cams, truths, frames = noiseless_scene(n_frames=50)
+    world = make_world(cams, spec.fps)
+    stats = run(frames, world)
+    stages = dataclasses.asdict(stats.stages)
+    assert list(stages) == ["ingress", "predict", "score", "assign", "resolve",
+                            "update", "claim", "spawn", "cull"]
+    # every stage runs on every frame
+    assert all(seconds > 0 for seconds in stages.values()), stages
+    assert sum(stages.values()) <= sum(stats.latencies)
+    summary = stats.summary()
+    assert {k: summary[f"stage_{k}_s"] for k in stages} == stages
 
 
 # -------------------------------------------------------------------------- run
@@ -463,6 +481,45 @@ def test_birth_search_work_is_bounded_on_criterion_5_scene():
     assert world.stats.spawn.passes == world.stats.frames == len(frames)
     assert max(per_frame) <= 2036
     assert sum(per_frame) / len(per_frame) <= 400
+
+
+# ------------------------------------------------------- benchmark records
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@contextmanager
+def bench_modules(*names):
+    """The named modules of bench/, imported without writing bytecode
+    there and removed from sys.modules afterwards."""
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield [importlib.import_module(name) for name in names]
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write
+        for name in names:
+            sys.modules.pop(name, None)
+
+
+def test_bigcyl_clutter_record_of_seed_105():
+    # the benchmark checks each run against the digest, births and deaths
+    # recorded in bench/workloads.json; seed 105 is its default seed
+    if not (BENCH / "workloads.py").exists():
+        pytest.skip("bench/ not present")
+    with bench_modules("scenes", "workloads") as (scenes, workloads):
+        record = scenes.load_records()["bigcyl-clutter"]
+        scene = scenes.bigcyl_clutter(105, record["shape"])
+        world = workloads.new_world(scene)
+        events = [ev for af in packets_to_assembled(scene.packets_by_frame,
+                                                    scene.spec.n_cameras)
+                  for ev in process_frame(world, af)]
+        got = {"digest": workloads.assignment_digest(events),
+               "births": world.stats.births, "deaths": world.stats.deaths}
+    assert world.stats.frames == record["shape"]["frames"] == 300
+    assert got == record["golden"]["105"]
 
 
 # ------------------------------------------------------- benchmark tracing

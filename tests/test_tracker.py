@@ -4,7 +4,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camtrack3d.association import GateConfig, cull_targets
@@ -12,6 +12,7 @@ from camtrack3d.geometry import BehindCamera, PointAtInfinity, project, triangul
 from camtrack3d.tracker import (
     ObservationModel,
     ProcessModel,
+    Targets,
     TargetState,
     TrajectoryWriter,
     extrapolate,
@@ -328,6 +329,48 @@ def test_trajectory_rows_are_byte_identical_to_per_element_formatting():
     w.write_frame(12, targets)
     w.write_frame(13, [])
     assert buf.getvalue() == header + trajectory_rows_oracle(12, targets)
+
+
+matrix_cells = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
+                     5e-324, -1e-310, 2.2250738585072014e-308]))
+
+
+@st.composite
+def written_targets(draw):
+    """Targets in any id order whose covariances are exactly symmetric,
+    symmetric but for one mirrored 0.0 / -0.0 pair, or asymmetric, with
+    NaN, infinite and subnormal entries among ordinary floats."""
+    targets = []
+    for tid in draw(st.lists(st.integers(0, 2**40), max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["symmetric", "signed zero", "asymmetric"]))
+        cov = np.array(draw(st.lists(matrix_cells, min_size=36, max_size=36))).reshape(6, 6)
+        if kind != "asymmetric":
+            lower = np.tril_indices(6, -1)
+            cov[lower] = cov.T[lower]
+        if kind == "signed zero":
+            i, j = draw(st.sampled_from(list(zip(*np.triu_indices(6, 1)))))
+            cov[i, j], cov[j, i] = draw(st.sampled_from([(0.0, -0.0), (-0.0, 0.0)]))
+        mean = draw(st.lists(matrix_cells, min_size=6, max_size=6))
+        targets.append(TargetState(target_id=tid, mean=mean, cov=cov))
+    return targets
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_targets(), st.integers(0, 2**40))
+@example([TargetState(target_id=3, mean=np.zeros(6),
+                      cov=np.where(np.eye(6, k=1, dtype=bool), -0.0, np.eye(6)))], 1)
+def test_write_frame_matches_per_element_oracle(targets, frame_number):
+    # -0.0 == 0.0, but their reprs differ: a covariance whose mirrored
+    # entries are equal only by == must still be written entry by entry
+    by_id = sorted(targets, key=lambda t: t.target_id)
+    for given_as in (targets, Targets.of(by_id)):
+        buf = io.StringIO()
+        w = TrajectoryWriter(buf)
+        header = buf.getvalue()
+        w.write_frame(frame_number, given_as)
+        assert buf.getvalue() == header + trajectory_rows_oracle(frame_number, targets)
 
 
 # ------------------------------------- frame-level EKF vs the per-target oracle
