@@ -129,10 +129,11 @@ def _cmd_calibrate_dlt(args) -> int:
                                  image_size=(args.width, args.height)
                                  if args.width and args.height else None)
     geometry.save_calibration(args.out, [cam])
-    errs = []
-    for X, px in corr:
-        u, v = geometry.project(cam, X)
-        errs.append(np.hypot(u - px[0], v - px[1]))
+    x, ok = geometry.project_points([cam], [X for X, _ in corr])
+    if not ok.all():  # raise what project raises for the first such point
+        geometry.project(cam, corr[int(np.argmin(ok))][0])
+    uv = np.array([px for _, px in corr])
+    errs = np.hypot(x[:, 0, 0] / x[:, 0, 2] - uv[:, 0], x[:, 0, 1] / x[:, 0, 2] - uv[:, 1])
     print(f"calibrated {args.id}: mean reprojection error "
           f"{float(np.mean(errs)):.6g} px over {len(corr)} points")
     return 0

@@ -11,12 +11,18 @@ count and a smooth blob gets a sub-pixel centroid.
 Extraction touches only the blobs' neighbourhoods. Frame pixels are uint8
 and fl(p - mean) is monotone in p, so the detection test
 |p - mean| > threshold is exactly ``p > gt or p < lt`` for two uint8
-bounds per pixel; the background model derives them once, on first use,
-and a frame's mask costs two uint8 compares. The mask is OR-reduced into
-16x16 tiles and the tile grid is labelled with 8-connectivity. Every
-8-connected pixel region lies inside one tile component, so each tile
-component's own tiles are labelled pixel by pixel, and the difference
-image is computed only over each region's bounding box.
+bounds per pixel; the background model derives them once, and a frame's
+mask costs two uint8 compares. A refresh of the background blends the frame
+and derives the new model's bounds in one pass over blocks of rows small
+enough that their float64 temporaries stay in cache; a model built any
+other way derives its bounds, on first use, through the same blocks.
+
+The mask is OR-reduced into 16x16 tiles and the tile grid is labelled with
+8-connectivity. Every 8-connected pixel region lies inside one tile
+component, so each component's own pixels are copied onto one canvas, one
+zero column apart, and the canvas is labelled once per frame; regions map
+back to the image by their canvas column. The difference image is computed
+only over each region's bounding box.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -47,6 +54,10 @@ _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 # side of the square tiles the detection mask is reduced to before labelling
 _TILE = 16
+
+# rows per pass of the background refresh: a block's float64 temporaries
+# stay in cache
+_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -111,8 +122,8 @@ def _first_value(mean: np.ndarray, bound, strict: bool) -> np.ndarray:
     tmp -= mean
     good &= below(tmp, bound)
     np.clip(est, 0.0, 256.0, out=est)
-    bad = np.flatnonzero(~good)
-    if bad.size:
+    if not good.all():
+        bad = np.flatnonzero(~good)
         m = mean.reshape(-1)[bad]
         c = bound if np.ndim(bound) == 0 else np.reshape(bound, -1)[bad]
         lo, hi = np.zeros(bad.size), np.full(bad.size, 256.0)
@@ -126,12 +137,18 @@ def _first_value(mean: np.ndarray, bound, strict: bool) -> np.ndarray:
     return est
 
 
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Slices of _BLOCK_ROWS rows covering n rows."""
+    return (slice(y, y + _BLOCK_ROWS) for y in range(0, n, _BLOCK_ROWS))
+
+
 @dataclass(frozen=True)
 class BackgroundModel:
     """Per-pixel luminance mean/variance, refreshed every Nth frame.
 
     The model is immutable: its arrays must not be changed in place, since
-    the detection bounds derived from them are cached on first use."""
+    the detection bounds derived from them are cached, by the refresh that
+    made the model or on first use."""
 
     mean: np.ndarray
     variance: np.ndarray
@@ -165,49 +182,80 @@ class BackgroundModel:
         |p - mean| > threshold exactly when p > gt or p < lt. The threshold
         is difference_threshold, or sigma_gate * sqrt(variance) with the
         variance gate; a NaN mean or threshold never passes."""
+        bounds = np.empty((2, *self.mean.shape), dtype=np.uint8)
+        for rows in _row_blocks(len(self.mean)):
+            self._bounds_into(rows, bounds)
+        return bounds[0], bounds[1]
+
+    def _bounds_into(self, rows: slice, bounds: np.ndarray) -> None:
+        """Write mask_bounds over `rows` into bounds[0] (gt), bounds[1] (lt)."""
+        mean = self.mean[rows]
         if self.use_variance_gate:
-            thr = self.sigma_gate * np.sqrt(self.variance)
+            thr = self.sigma_gate * np.sqrt(self.variance[rows])
         else:
             thr = self.difference_threshold
-        hi = _first_value(self.mean, thr, strict=True)    # p >= hi passes
-        lo = _first_value(self.mean, -thr, strict=False)  # p < lo passes
+        hi = _first_value(mean, thr, strict=True)    # p >= hi passes
+        lo = _first_value(mean, -thr, strict=False)  # p < lo passes
         always = lo >= hi
         hi -= 1.0
         hi[always] = 0.0
         lo[always] = 255.0
-        return hi.astype(np.uint8), lo.astype(np.uint8)
+        bounds[0, rows] = hi  # integers in [0, 255]: the cast is exact
+        bounds[1, rows] = lo
 
 
 def update_background(model: BackgroundModel, frame: Frame) -> BackgroundModel:
     """Blend the frame into the background if its number falls on the
-    update interval; otherwise return the model unchanged."""
+    update interval; otherwise return the model unchanged. The blend and
+    the refreshed model's mask_bounds are computed together, one block of
+    rows at a time."""
     if frame.pixels.shape != model.mean.shape:
         raise DimensionMismatch(
             f"frame {frame.pixels.shape} vs model {model.mean.shape}")
     if frame.index % model.update_interval != 0:
         return model
     lam = model.learning_rate
-    px = frame.pixels.astype(float)
-    new_mean = (1.0 - lam) * model.mean + lam * px
-    diff2 = (px - model.mean) ** 2
-    new_var = (1.0 - lam) * model.variance + lam * diff2
-    return replace(model, mean=new_mean, variance=new_var)
+    # one allocation for both arrays: numpy asks the system for huge pages
+    # for a buffer of 4 MB or more (two 640x480 float64 arrays), so writing
+    # it faults far fewer pages than writing two separate arrays
+    arrays = np.empty((2, *model.mean.shape))
+    new = replace(model, mean=arrays[0], variance=arrays[1])
+    bounds = np.empty((2, *new.mean.shape), dtype=np.uint8)
+    for rows in _row_blocks(len(new.mean)):
+        px = frame.pixels[rows].astype(float)
+        mean, var = model.mean[rows], model.variance[rows]
+        # (1 - lam) * mean + lam * px and (1 - lam) * var + lam * (px - mean)**2
+        new_mean, new_var = new.mean[rows], new.variance[rows]
+        np.multiply(1.0 - lam, mean, out=new_mean)
+        np.multiply(1.0 - lam, var, out=new_var)
+        diff2 = np.subtract(px, mean)
+        np.square(diff2, out=diff2)
+        np.multiply(lam, diff2, out=diff2)
+        new_var += diff2
+        np.multiply(lam, px, out=px)
+        new_mean += px
+        new._bounds_into(rows, bounds)
+    new.__dict__["mask_bounds"] = bounds[0], bounds[1]  # as the cached_property stores it
+    return new
 
 
 def _region_moments(diff, keep):
     """Centroid, area and orientation statistics over the kept pixels,
     weighted by difference value normalized to the regional peak."""
     ys, xs = np.nonzero(keep)
-    peak = float(diff[ys, xs].max())
-    w = diff[ys, xs] / peak
+    d = diff[ys, xs]
+    peak = float(d.max())
+    w = d / peak
     wsum = float(w.sum())
     u_raw = float((w * xs).sum() / wsum)
     v_raw = float((w * ys).sum() / wsum)
     dx = xs - u_raw
     dy = ys - v_raw
-    mu20 = float((w * dx * dx).sum() / wsum) + _INTRA_PIXEL_VAR
-    mu02 = float((w * dy * dy).sum() / wsum) + _INTRA_PIXEL_VAR
-    mu11 = float((w * dx * dy).sum() / wsum)
+    wdx = w * dx
+    wdy = w * dy
+    mu20 = float((wdx * dx).sum() / wsum) + _INTRA_PIXEL_VAR
+    mu02 = float((wdy * dy).sum() / wsum) + _INTRA_PIXEL_VAR
+    mu11 = float((wdx * dy).sum() / wsum)
     theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)
     theta %= math.pi
     half_tr = 0.5 * (mu20 + mu02)
@@ -216,6 +264,47 @@ def _region_moments(diff, keep):
     lam_min = half_tr - disc
     ecc = ECC_DEGENERATE if lam_min <= 1e-12 else math.sqrt(lam_max / lam_min)
     return u_raw, v_raw, wsum, peak, theta, ecc
+
+
+def _tile_canvas(mask: np.ndarray) -> tuple[np.ndarray, list, list] | None:
+    """The mask's 16x16-tile components side by side on one canvas, one
+    zero column apart, so that no 8-connected region spans two of them:
+    the canvas, each component's first canvas column, and the offset
+    (rows, columns) from its canvas pixels to image pixels. The mask
+    itself, as one component, when that canvas would be no smaller; None
+    when the mask is empty."""
+    h, w = mask.shape
+    th, tw = -(-h // _TILE), -(-w // _TILE)
+    padded = mask
+    if (th * _TILE, tw * _TILE) != (h, w):
+        padded = np.zeros((th * _TILE, tw * _TILE), dtype=bool)
+        padded[:h, :w] = mask
+    # a tile row of the padded mask is two uint64 words
+    words = np.bitwise_or.reduce(padded.view(np.uint64).reshape(th, _TILE, tw, 2), axis=1)
+    tiles = (words[..., 0] | words[..., 1]).astype(bool)
+    if not tiles.any():
+        return None
+    tile_labels, n_tiles = ndimage.label(tiles, structure=_EIGHT_CONNECTED)
+    sizes = np.bincount(tile_labels.reshape(-1))  # tiles per component
+    boxes = [(slice(ty.start * _TILE, min(ty.stop * _TILE, h)),
+              slice(tx.start * _TILE, min(tx.stop * _TILE, w)), tile_labels[ty, tx])
+             for ty, tx in ndimage.find_objects(tile_labels, n_tiles)]
+    height = max(ys.stop - ys.start for ys, _, _ in boxes)
+    width = sum(xs.stop - xs.start + 1 for _, xs, _ in boxes) - 1
+    if height * width >= mask.size:  # boxes that overlap or span the frame
+        return mask, [0], [(0, 0)]
+    canvas = np.zeros((height, width), dtype=bool)
+    starts, offsets, col = [], [], 0
+    for k, (ys, xs, box) in enumerate(boxes, 1):
+        bh, bw = ys.stop - ys.start, xs.stop - xs.start
+        slot = canvas[:bh, col:col + bw]
+        slot[...] = mask[ys, xs]
+        if np.count_nonzero(box) > sizes[k]:  # another component's tiles in the box
+            slot &= np.repeat(np.repeat(box == k, _TILE, 0), _TILE, 1)[:bh, :bw]
+        starts.append(col)
+        offsets.append((ys.start, xs.start - col))
+        col += bw + 1
+    return canvas, starts, offsets
 
 
 def extract_features(frame: Frame, model: BackgroundModel,
@@ -240,45 +329,33 @@ def extract_features(frame: Frame, model: BackgroundModel,
     gt, lt = model.mask_bounds
     mask = np.greater(pixels, gt)
     mask |= np.less(pixels, lt)
-    h, w = mask.shape
-    th, tw = -(-h // _TILE), -(-w // _TILE)
-    padded = mask
-    if (th * _TILE, tw * _TILE) != (h, w):
-        padded = np.zeros((th * _TILE, tw * _TILE), dtype=bool)
-        padded[:h, :w] = mask
-    tile_rows = np.bitwise_or.reduce(
-        padded.view(np.uint8).reshape(th, _TILE, tw * _TILE), axis=1)
-    tiles = tile_rows.reshape(th, tw, _TILE).any(axis=2)
-    if not tiles.any():
+    placed = _tile_canvas(mask)
+    if placed is None:
         return []
-    tile_labels, n_tiles = ndimage.label(tiles, structure=_EIGHT_CONNECTED)
+    canvas, starts, offsets = placed
+    labels, count = ndimage.label(canvas, structure=_EIGHT_CONNECTED)
     found = []  # (first pixel's raster index, feature)
-    for k, (ty, tx) in enumerate(ndimage.find_objects(tile_labels, n_tiles), 1):
-        y0, x0 = ty.start * _TILE, tx.start * _TILE
-        sub = mask[y0:ty.stop * _TILE, x0:tx.stop * _TILE]
-        own = np.repeat(np.repeat(tile_labels[ty, tx] == k, _TILE, 0), _TILE, 1)
-        labels, count = ndimage.label(sub & own[:sub.shape[0], :sub.shape[1]],
-                                      structure=_EIGHT_CONNECTED)
-        for i, (ry, rx) in enumerate(ndimage.find_objects(labels, count), 1):
-            comp = labels[ry, rx] == i
-            # the region's bounding box in image coordinates, as the moments
-            # must be taken in the same frame for bit-identical centroids
-            ys = slice(ry.start + y0, ry.stop + y0)
-            xs = slice(rx.start + x0, rx.stop + x0)
-            d = np.abs(pixels[ys, xs].astype(float) - model.mean[ys, xs])
-            peak = d[comp].max()
-            keep = comp & (d >= moment_fraction * peak)
-            u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep)
-            u_raw = u_loc + xs.start
-            v_raw = v_loc + ys.start
-            if camera is not None:
-                u, v = correct_distortion(camera, (u_raw, v_raw))
-            else:
-                u, v = u_raw, v_raw
-            first = ys.start * w + xs.start + int(np.argmax(comp[0]))
-            found.append((first, Feature(u=u, v=v, u_raw=u_raw, v_raw=v_raw,
-                                         area=area, peak=peak, theta=theta,
-                                         ecc=ecc)))
+    for i, (ry, rx) in enumerate(ndimage.find_objects(labels, count), 1):
+        comp = labels[ry, rx] == i
+        # the region's bounding box in image coordinates, as the moments
+        # must be taken in the same frame for bit-identical centroids
+        dy, dx = offsets[bisect_right(starts, rx.start) - 1]
+        ys = slice(ry.start + dy, ry.stop + dy)
+        xs = slice(rx.start + dx, rx.stop + dx)
+        d = np.subtract(pixels[ys, xs], model.mean[ys, xs])
+        np.abs(d, out=d)
+        peak = d[comp].max()
+        keep = comp & (d >= moment_fraction * peak)
+        u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep)
+        u_raw = u_loc + xs.start
+        v_raw = v_loc + ys.start
+        if camera is not None:
+            u, v = correct_distortion(camera, (u_raw, v_raw))
+        else:
+            u, v = u_raw, v_raw
+        first = ys.start * pixels.shape[1] + xs.start + int(comp[0].argmax())
+        found.append((first, Feature(u=u, v=v, u_raw=u_raw, v_raw=v_raw,
+                                     area=area, peak=peak, theta=theta, ecc=ecc)))
     found.sort(key=lambda item: item[0])
     out = [f for _, f in found]
     out.sort(key=lambda f: (-f.area, f.u_raw, f.v_raw))

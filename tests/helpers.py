@@ -191,11 +191,7 @@ def extract_features_oracle(frame, model, max_features=10, camera=None,
     over regions in label order."""
     from scipy import ndimage
 
-    from camtrack3d.features import (
-        DimensionMismatch,
-        Feature,
-        _region_moments,
-    )
+    from camtrack3d.features import DimensionMismatch, Feature
     from camtrack3d.geometry import correct_distortion
 
     if frame.pixels.shape != model.mean.shape:
@@ -215,7 +211,7 @@ def extract_features_oracle(frame, model, max_features=10, camera=None,
         d = diff[region]
         peak = d[comp].max()
         keep = comp & (d >= moment_fraction * peak)
-        u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep)
+        u_loc, v_loc, area, peak, theta, ecc = _region_moments_oracle(d, keep)
         u_raw = u_loc + region[1].start
         v_raw = v_loc + region[0].start
         if camera is not None:
@@ -226,6 +222,90 @@ def extract_features_oracle(frame, model, max_features=10, camera=None,
                            peak=peak, theta=theta, ecc=ecc))
     out.sort(key=lambda f: (-f.area, f.u_raw, f.v_raw))
     return out[:max_features]
+
+
+def _region_moments_oracle(diff, keep):
+    """A frozen copy of the original features._region_moments, so that the
+    library's version is checked against its bits: centroid, area and
+    orientation statistics over the kept pixels, weighted by difference
+    value normalized to the regional peak."""
+    import math
+
+    from camtrack3d.features import ECC_DEGENERATE
+
+    ys, xs = np.nonzero(keep)
+    peak = float(diff[ys, xs].max())
+    w = diff[ys, xs] / peak
+    wsum = float(w.sum())
+    u_raw = float((w * xs).sum() / wsum)
+    v_raw = float((w * ys).sum() / wsum)
+    dx = xs - u_raw
+    dy = ys - v_raw
+    mu20 = float((w * dx * dx).sum() / wsum) + 1.0 / 12.0
+    mu02 = float((w * dy * dy).sum() / wsum) + 1.0 / 12.0
+    mu11 = float((w * dx * dy).sum() / wsum)
+    theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)
+    theta %= math.pi
+    half_tr = 0.5 * (mu20 + mu02)
+    disc = math.sqrt((0.5 * (mu20 - mu02)) ** 2 + mu11 * mu11)
+    lam_max = half_tr + disc
+    lam_min = half_tr - disc
+    ecc = ECC_DEGENERATE if lam_min <= 1e-12 else math.sqrt(lam_max / lam_min)
+    return u_raw, v_raw, wsum, peak, theta, ecc
+
+
+def _first_value_oracle(mean, bound, strict):
+    """Whole-image smallest uint8 value p with fl(p - mean) > bound
+    (strict) or with not fl(p - mean) < bound, or 256 where there is none:
+    the estimate from mean + bound where it is exact, bisection elsewhere."""
+    above, below = (np.greater, np.less_equal) if strict else (np.greater_equal, np.less)
+    est = np.add(mean, bound)
+    est = np.floor(est) + 1.0 if strict else np.ceil(est)
+    good = above(est - mean, bound) & below(est - 1.0 - mean, bound)
+    est = np.clip(est, 0.0, 256.0)
+    bad = np.flatnonzero(~good)
+    if bad.size:
+        m = mean.reshape(-1)[bad]
+        c = bound if np.ndim(bound) == 0 else np.reshape(bound, -1)[bad]
+        lo, hi = np.zeros(bad.size), np.full(bad.size, 256.0)
+        for _ in range(9):
+            mid = np.floor(0.5 * (lo + hi))
+            x = mid - m
+            ok = (above(x, c) if strict else ~below(x, c)) | (lo >= hi)
+            hi = np.where(ok, mid, hi)
+            lo = np.where(ok, lo, mid + 1.0)
+        est.reshape(-1)[bad] = hi
+    return est
+
+
+def mask_bounds_oracle(model):
+    """The (gt, lt) uint8 detection bounds of a BackgroundModel, derived
+    over the whole image at once."""
+    if model.use_variance_gate:
+        thr = model.sigma_gate * np.sqrt(model.variance)
+    else:
+        thr = model.difference_threshold
+    hi = _first_value_oracle(model.mean, thr, strict=True)
+    lo = _first_value_oracle(model.mean, -thr, strict=False)
+    always = lo >= hi
+    hi -= 1.0
+    hi[always] = 0.0
+    lo[always] = 255.0
+    return hi.astype(np.uint8), lo.astype(np.uint8)
+
+
+def update_background_oracle(model, frame):
+    """Whole-image reference for features.update_background: the refreshed
+    mean, variance and mask bounds, or None off the update interval."""
+    from dataclasses import replace
+
+    if frame.index % model.update_interval != 0:
+        return None
+    lam = model.learning_rate
+    px = frame.pixels.astype(float)
+    mean = (1.0 - lam) * model.mean + lam * px
+    var = (1.0 - lam) * model.variance + lam * (px - model.mean) ** 2
+    return mean, var, mask_bounds_oracle(replace(model, mean=mean, variance=var))
 
 
 # ------------------------------------------------------------- EKF, one target

@@ -3,9 +3,10 @@ import json
 import threading
 
 import numpy as np
+import pytest
 
 from camtrack3d.cli import main
-from camtrack3d.geometry import load_calibration, project
+from camtrack3d.geometry import BehindCamera, load_calibration, project
 from camtrack3d.simharness import generate_rig, preset
 from helpers import look_at_camera
 
@@ -68,6 +69,45 @@ def test_calibrate_dlt_command(tmp_path, capsys):
     u, v = project(est, pts[0])
     truth_uv = project(cam, pts[0])
     assert abs(u - truth_uv[0]) < 1e-6 and abs(v - truth_uv[1]) < 1e-6
+
+
+def write_correspondences(path, cam, pts, noise=0.0, seed=0):
+    rng = np.random.default_rng(seed)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["x", "y", "z", "u", "v"])
+        for X in pts:
+            x = cam.projection @ np.append(X, 1.0)  # points behind the camera too
+            w.writerow([*X, *(x[:2] / x[2] + rng.normal(0.0, noise, 2))])
+
+
+def test_calibrate_dlt_prints_the_per_point_mean_error(tmp_path, capsys):
+    cam = look_at_camera((1.0, -2.0, 1.2), (0.0, 0.0, 0.3), "truth")
+    pts = np.random.default_rng(4).uniform([-0.4, -0.4, 0.0], [0.4, 0.4, 0.6], size=(15, 3))
+    path, out = tmp_path / "points.csv", tmp_path / "cam.cal"
+    write_correspondences(path, cam, pts, noise=0.5)
+    assert main(["calibrate-dlt", "--points", str(path), "--out", str(out),
+                 "--id", "est"]) == 0
+    est = load_calibration(out)[0]
+    with open(path, newline="") as f:
+        rows = [[float(r[k]) for k in "xyzuv"] for r in csv.DictReader(f)]
+    errs = []
+    for x, y, z, u, v in rows:  # one project call per point
+        pu, pv = project(est, (x, y, z))
+        errs.append(np.hypot(pu - u, pv - v))
+    assert capsys.readouterr().out == (f"calibrated est: mean reprojection error "
+                                       f"{float(np.mean(errs)):.6g} px over 15 points\n")
+
+
+def test_calibrate_dlt_fails_on_a_point_behind_the_camera(tmp_path):
+    cam = look_at_camera((1.0, -2.0, 1.2), (0.0, 0.0, 0.3), "truth")
+    pts = np.random.default_rng(5).uniform([-0.4, -0.4, 0.0], [0.4, 0.4, 0.6], size=(12, 3))
+    behind = 2.0 * np.array([1.0, -2.0, 1.2]) - np.array([0.0, 0.0, 0.3])
+    path = tmp_path / "points.csv"
+    write_correspondences(path, cam, np.vstack([pts[:5], behind, pts[5:]]))
+    with pytest.raises(BehindCamera):
+        main(["calibrate-dlt", "--points", str(path), "--out", str(tmp_path / "cam.cal"),
+              "--id", "est"])
 
 
 def test_triangulate_command(tmp_path, capsys):

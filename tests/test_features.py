@@ -6,14 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import extract_features_oracle
+from helpers import extract_features_oracle, update_background_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camtrack3d.features import (
+    _BLOCK_ROWS,
     BackgroundModel,
     DimensionMismatch,
     Frame,
+    _tile_canvas,
     extract_features,
     feature_from_row,
     feature_record,
@@ -66,6 +68,58 @@ def test_update_dimension_mismatch():
     model = BackgroundModel.constant((10, 10), 0.0)
     with pytest.raises(DimensionMismatch):
         update_background(model, blank_frame(shape=(12, 12)))
+
+
+def bits(a):
+    """An array's float64 values as integers, every NaN made the same NaN:
+    equal only when all other values are bit-identical (signed zeros
+    included). The sign of NaN + NaN is not a property of the formula:
+    numpy's loops pick one operand or the other by the element's position
+    in the array, so the whole-image formula gives both signs in one array."""
+    a = np.asarray(a, dtype=np.float64)
+    return np.where(np.isnan(a), np.nan, a).view(np.uint64)
+
+
+@st.composite
+def refresh_cases(draw):
+    h = draw(st.sampled_from([1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                              2 * _BLOCK_ROWS + 5]))
+    w = draw(st.sampled_from([1, 3, 17]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    px = rng.integers(0, 256, size=(h, w)).astype(np.uint8)
+    mean = np.where(rng.random((h, w)) < 0.5, rng.uniform(-300.0, 600.0, (h, w)),
+                    rng.integers(0, 256, (h, w)) + rng.choice([0.0, 0.5, 1.0 / 3.0], (h, w)))
+    var = rng.choice([0.0, 0.25, 25.0, 1e4], size=(h, w))
+    for a in (mean, var):  # non-finite values in either array
+        if draw(st.booleans()):
+            sel = rng.random((h, w)) < 0.2
+            a[sel] = rng.choice([math.nan, math.inf, -math.inf], size=(h, w))[sel]
+    model = BackgroundModel(
+        mean=mean, variance=var,
+        update_interval=draw(st.sampled_from([1, 3, 500])),
+        difference_threshold=draw(st.sampled_from([-5.0, 0.0, 15.0, 15.25])),
+        learning_rate=draw(st.sampled_from([0.0, 1.0 / 3.0, 0.5, 1.0])),
+        use_variance_gate=draw(st.booleans()),
+        sigma_gate=draw(st.sampled_from([0.0, 1.0, 4.0])))
+    return model, frame_with(px, index=draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(refresh_cases())
+def test_refresh_matches_whole_image_oracle(case):
+    model, frame = case
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = update_background_oracle(model, frame)
+        got = update_background(model, frame)
+        if want is None:
+            assert got is model
+            return
+        mean, var, bounds = want
+        assert np.array_equal(bits(got.mean), bits(mean))
+        assert np.array_equal(bits(got.variance), bits(var))
+        gt, lt = got.mask_bounds
+    assert gt.dtype == lt.dtype == np.uint8
+    assert np.array_equal(gt, bounds[0]) and np.array_equal(lt, bounds[1])
 
 
 # --------------------------------------------------------------- blob moments
@@ -234,7 +288,8 @@ DISTORTED = CameraModel(projection=np.hstack([np.eye(3), np.zeros((3, 1))]),
 
 @st.composite
 def extraction_cases(draw):
-    h, w = draw(st.sampled_from([(1, 1), (10, 10), (17, 33), (480, 640)]))
+    h, w = draw(st.sampled_from([(1, 1), (10, 10), (17, 33), (40, 70), (100, 37),
+                                 (33, 200), (480, 640)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     base = draw(st.integers(0, 255))
     px = np.full((h, w), base, dtype=np.uint8)
@@ -319,6 +374,49 @@ def test_tie_across_tile_components_keeps_raster_order():
                                                          moment_fraction=0.0))
 
 
+def test_tile_components_of_mixed_heights_clipped_at_the_edges():
+    # 130x200: the last tile row and column are clipped to 2 and 8 pixels;
+    # nine tile components from one to four tiles tall, one with two
+    # regions and one inside another's box; the first two touch the
+    # canvas column between them
+    rng = np.random.default_rng(11)
+    px = np.zeros((130, 200), dtype=np.uint8)
+    px[2:61, 5] = rng.integers(40, 256, size=59)          # four tiles tall
+    px[3:9, 8:16] = 120                                   # a second one, at the box's edge
+    px[40:45, 40:46] = rng.integers(40, 256, size=(5, 6))  # one tile
+    px[2:40, 96] = px[39, 96:150] = 150                   # an L at its box's left edge
+    px[5:9, 135:139] = 60                                 # inside the L's box
+    px[60:71, 194:200] = 200                              # at the right edge
+    px[127:130, 185:200] = 90                             # in the bottom-right corner
+    px[110:130, 20] = 70                                  # three tiles tall, at the bottom
+    px[129, 60:91] = rng.integers(40, 256, size=31)       # along the bottom edge
+    px[np.arange(80, 106), np.arange(80, 106)] = 160      # a diagonal over 2x2 tiles
+    mask = px > 30
+    canvas, starts, _ = _tile_canvas(mask)
+    assert len(starts) == 9 and canvas.size < mask.size
+    model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=30.0)
+    for camera in (None, DISTORTED):
+        feats = extract_features(frame_with(px), model, camera=camera, max_features=100)
+        assert len(feats) == 10
+        assert exact(feats) == exact(extract_features_oracle(
+            frame_with(px), model, camera=camera, max_features=100))
+
+
+def test_tile_boxes_spanning_the_frame_label_the_mask_itself():
+    # a full-height bar and full-width stripes: side by side, their boxes
+    # would make a canvas 14 times the frame
+    px = np.zeros((480, 640), dtype=np.uint8)
+    px[:, 3] = 200
+    px[5::32, 40:] = 120
+    mask = px > 30
+    assert _tile_canvas(mask)[0] is mask
+    model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=30.0)
+    feats = extract_features(frame_with(px), model, max_features=100)
+    assert len(feats) == 16
+    assert exact(feats) == exact(extract_features_oracle(frame_with(px), model,
+                                                         max_features=100))
+
+
 def test_blob_inside_another_tile_components_box_counted_once():
     px = np.zeros((120, 120), dtype=np.uint8)
     px[10, 10:110] = px[109, 10:110] = 200  # a square ring of tiles
@@ -367,6 +465,18 @@ def test_mask_bounds_are_cached_per_model():
     assert model.mask_bounds is model.mask_bounds
     updated = update_background(model, blank_frame(index=0, level=50, shape=(8, 8)))
     assert updated.mask_bounds[0][0, 0] != model.mask_bounds[0][0, 0]
+    # a refreshed model keeps the bounds its refresh derived, and they are
+    # those of a model built from the same arrays
+    px = np.random.default_rng(3).integers(0, 256, size=(2 * _BLOCK_ROWS + 3, 9))
+    for gate in (False, True):
+        model = BackgroundModel.constant(px.shape, 100.0, use_variance_gate=gate,
+                                         learning_rate=1.0 / 3.0)
+        refreshed = update_background(model, frame_with(px))
+        assert refreshed.mask_bounds is refreshed.mask_bounds
+        rebuilt = BackgroundModel(mean=refreshed.mean.copy(),
+                                  variance=refreshed.variance.copy(), use_variance_gate=gate)
+        for got, want in zip(refreshed.mask_bounds, rebuilt.mask_bounds):
+            assert np.array_equal(got, want)
 
 
 def load_bench_scenes():
