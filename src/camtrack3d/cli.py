@@ -74,9 +74,8 @@ def _cmd_track(args) -> int:
         port = int(args.features)
         listener = PacketListener(host="0.0.0.0", port=port).start()
         print(f"listening on port {listener.address[1]}", file=sys.stderr)
-        asm = FrameAssembler(n_cameras=len(cameras), wait_budget=wait_budget)
-        known = {c.cam_id for c in cameras}
-        dropped = {"unknown_camera": 0}
+        asm = FrameAssembler(camera_ids=[c.cam_id for c in cameras],
+                             wait_budget=wait_budget)
 
         def frames():
             # the wait budget is only consulted while the input queue is
@@ -91,9 +90,6 @@ def _cmd_track(args) -> int:
                     yield from asm.flush_due()
                     continue
                 arrived, packet = item
-                if packet.cam_id not in known:  # must not complete a frame
-                    dropped["unknown_camera"] += 1
-                    continue
                 yield from asm.feed(packet, now=arrived)
             yield from asm.finish()
 
@@ -102,7 +98,7 @@ def _cmd_track(args) -> int:
                             dump_assignments_path=args.dump_assignments)
         finally:
             listener.stop()
-        transport = {**asm.counters(), **listener.counters(), **dropped}
+        transport = {**asm.counters(), **listener.counters()}
     else:
         records = read_features_jsonl(args.features)
         frames = hub.assembled_frames_from_records(records,

@@ -11,8 +11,12 @@ count and a smooth blob gets a sub-pixel centroid.
 Extraction touches only the blobs' neighbourhoods. Frame pixels are uint8
 and fl(p - mean) is monotone in p, so the detection test
 |p - mean| > threshold is exactly ``p > gt or p < lt`` for two uint8
-bounds per pixel; the background model derives them once, and a frame's
-mask costs two uint8 compares. A refresh of the background blends the frame
+bounds per pixel. The values that fail the test are the run lt..gt, so a
+pixel passes exactly when the wrapped uint8 difference p - lt is at least
+the run's length gt - lt + 1; the background model derives lt and that
+length once, and a frame's mask costs one uint8 subtraction and one
+compare (and one AND when some pixel of the model passes no value at
+all, a run of length 256). A refresh of the background blends the frame
 and derives the new model's bounds in one pass over blocks of rows small
 enough that their float64 temporaries stay in cache; a model built any
 other way derives its bounds, on first use, through the same blocks.
@@ -22,7 +26,9 @@ The mask is OR-reduced into 16x16 tiles and the tile grid is labelled with
 component, so each component's own pixels are copied onto one canvas, one
 zero column apart, and the canvas is labelled once per frame; regions map
 back to the image by their canvas column. The difference image is computed
-only over each region's bounding box.
+only over each region's bounding box, and a region's six weighted moment
+sums are taken as two stacked row sums, each row summed as its own 1-D
+array would be.
 """
 
 from __future__ import annotations
@@ -187,6 +193,20 @@ class BackgroundModel:
             self._bounds_into(rows, bounds)
         return bounds[0], bounds[1]
 
+    @cached_property
+    def _mask_code(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """mask_bounds coded for _detection_mask: uint8 arrays (lt, width)
+        such that a uint8 value p passes exactly when uint8(p - lt) >= width
+        (width gt - lt + 1, or 0 where every value passes, lt > gt), and a
+        boolean array that is False where no value passes (gt == 255 and
+        lt == 0: a width of 256), or None when the model has no such pixel."""
+        gt, lt = self.mask_bounds
+        width = gt - lt  # uint8: the + 1 wraps a width of 256 to 0
+        width += 1
+        width[lt > gt] = 0
+        never = (gt == 255) & (lt == 0)
+        return lt, width, ~never if never.any() else None
+
     def _bounds_into(self, rows: slice, bounds: np.ndarray) -> None:
         """Write mask_bounds over `rows` into bounds[0] (gt), bounds[1] (lt)."""
         mean = self.mean[rows]
@@ -239,23 +259,49 @@ def update_background(model: BackgroundModel, frame: Frame) -> BackgroundModel:
     return new
 
 
-def _region_moments(diff, keep):
+def _detection_mask(pixels: np.ndarray, model: BackgroundModel) -> np.ndarray:
+    """The pixels (uint8) whose value passes the model's detection test:
+    ``(pixels > gt) | (pixels < lt)`` of its mask_bounds."""
+    lt, width, passable = model._mask_code
+    code = np.subtract(pixels, lt)
+    # the compare writes the mask over its own input: one array, not two
+    mask = np.greater_equal(code, width, out=code.view(bool))
+    if passable is not None:
+        mask &= passable
+    return mask
+
+
+def _region_moments(diff, keep, peak):
     """Centroid, area and orientation statistics over the kept pixels,
-    weighted by difference value normalized to the regional peak."""
+    weighted by difference value normalized to the regional peak (the
+    largest kept value). The six weighted sums are two stacked (3, n) row
+    sums; numpy sums each contiguous row pairwise, as it sums the row
+    alone, so every sum has the bits of its own .sum()."""
     ys, xs = np.nonzero(keep)
-    d = diff[ys, xs]
-    peak = float(d.max())
-    w = d / peak
-    wsum = float(w.sum())
-    u_raw = float((w * xs).sum() / wsum)
-    v_raw = float((w * ys).sum() / wsum)
+    if not len(xs):  # an infinite peak with moment_fraction 0 keeps none
+        raise ValueError("no pixel kept for the region's moments")
+    peak = float(peak)
+    rows = np.empty((3, len(xs)))
+    w = rows[0]
+    np.divide(diff[keep], peak, out=w)  # raster order, as ys, xs
+    np.multiply(w, xs, out=rows[1])
+    np.multiply(w, ys, out=rows[2])
+    wsum, wx, wy = rows.sum(axis=1).tolist()  # [w, w*xs, w*ys]
+    u_raw = wx / wsum
+    v_raw = wy / wsum
     dx = xs - u_raw
     dy = ys - v_raw
-    wdx = w * dx
-    wdy = w * dy
-    mu20 = float((wdx * dx).sum() / wsum) + _INTRA_PIXEL_VAR
-    mu02 = float((wdy * dy).sum() / wsum) + _INTRA_PIXEL_VAR
-    mu11 = float((wdx * dy).sum() / wsum)
+    # rows become [wdx*dx, wdy*dy, wdx*dy], with wdx = w*dx and wdy = w*dy
+    # (wdx is written over w, so wdy is taken first and wdx*dy before *= dx)
+    np.multiply(w, dy, out=rows[1])
+    np.multiply(w, dx, out=rows[0])
+    np.multiply(rows[0], dy, out=rows[2])
+    rows[0] *= dx
+    rows[1] *= dy
+    s20, s02, s11 = rows.sum(axis=1).tolist()
+    mu20 = s20 / wsum + _INTRA_PIXEL_VAR
+    mu02 = s02 / wsum + _INTRA_PIXEL_VAR
+    mu11 = s11 / wsum
     theta = 0.5 * math.atan2(2.0 * mu11, mu20 - mu02)
     theta %= math.pi
     half_tr = 0.5 * (mu20 + mu02)
@@ -326,10 +372,7 @@ def extract_features(frame: Frame, model: BackgroundModel,
     if pixels.shape != model.mean.shape:
         raise DimensionMismatch(
             f"frame {pixels.shape} vs model {model.mean.shape}")
-    gt, lt = model.mask_bounds
-    mask = np.greater(pixels, gt)
-    mask |= np.less(pixels, lt)
-    placed = _tile_canvas(mask)
+    placed = _tile_canvas(_detection_mask(pixels, model))
     if placed is None:
         return []
     canvas, starts, offsets = placed
@@ -346,7 +389,7 @@ def extract_features(frame: Frame, model: BackgroundModel,
         np.abs(d, out=d)
         peak = d[comp].max()
         keep = comp & (d >= moment_fraction * peak)
-        u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep)
+        u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep, peak)
         u_raw = u_loc + xs.start
         v_raw = v_loc + ys.start
         if camera is not None:

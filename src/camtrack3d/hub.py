@@ -119,6 +119,7 @@ class FrameEvents:
     births: list[int]
     deaths: list[int]
     latency: float
+    targets: Targets  # the live targets this frame left, in id order
     assignments: AssignmentMatrix | None = None
     birth_features: set = field(default_factory=set)  # (cam_id, index) consumed
 
@@ -308,6 +309,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
                        births=[t.target_id for t in born],
                        deaths=removed.ids.tolist(),
                        latency=latency,
+                       targets=kept,
                        assignments=assignments,
                        birth_features=birth_features)
 
@@ -335,7 +337,7 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
         for aframe in source:
             for ev in process_frame(world, aframe):
                 if writer is not None:
-                    writer.write_frame(ev.frame, world.live)
+                    writer.write_frame(ev.frame, ev.targets)
                 if dump is not None:
                     cols = {str(tid): [i for i in col]
                             for tid, col in ev.assignments.columns.items()}

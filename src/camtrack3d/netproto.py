@@ -176,12 +176,23 @@ class FrameAssembler:
     corrupt frame number would otherwise be emitted and make every later
     packet late. When its own camera goes on below it instead, or the
     stream ends, it is dropped and counted (``far_ahead``).
+
+    Given the rig's ``camera_ids`` (``n_cameras`` is then their number),
+    a packet from any other id is dropped and counted (``unknown_camera``)
+    before it touches any state: it can neither complete a frame nor grow
+    the per-camera bookkeeping. Without them every id is taken.
     """
 
-    def __init__(self, n_cameras: int, wait_budget: float = 0.005,
+    def __init__(self, n_cameras: int | None = None, wait_budget: float = 0.005,
                  clock: Callable[[], float] = time.monotonic,
-                 emitted_window: int = 1024):
-        if n_cameras < 1:
+                 emitted_window: int = 1024,
+                 camera_ids: Iterable[str] | None = None):
+        self.camera_ids = None if camera_ids is None else frozenset(camera_ids)
+        if self.camera_ids is not None:
+            if n_cameras not in (None, len(self.camera_ids)):
+                raise ValueError(f"{n_cameras} cameras but {len(self.camera_ids)} camera ids")
+            n_cameras = len(self.camera_ids)
+        if n_cameras is None or n_cameras < 1:
             raise ValueError("need at least one camera")
         self.n_cameras = n_cameras
         self.wait_budget = wait_budget
@@ -190,6 +201,7 @@ class FrameAssembler:
         self.duplicates = 0
         self.partial = 0
         self.far_ahead = 0
+        self.unknown_camera = 0
         self._ahead: FramePacket | None = None  # waiting for a second packet
         self._pending: dict[int, _Pending] = {}
         self._last_seen: dict[str, int] = {}
@@ -198,6 +210,9 @@ class FrameAssembler:
         self._window = emitted_window
 
     def feed(self, packet: FramePacket, now: float | None = None) -> list[AssembledFrame]:
+        if self.camera_ids is not None and packet.cam_id not in self.camera_ids:
+            self.unknown_camera += 1
+            return []
         now = self.clock() if now is None else now
         if (self._last_emitted is not None
                 and packet.frame - self._last_emitted > self._window
@@ -288,7 +303,8 @@ class FrameAssembler:
 
     def counters(self) -> dict[str, int]:
         return {"late": self.late, "duplicates": self.duplicates,
-                "partial": self.partial, "far_ahead": self.far_ahead}
+                "partial": self.partial, "far_ahead": self.far_ahead,
+                "unknown_camera": self.unknown_camera}
 
 
 def assemble(packets: Iterable[FramePacket], n_cameras: int,

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import math
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import extract_features_oracle, update_background_oracle
+from helpers import _region_moments_oracle, extract_features_oracle, update_background_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from camtrack3d.features import (
     BackgroundModel,
     DimensionMismatch,
     Frame,
+    _detection_mask,
+    _region_moments,
     _tile_canvas,
     extract_features,
     feature_from_row,
@@ -27,6 +30,13 @@ from camtrack3d.features import (
     write_pgm,
 )
 from camtrack3d.geometry import CameraModel
+from camtrack3d.simharness import (
+    generate_rig,
+    preset,
+    render_frame,
+    simulate_truth,
+    synthesize_observations,
+)
 
 
 def blank_frame(index=0, level=0, shape=(48, 64), cam="c0"):
@@ -458,6 +468,109 @@ def test_mask_bounds_equal_threshold_test_for_every_value(seed, thr, gate):
     assert gt.dtype == lt.dtype == np.uint8
     got = (p[:, None] > gt) | (p[:, None] < lt)
     assert np.array_equal(got, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from([-5.0, -1e-300, 0.0, 1e-300, 0.5, 15.0, 254.5, 255.0, 300.0,
+                        math.inf, math.nan]),
+       st.booleans(), st.booleans())
+def test_detection_mask_equals_bounds_test_for_every_value(seed, thr, gate, refresh):
+    # the coded mask, one subtraction and one compare, passes exactly the
+    # values outside lt..gt, including where every value passes (lt > gt)
+    # and where none does (gt == 255 and lt == 0); for a model as built
+    # and as a refresh derives it
+    rng = np.random.default_rng(seed)
+    mean = np.concatenate([
+        rng.uniform(-300.0, 600.0, 100),
+        rng.integers(0, 256, 100) + rng.choice([0.0, 0.5, 0.25], 100),
+        rng.integers(0, 256, 50) + rng.choice([-1, 1], 50) * rng.uniform(0.0, 300.0, 50),
+        [math.nan, math.inf, -math.inf, 0.0, 255.0, 127.5, 1e308, -1e308],
+    ])[None]
+    if gate:
+        var = rng.choice([0.0, 1e-300, 0.25, 25.0, 4064.0, 1e6, math.inf, math.nan, -1.0],
+                         mean.shape)
+        model = BackgroundModel(mean=mean, variance=var, use_variance_gate=True,
+                                sigma_gate=float(rng.choice([0.0, 1e-9, 4.0, 300.0])))
+    else:
+        model = BackgroundModel(mean=mean, variance=np.zeros_like(mean),
+                                difference_threshold=thr)
+    p = np.arange(256, dtype=np.uint8)[:, None]
+    with np.errstate(invalid="ignore", over="ignore"):
+        if refresh:
+            px = rng.integers(0, 256, mean.shape, dtype=np.uint8)
+            model = update_background(dataclasses.replace(model, learning_rate=0.25),
+                                      frame_with(px))
+        gt, lt = model.mask_bounds
+        got = _detection_mask(np.repeat(p, mean.size, axis=1), model)
+    assert got.dtype == bool
+    assert np.array_equal(got, (p > gt) | (p < lt))
+
+
+def test_detection_mask_codes_every_and_no_value():
+    mean = np.array([100.0, 100.0, math.nan, math.inf, 100.0])
+    model = BackgroundModel(mean=mean, variance=np.array([0.0, 1e6, 1.0, 1.0, math.nan]),
+                            use_variance_gate=True, sigma_gate=1.0)
+    with np.errstate(invalid="ignore"):
+        gt, lt = model.mask_bounds
+    assert (gt[:3].tolist(), lt[:3].tolist()) == ([100, 255, 255], [100, 0, 0])
+    assert gt[3] < lt[3]  # every value passes
+    got = _detection_mask(np.repeat(np.arange(256, dtype=np.uint8)[:, None], 5, axis=1), model)
+    assert got[:, 0].tolist() == [p != 100 for p in range(256)]
+    assert not got[:, [1, 2, 4]].any()
+    assert got[:, 3].all()
+    # a model whose every pixel has some passing value applies no extra mask
+    assert BackgroundModel.constant((2, 2), 9.0)._mask_code[2] is None
+
+
+@pytest.mark.parametrize("kept", [*range(1, 10), 127, 128, 129, 255, 256, 257])
+def test_region_moments_bits_at_pairwise_summation_edges(kept):
+    # numpy sums 8 elements per unrolled block and 128 per pairwise leaf;
+    # the stacked row sums must give the bits of the six 1-D sums there
+    rng = np.random.default_rng(kept)
+    for shape in [(1, kept), (kept, 1), (17, 31)]:
+        if shape[0] * shape[1] < kept:
+            continue
+        diff = np.abs(rng.integers(0, 256, shape) - rng.uniform(0.0, 255.0, shape))
+        keep = np.zeros(shape, dtype=bool)
+        keep.reshape(-1)[rng.choice(keep.size, kept, replace=False)] = True
+        peak = diff[keep].max()
+        got = _region_moments(diff, keep, peak)
+        want = _region_moments_oracle(diff, keep)
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_camera_node_feature_digest_is_recorded_value():
+    # Digest of the bits of every feature's 8 fields over a rendered,
+    # noisy, cluttered 40-frame smalltunnel sequence seen by camera 0 with
+    # radial distortion, under two background settings and two moment
+    # fractions; recorded before the mask was coded as one compare and
+    # the moments as two stacked sums, which must reproduce it.
+    spec = preset("smalltunnel", seed=11, clutter_rate=2.0, pixel_noise=0.0)
+    cam = dataclasses.replace(generate_rig(spec)[0], k1=-0.05)
+    packets = synthesize_observations(simulate_truth(spec, 3, 40), [cam], spec)
+    rng = np.random.default_rng(5)
+    images = []
+    for per_cam in packets:
+        img = render_frame(per_cam[0].features, cam.image_size, elongated=True)
+        noise = rng.integers(-3, 4, img.shape)
+        images.append(np.clip(img + noise, 0, 255).astype(np.uint8))
+    h = hashlib.blake2b(digest_size=8)
+    count = 0
+    for kw in ({"update_interval": 10},
+               {"use_variance_gate": True, "learning_rate": 1.0 / 3.0, "update_interval": 7}):
+        model = BackgroundModel.from_frame(frame_with(images[0]), **kw)
+        for i, img in enumerate(images):
+            frame = frame_with(img, index=i)
+            model = update_background(model, frame)
+            for fraction in (0.3, 0.0):
+                feats = extract_features(frame, model, max_features=1000, camera=cam,
+                                         moment_fraction=fraction)
+                count += len(feats)
+                h.update(np.array([dataclasses.astuple(f) for f in feats],
+                                  dtype=float).reshape(-1, 8).view(np.uint64).tobytes())
+    assert count == 1204
+    assert int.from_bytes(h.digest(), "big") == 14963455540530374087
 
 
 def test_mask_bounds_are_cached_per_model():

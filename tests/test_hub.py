@@ -269,6 +269,24 @@ def test_run_deterministic_bit_identical(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("kept", [[*range(5), 8, 9], [*range(5), *range(101, 112)]])
+def test_gap_frames_write_their_own_rows(tmp_path, kept):
+    # each frame predicted through a gap, or held past the death horizon,
+    # writes the targets it left, as a run given every missing frame empty
+    spec, cams, truths, frames = noiseless_scene(n_frames=112)
+    empty = [f if f.frame in kept else
+             AssembledFrame(frame=f.frame, features_by_camera={}, complete=False,
+                            latency=0.0, timestamp_us=f.timestamp_us)
+             for f in frames[:kept[-1] + 1]]
+    gap, full = tmp_path / "gap.csv", tmp_path / "full.csv"
+    run([frames[i] for i in kept], make_world(cams, spec.fps), trajectory_path=gap)
+    run(empty, make_world(cams, spec.fps), trajectory_path=full)
+    rows = gap.read_text().splitlines()
+    assert rows == full.read_text().splitlines()
+    means = {r.split(",")[0]: r.split(",")[2:8] for r in rows[1:]}
+    assert len({tuple(means[str(f)]) for f in range(5, 9)}) == 4
+
+
 def test_offline_records_match_packet_source(tmp_path):
     # JSONL-file source and direct packet assembly produce bit-identical output
     spec, cams, truths, frames = noiseless_scene(n_frames=60)

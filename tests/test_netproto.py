@@ -298,7 +298,8 @@ def test_assembler_drops_a_lone_frame_number_far_ahead():
     out += asm.finish()
     assert [af.frame for af in out] == list(range(8))
     assert all(af.complete for af in out)
-    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 1}
+    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 1,
+                              "unknown_camera": 0}
 
 
 def test_assembler_follows_a_jump_agreed_by_a_second_packet():
@@ -310,7 +311,7 @@ def test_assembler_follows_a_jump_agreed_by_a_second_packet():
             af.frame for af in asm.finish()]
         assert out == [0, 1, 5000, 5001, 5002]
         assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0,
-                                  "far_ahead": 0}
+                                  "far_ahead": 0, "unknown_camera": 0}
 
 
 def test_assembler_counts_a_far_packet_left_at_end_of_stream():
@@ -319,6 +320,33 @@ def test_assembler_counts_a_far_packet_left_at_end_of_stream():
     assert asm.feed(packet(frame=2**40)) == []
     assert asm.finish() == []
     assert asm.far_ahead == 1
+
+
+def test_assembler_drops_unknown_camera_ids_before_any_state():
+    # without the rig's ids, a ghost id completes frame 0 and c01 is late
+    stream = [packet(cam=c, frame=0) for c in ("c00", "ghost", "c01")]
+    asm = FrameAssembler(n_cameras=2, clock=FakeClock())
+    out = [af for p in stream for af in asm.feed(p)]
+    assert [sorted(af.features_by_camera) for af in out] == [["c00", "ghost"]]
+    assert asm.late == 1
+    asm = FrameAssembler(camera_ids=["c00", "c01"], clock=FakeClock())
+    assert asm.n_cameras == 2
+    out = [af for p in stream for af in asm.feed(p)]
+    assert [(af.frame, af.complete, sorted(af.features_by_camera)) for af in out] == [
+        (0, True, ["c00", "c01"])]
+    for i in range(1000):
+        assert asm.feed(packet(cam=f"ghost{i}", frame=1 + i % 3 + (2**62 if i % 2 else 0))) == []
+    assert len(asm._last_seen) == 2 and not asm._pending and asm._ahead is None
+    assert asm.finish() == []
+    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 0,
+                              "unknown_camera": 1001}
+
+
+def test_assembler_camera_ids_must_match_their_number():
+    assert FrameAssembler(n_cameras=2, camera_ids=("a", "b")).n_cameras == 2
+    for kw in ({"n_cameras": 3, "camera_ids": ("a", "b")}, {"camera_ids": ()}, {}):
+        with pytest.raises(ValueError):
+            FrameAssembler(**kw)
 
 
 # ------------------------------------------------------------------- transport
