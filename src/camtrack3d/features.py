@@ -42,7 +42,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import CameraModel, correct_distortion
 
@@ -319,6 +318,8 @@ def _tile_canvas(mask: np.ndarray) -> tuple[np.ndarray, list, list] | None:
     (rows, columns) from its canvas pixels to image pixels. The mask
     itself, as one component, when that canvas would be no smaller; None
     when the mask is empty."""
+    from scipy import ndimage
+
     h, w = mask.shape
     th, tw = -(-h // _TILE), -(-w // _TILE)
     padded = mask
@@ -365,7 +366,13 @@ def extract_features(frame: Frame, model: BackgroundModel,
     computed. At most ``max_features`` features are returned, largest area
     first (ties by raw centroid u then v, then by the region's first pixel
     in raster order). Raises ValueError unless 0 <= moment_fraction <= 1.
+
+    ``scipy.ndimage`` is imported here rather than with the module, so a
+    process that only synthesizes or ships features never loads it; a
+    camera process's first extraction pays that import once.
     """
+    from scipy import ndimage
+
     if not 0.0 <= moment_fraction <= 1.0:
         raise ValueError(f"moment_fraction must lie in [0, 1], got {moment_fraction!r}")
     pixels = frame.pixels

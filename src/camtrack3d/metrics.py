@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geometry import BehindCamera, CameraModel, PointAtInfinity, project
+from .geometry import CameraModel, project_points
 from .simharness import TruthTrajectory
 from .tracker import read_trajectory_csv
 
@@ -179,6 +179,7 @@ def evaluate(trajectory, truths, matching_radius: float = 0.05,
     matched_frames: dict[int, list[int]] = {tr.target_id: [] for tr in truths}
     first_match: dict[int, int] = {}
     last_seen: dict[int, int] = {}
+    est_points, truth_points = [], []  # matched pairs, for the reprojection score
     for t in common:
         matches = _greedy_match(est_frames[t], truth_frames[t], matching_radius)
         for eid, tid, d in matches:
@@ -191,16 +192,17 @@ def evaluate(trajectory, truths, matching_radius: float = 0.05,
             first_match.setdefault(tid, t)
             last_seen[tid] = t
             if cameras:
-                ep = est_frames[t][eid][:3]
-                tp = truth_frames[t][tid]
-                for cam in cameras:
-                    try:
-                        pu, pv = project(cam, ep)
-                        qu, qv = project(cam, tp)
-                    except (BehindCamera, PointAtInfinity):
-                        continue
-                    reproj_err += math.hypot(pu - qu, pv - qv)
-                    n_reproj += 1
+                est_points.append(est_frames[t][eid][:3])
+                truth_points.append(truth_frames[t][tid])
+    if est_points:
+        est_x, est_ok = project_points(cameras, est_points)
+        truth_x, truth_ok = project_points(cameras, truth_points)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = est_x[..., :2] / est_x[..., 2:] - truth_x[..., :2] / truth_x[..., 2:]
+        # summed pair by pair, camera by camera, with math.hypot
+        for du, dv in d[est_ok & truth_ok].tolist():
+            reproj_err += math.hypot(du, dv)
+            n_reproj += 1
 
     fragmentation = 0
     for tid, frames_list in matched_frames.items():

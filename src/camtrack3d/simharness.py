@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .features import Feature
-from .geometry import BehindCamera, CameraModel, PointAtInfinity, project, save_calibration
+from .geometry import CameraModel, project_points, save_calibration
 from .netproto import FramePacket
 
 
@@ -95,13 +95,18 @@ def _coverage_points(spec: RigSpec) -> np.ndarray:
     return grid
 
 
+def _visible(cameras: Sequence[CameraModel], points, margin: float) -> np.ndarray:
+    """(T, C) mask of the points each camera images in front of it, at
+    least `margin` pixels inside its image."""
+    x, seen = project_points(cameras, points)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        uv = x[..., :2] / x[..., 2:]
+    far = np.array([c.image_size for c in cameras], dtype=float) - margin
+    return seen & ((margin <= uv) & (uv <= far)).all(axis=-1)
+
+
 def visible(cam: CameraModel, point, margin: float = 0.0) -> bool:
-    try:
-        u, v = project(cam, point)
-    except (BehindCamera, PointAtInfinity):
-        return False
-    w, h = cam.image_size
-    return margin <= u <= w - margin and margin <= v <= h - margin
+    return bool(_visible([cam], point, margin)[0, 0])
 
 
 def generate_rig(spec: RigSpec, calibration_path=None) -> list[CameraModel]:
@@ -129,8 +134,8 @@ def generate_rig(spec: RigSpec, calibration_path=None) -> list[CameraModel]:
         P = _look_at_projection(pos, center, focal, spec.image_size)
         cams.append(CameraModel(projection=P, cam_id=f"cam{i:02d}",
                                 image_size=spec.image_size))
-    for point in _coverage_points(spec):
-        seen = sum(1 for c in cams if visible(c, point, margin=2.0))
+    grid = _coverage_points(spec)
+    for point, seen in zip(grid, _visible(cams, grid, margin=2.0).sum(axis=1)):
         if seen < 2:
             raise InfeasibleSpec(f"arena point {point} visible to {seen} < 2 cameras")
     if calibration_path is not None:
@@ -265,19 +270,6 @@ def read_truth_csv(path) -> list[TruthTrajectory]:
 
 # ---------------------------------------------------------------- observations
 
-def _axis_angle(cam: CameraModel, pos, vel) -> float:
-    """Image-plane angle of the projected velocity, in [0, pi)."""
-    speed = float(np.linalg.norm(vel))
-    if speed < 1e-9:
-        return 0.0
-    try:
-        a = project(cam, pos)
-        b = project(cam, np.asarray(pos) + 1e-3 * np.asarray(vel) / speed)
-    except (BehindCamera, PointAtInfinity):
-        return 0.0
-    return math.atan2(b[1] - a[1], b[0] - a[0]) % math.pi
-
-
 def synthesize_observations(truths: Sequence[TruthTrajectory],
                             cameras: Sequence[CameraModel],
                             spec: RigSpec,
@@ -289,7 +281,12 @@ def synthesize_observations(truths: Sequence[TruthTrajectory],
     detected with the spec's detection probability at its projection plus
     gaussian pixel noise, Poisson clutter is added uniformly over the
     image, and occlusion windows (frame range, camera ids) force empty
-    reports. Returns one list of per-camera packets per frame."""
+    reports. Returns one list of per-camera packets per frame.
+
+    Every truth position, and the point 1 mm along its velocity that gives
+    the feature's image-plane axis, is projected through every camera up
+    front; the random draws then follow one observation at a time, in a
+    fixed order, since the gaussian draws are rejection-sampled."""
     rng = np.random.default_rng(spec.seed + 1) if rng is None else rng
     cams = sorted(cameras, key=lambda c: c.cam_id)
     if n_frames is None:
@@ -298,37 +295,46 @@ def synthesize_observations(truths: Sequence[TruthTrajectory],
     for start, stop, cam_ids in occlusions:
         for cid in cam_ids:
             blanked[cid].update(range(start, stop))
+    # row first[k] + t - birth of the stacks holds target k at frame t
+    first = np.cumsum([0] + [len(tr.positions) for tr in truths])
+    pos = np.concatenate([tr.positions for tr in truths] + [np.empty((0, 3))])
+    vel = np.concatenate([tr.velocities for tr in truths] + [np.empty((0, 3))])
+    # one norm per vector, as the one-point axis took it: a norm along an
+    # axis of the stack may round differently
+    speed = np.array([np.linalg.norm(v) for v in vel]).reshape(-1, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, seen = project_points(cams, pos)
+        x_ahead, seen_ahead = project_points(cams, pos + 1e-3 * vel / speed)
+        uv = x[..., :2] / x[..., 2:]
+        step = x_ahead[..., :2] / x_ahead[..., 2:] - uv
+    has_axis = seen & seen_ahead & ~(speed < 1e-9)
     frames: list[list[FramePacket]] = []
     for t in range(n_frames):
         ts_us = round(t * 1e6 / spec.fps)
+        live = [first[k] + t - tr.birth for k, tr in enumerate(truths) if tr.alive_at(t)]
         per_cam = []
-        for cam in cams:
+        for c, cam in enumerate(cams):
             rows: list[list[float]] = []
+            w, h = cam.image_size
             if t not in blanked[cam.cam_id]:
-                for tr in truths:
-                    if not tr.alive_at(t):
-                        continue
+                for i in live:
                     detected = rng.random() < spec.detection_prob
-                    pos = tr.position(t)
-                    try:
-                        u, v = project(cam, pos)
-                    except (BehindCamera, PointAtInfinity):
+                    if not seen[i, c]:
                         continue
                     noise = rng.normal(0.0, spec.pixel_noise, size=2) \
                         if spec.pixel_noise > 0 else np.zeros(2)
                     if not detected:
                         continue
-                    u, v = u + noise[0], v + noise[1]
-                    w, h = cam.image_size
+                    u, v = uv[i, c] + noise
                     if not (0 <= u < w and 0 <= v < h):
                         continue
-                    theta = _axis_angle(cam, pos, tr.velocity(t))
+                    du, dv = step[i, c]
+                    theta = math.atan2(dv, du) % math.pi if has_axis[i, c] else 0.0
                     area = 20.0 + rng.uniform(-4.0, 4.0)
                     peak = 150.0 + rng.uniform(-30.0, 30.0)
                     ecc = 2.5 + rng.uniform(-0.5, 0.5)
                     rows.append([u, v, area, peak, theta, ecc])
                 n_clutter = rng.poisson(spec.clutter_rate) if spec.clutter_rate > 0 else 0
-                w, h = cam.image_size
                 for _ in range(n_clutter):
                     rows.append([rng.uniform(0, w), rng.uniform(0, h),
                                  rng.uniform(2.0, 30.0), rng.uniform(40.0, 200.0),

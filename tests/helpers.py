@@ -533,3 +533,81 @@ def _consistent_tuples_oracle(combo, pool, ray_of, gate):
                 chosen.pop()
 
     yield from grow(0, [])
+
+
+def _axis_angle_oracle(cam, pos, vel):
+    """Image-plane angle of the projected velocity, in [0, pi)."""
+    import math
+
+    from camtrack3d.geometry import BehindCamera, PointAtInfinity, project
+
+    speed = float(np.linalg.norm(vel))
+    if speed < 1e-9:
+        return 0.0
+    try:
+        a = project(cam, pos)
+        b = project(cam, np.asarray(pos) + 1e-3 * np.asarray(vel) / speed)
+    except (BehindCamera, PointAtInfinity):
+        return 0.0
+    return math.atan2(b[1] - a[1], b[0] - a[0]) % math.pi
+
+
+def synthesize_observations_oracle(truths, cameras, spec, n_frames=None,
+                                   occlusions=(), rng=None):
+    """The forward observation model that simharness.synthesize_observations
+    batched: it projects each (frame, camera, target) point, and the point
+    1 mm along the target's velocity, one at a time with
+    geometry.project."""
+    import math
+
+    from camtrack3d.geometry import BehindCamera, PointAtInfinity, project
+    from camtrack3d.netproto import FramePacket
+
+    rng = np.random.default_rng(spec.seed + 1) if rng is None else rng
+    cams = sorted(cameras, key=lambda c: c.cam_id)
+    if n_frames is None:
+        n_frames = max((t.death for t in truths), default=0)
+    blanked = {c.cam_id: set() for c in cams}
+    for start, stop, cam_ids in occlusions:
+        for cid in cam_ids:
+            blanked[cid].update(range(start, stop))
+    frames = []
+    for t in range(n_frames):
+        ts_us = round(t * 1e6 / spec.fps)
+        per_cam = []
+        for cam in cams:
+            rows = []
+            if t not in blanked[cam.cam_id]:
+                for tr in truths:
+                    if not tr.alive_at(t):
+                        continue
+                    detected = rng.random() < spec.detection_prob
+                    pos = tr.position(t)
+                    try:
+                        u, v = project(cam, pos)
+                    except (BehindCamera, PointAtInfinity):
+                        continue
+                    noise = rng.normal(0.0, spec.pixel_noise, size=2) \
+                        if spec.pixel_noise > 0 else np.zeros(2)
+                    if not detected:
+                        continue
+                    u, v = u + noise[0], v + noise[1]
+                    w, h = cam.image_size
+                    if not (0 <= u < w and 0 <= v < h):
+                        continue
+                    theta = _axis_angle_oracle(cam, pos, tr.velocity(t))
+                    area = 20.0 + rng.uniform(-4.0, 4.0)
+                    peak = 150.0 + rng.uniform(-30.0, 30.0)
+                    ecc = 2.5 + rng.uniform(-0.5, 0.5)
+                    rows.append([u, v, area, peak, theta, ecc])
+                n_clutter = rng.poisson(spec.clutter_rate) if spec.clutter_rate > 0 else 0
+                w, h = cam.image_size
+                for _ in range(n_clutter):
+                    rows.append([rng.uniform(0, w), rng.uniform(0, h),
+                                 rng.uniform(2.0, 30.0), rng.uniform(40.0, 200.0),
+                                 rng.uniform(0, math.pi), rng.uniform(1.0, 4.0)])
+            per_cam.append(FramePacket(cam_id=cam.cam_id, frame=t,
+                                       timestamp_us=ts_us,
+                                       features=np.array(rows, dtype=float).reshape(-1, 6)))
+        frames.append(per_cam)
+    return frames

@@ -1,0 +1,62 @@
+"""What a fresh process loads: each check runs in its own interpreter, so
+modules an earlier test imported cannot hide an eager import."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import camtrack3d
+
+# every name the package exported when it imported all its modules eagerly
+EXPORTS = [
+    "AssignmentMatrix", "GateConfig", "assign", "cull_targets", "feature_likelihood",
+    "mahalanobis_closest_point", "resolve_shared", "spawn_targets",
+    "BackgroundModel", "Feature", "Frame", "extract_features", "update_background",
+    "CameraModel", "Plane3", "Ray3", "apply_distortion", "body_axis",
+    "correct_distortion", "dehomogenize", "dlt_calibrate", "load_calibration",
+    "pixel_ray", "project", "save_calibration", "triangulate",
+    "TrackerWorld", "process_frame", "run",
+    "evaluate",
+    "AssembledFrame", "FrameAssembler", "FramePacket", "assemble", "decode", "encode",
+    "PRESETS", "RigSpec", "TruthTrajectory", "generate_rig", "simulate_truth",
+    "synthesize_observations",
+    "ObservationModel", "ProcessModel", "TargetState", "extrapolate",
+    "observation_function", "observation_jacobian", "predict", "update",
+    "__version__",
+]
+
+
+def _fresh(code: str):
+    """Run `code` in a new interpreter that imports this checkout's package
+    and return the JSON it prints."""
+    src = str(Path(camtrack3d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    return json.loads(out.stdout)
+
+
+def test_synthesis_and_transport_load_no_scipy():
+    loaded = _fresh("import json, sys\n"
+                    "import camtrack3d.simharness, camtrack3d.netproto\n"
+                    "print(json.dumps(sorted(m for m in sys.modules"
+                    " if m == 'scipy' or m.startswith('scipy.'))))")
+    assert loaded == []
+
+
+def test_cli_loads_no_ndimage():
+    loaded = _fresh("import json, sys\n"
+                    "import camtrack3d.cli\n"
+                    "print(json.dumps('scipy.ndimage' in sys.modules))")
+    assert loaded is False
+
+
+def test_every_former_export_resolves():
+    missing = _fresh("import json, camtrack3d\n"
+                     f"print(json.dumps([n for n in {EXPORTS!r}"
+                     " if not hasattr(camtrack3d, n)]))")
+    assert missing == []
+    assert set(EXPORTS) <= set(camtrack3d.__all__) <= set(dir(camtrack3d))

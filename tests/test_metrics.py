@@ -98,6 +98,30 @@ def test_perfect_tracker_scores_zero_error():
     assert report["horizontal_speed_mean"] == pytest.approx(0.15, abs=1e-6)
 
 
+def test_reprojection_score_sums_scalar_projections_in_order():
+    # the truth starts behind the camera at (0, 0, 0.3) and passes in front
+    # of it, so that camera skips the first pairs
+    from camtrack3d.geometry import BehindCamera, PointAtInfinity, project
+    from helpers import look_at_camera, ring_of_cameras
+
+    cams = ring_of_cameras(4) + [look_at_camera((0.0, 0.0, 0.3), (1.0, 0.0, 0.3), "ahead")]
+    truth = straight_truth(start=(-0.045, 0.05, 0.3), n=60)
+    est = frames_from_truth(truth, jitter=0.004, rng=np.random.default_rng(8))
+    total, n = 0.0, 0
+    for t in range(truth.birth, truth.death):
+        for cam in cams:
+            try:
+                pu, pv = project(cam, est[t][0][:3])
+                qu, qv = project(cam, truth.position(t))
+            except (BehindCamera, PointAtInfinity):
+                continue
+            total += math.hypot(pu - qu, pv - qv)
+            n += 1
+    assert 4 * 60 < n < 5 * 60
+    report = evaluate(est, [truth], matching_radius=0.05, cameras=cams)
+    assert report["mean_reprojection_error_px"] == total / n
+
+
 def test_rmse_reflects_jitter():
     rng = np.random.default_rng(3)
     truth = straight_truth()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from camtrack3d.netproto import (
     MAGIC,
@@ -347,6 +348,92 @@ def test_assembler_camera_ids_must_match_their_number():
     for kw in ({"n_cameras": 3, "camera_ids": ("a", "b")}, {"camera_ids": ()}, {}):
         with pytest.raises(ValueError):
             FrameAssembler(**kw)
+
+
+class AssemblerStreams(RuleBasedStateMachine):
+    """Per-camera packet streams with skipped, reordered and duplicate
+    frames, corrupt frame numbers far ahead and unknown camera ids, fed
+    to one FrameAssembler on a fake clock."""
+
+    CAMERAS = ("c0", "c1", "c2")
+    WINDOW = 6
+    BUDGET = 1.0
+
+    def __init__(self):
+        super().__init__()
+        self.clock = FakeClock()
+        self.asm = FrameAssembler(camera_ids=self.CAMERAS, wait_budget=self.BUDGET,
+                                  clock=self.clock, emitted_window=self.WINDOW)
+        self.sent = {c: [] for c in self.CAMERAS}  # frames each camera sent
+        self.fed = 0
+        self.emitted_packets = 0
+        self.last_frame = None
+
+    def _take(self, frames):
+        for af in frames:
+            assert self.last_frame is None or af.frame > self.last_frame
+            self.last_frame = af.frame
+            self.emitted_packets += len(af.features_by_camera)
+
+    def _feed(self, cam, frame):
+        self.fed += 1
+        if cam in self.sent:
+            self.sent[cam].append(frame)
+        self._take(self.asm.feed(packet(cam=cam, frame=frame), now=self.clock.t))
+
+    @rule(cam=st.sampled_from(CAMERAS), skip=st.integers(0, 2))
+    def next_frame(self, cam, skip):
+        self._feed(cam, max(self.sent[cam], default=-1) + 1 + skip)
+
+    @precondition(lambda self: any(self.sent.values()))
+    @rule(data=st.data())
+    def resend_or_reorder(self, data):
+        cam = data.draw(st.sampled_from([c for c in self.CAMERAS if self.sent[c]]))
+        top = max(self.sent[cam])
+        self._feed(cam, data.draw(st.integers(max(0, top - 4), top)))
+
+    @rule(cam=st.sampled_from(CAMERAS), ahead=st.integers(1, 3 * WINDOW))
+    def corrupt_frame_number(self, cam, ahead):
+        top = max((f for frames in self.sent.values() for f in frames), default=0)
+        self.fed += 1
+        self._take(self.asm.feed(packet(cam=cam, frame=top + self.WINDOW + ahead),
+                                 now=self.clock.t))
+
+    @rule(cam=st.sampled_from(["zz", "c3"]), frame=st.integers(0, 40))
+    def unknown_camera(self, cam, frame):
+        self._feed(cam, frame)
+
+    @rule(dt=st.floats(0.0, 2.0))
+    def wait(self, dt):
+        self.clock.t += dt
+        self._take(self.asm.flush_due(self.clock.t))
+        # what the clock allows to wait has waited no longer than the budget
+        assert all(self.clock.t - p.first_seen < self.BUDGET
+                   for p in self.asm._pending.values())
+
+    @invariant()
+    def state_is_bounded(self):
+        asm = self.asm
+        assert set(asm._last_seen) <= set(self.CAMERAS)
+        assert len(asm._emitted) <= self.WINDOW
+        if asm._pending:
+            assert max(asm._pending) <= max(asm._last_seen.values())
+            if len(asm._last_seen) == len(self.CAMERAS):
+                # a frame every camera has passed cannot wait
+                assert min(asm._pending) >= min(asm._last_seen.values())
+
+    def teardown(self):
+        self._take(self.asm.finish())
+        counts = self.asm.counters()
+        assert not self.asm._pending and self.asm._ahead is None
+        # every packet fed is in exactly one emitted frame or one drop counter
+        assert self.emitted_packets + counts["late"] + counts["duplicates"] \
+            + counts["far_ahead"] + counts["unknown_camera"] == self.fed
+
+
+AssemblerStreams.TestCase.settings = settings(max_examples=150, stateful_step_count=40,
+                                              deadline=None)
+test_assembler_streams = AssemblerStreams.TestCase
 
 
 # ------------------------------------------------------------------- transport

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from camtrack3d.features import BackgroundModel, Frame, extract_features
-from camtrack3d.geometry import project
+from camtrack3d.geometry import BehindCamera, CameraModel, PointAtInfinity, project
 from camtrack3d.simharness import (
     PRESETS,
     InfeasibleSpec,
@@ -16,6 +18,7 @@ from camtrack3d.simharness import (
     visible,
     write_truth_csv,
 )
+from helpers import synthesize_observations_oracle
 
 
 # ------------------------------------------------------------------------- rig
@@ -170,6 +173,106 @@ def test_observations_deterministic_from_seed():
     for fa, fb in zip(a, b):
         for pa, pb in zip(fa, fb):
             assert pa == pb
+
+
+# A camera at the origin looking along +z: z = 0 is its principal plane
+# (the depth is exactly 0.0 there) and z < 0 lies behind it.
+_ORIGIN_CAMERA = CameraModel(projection=[[100.0, 0.0, 320.0, 0.0],
+                                         [0.0, 100.0, 240.0, 0.0],
+                                         [0.0, 0.0, 1.0, 0.0]],
+                             cam_id="zz", image_size=(640, 480))
+
+# (position, velocity) of targets that stand still in the arena; the
+# velocity only sets the image axis
+_SPECIAL_TARGETS = {
+    "still": (None, (0.0, 0.0, 0.0)),
+    "creeping": (None, (1e-10, 0.0, 0.0)),                # below the axis's speed floor
+    "plane": ((0.1, 0.1, 0.0), (0.1, 0.0, 0.1)),          # on zz's principal plane
+    "behind": ((0.05, 0.02, -0.5), (0.0, 0.0, 0.2)),      # behind zz
+    "grazing": ((1e-6, 2e-6, 1e-4), (0.0, 0.0, -1.0)),    # seen by zz, 1 mm on is behind it
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       n_targets=st.integers(0, 4),
+       detection_prob=st.sampled_from([0.0, 0.6, 1.0]),
+       clutter_rate=st.sampled_from([0.0, 0.8]),
+       noiseless=st.booleans(),
+       specials=st.lists(st.sampled_from(sorted(_SPECIAL_TARGETS)), unique=True),
+       birth=st.integers(0, 3),
+       n_frames=st.integers(1, 8),
+       occlusions=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8),
+                                     st.sets(st.integers(0, 11))), max_size=2),
+       seed=st.integers(0, 2**16))
+@example(name="smalltunnel", n_targets=0, detection_prob=0.0, clutter_rate=0.8,
+         noiseless=False, specials=[], birth=0, n_frames=8, occlusions=[], seed=29)
+@example(name="bigcyl", n_targets=4, detection_prob=0.6, clutter_rate=0.8,
+         noiseless=True, specials=sorted(_SPECIAL_TARGETS), birth=2, n_frames=8,
+         occlusions=[(2, 5, {0, 1, 11})], seed=1)
+def test_observations_match_scalar_oracle(name, n_targets, detection_prob, clutter_rate,
+                                          noiseless, specials, birth, n_frames,
+                                          occlusions, seed):
+    spec = preset(name, seed=seed, detection_prob=detection_prob,
+                  clutter_rate=clutter_rate,
+                  **({"pixel_noise": 0.0} if noiseless else {}))
+    cams = generate_rig(spec) + ([_ORIGIN_CAMERA] if specials else [])
+    truths = simulate_truth(spec, n_targets, n_frames, maneuver_sigma=0.01)
+    # the last simulated target, if any, is born late
+    if truths and birth:
+        last = truths[-1]
+        truths[-1] = TruthTrajectory(last.target_id, birth, last.positions[birth:],
+                                     last.velocities[birth:])
+    for k, kind in enumerate(specials, start=n_targets):
+        pos, vel = _SPECIAL_TARGETS[kind]
+        pos = spec.center if pos is None else pos
+        truths.append(TruthTrajectory(k, 0, np.tile(pos, (n_frames, 1)),
+                                      np.tile(vel, (n_frames, 1))))
+    ids = sorted(c.cam_id for c in cams)
+    windows = [(a, b, [ids[i] for i in sorted(picks) if i < len(ids)])
+               for a, b, picks in occlusions]
+    got = synthesize_observations(truths, cams, spec, n_frames=n_frames,
+                                  occlusions=windows)
+    want = synthesize_observations_oracle(truths, cams, spec, n_frames=n_frames,
+                                          occlusions=windows)
+    assert len(got) == len(want) == n_frames
+    for per_got, per_want in zip(got, want):
+        assert [(p.cam_id, p.frame, p.timestamp_us) for p in per_got] \
+            == [(p.cam_id, p.frame, p.timestamp_us) for p in per_want]
+        assert [p.features.tobytes() for p in per_got] \
+            == [p.features.tobytes() for p in per_want]
+
+
+def test_origin_camera_sees_the_special_targets_as_intended():
+    # the cases the oracle property relies on actually occur
+    cam = _ORIGIN_CAMERA
+    with pytest.raises(PointAtInfinity):
+        project(cam, _SPECIAL_TARGETS["plane"][0])
+    with pytest.raises(BehindCamera):
+        project(cam, _SPECIAL_TARGETS["behind"][0])
+    pos, vel = _SPECIAL_TARGETS["grazing"]
+    assert visible(cam, pos)
+    with pytest.raises(BehindCamera):
+        project(cam, np.add(pos, 1e-3 * np.asarray(vel)))
+
+
+def test_visible_matches_scalar_projection():
+    spec = preset("birdroom", seed=3)
+    cams = generate_rig(spec) + [_ORIGIN_CAMERA]
+    rng = np.random.default_rng(5)
+    lo, hi = spec.bounds
+    points = [*rng.uniform(lo - 1.0, hi + 1.0, size=(200, 3)),
+              *(p for p, _ in _SPECIAL_TARGETS.values() if p is not None)]
+    for cam in cams:
+        w, h = cam.image_size
+        for point in points:
+            for margin in (0.0, 2.0):
+                try:
+                    u, v = project(cam, point)
+                    want = margin <= u <= w - margin and margin <= v <= h - margin
+                except (BehindCamera, PointAtInfinity):
+                    want = False
+                assert visible(cam, point, margin) == want
 
 
 # ------------------------------------------------------------------- rendering
