@@ -7,6 +7,9 @@ observations to show how reprojection error and 3D error behave.
 Run:  python3 demos/01_calibration_and_triangulation.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from camtrack3d.geometry import (
@@ -78,7 +81,8 @@ miss = np.linalg.norm(w - (w @ ray.direction) * ray.direction)
 print(f"back-projected ray misses the original point by {miss:.2e} m")
 
 print("\n=== calibration file round trip ===")
-save_calibration("/tmp/demo_rig.cal", cams)
-loaded = load_calibration("/tmp/demo_rig.cal")
+cal_path = Path(tempfile.gettempdir()) / "demo_rig.cal"
+save_calibration(cal_path, cams)
+loaded = load_calibration(cal_path)
 exact = all((a.projection == b.projection).all() for a, b in zip(cams, loaded))
 print(f"reloaded {len(loaded)} cameras, bit-exact: {exact}")

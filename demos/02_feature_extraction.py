@@ -7,6 +7,9 @@ extractor, and shows centroid accuracy, orientation and eccentricity.
 Run:  python3 demos/02_feature_extraction.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from camtrack3d.features import (
@@ -60,5 +63,6 @@ feats = extract_features(Frame("cam", 0, 0.0, img), model, max_features=2)
 print(f"3 blobs rendered, max_features=2 -> {len(feats)} returned, "
       f"areas {[round(f.area, 1) for f in feats]} (largest first)")
 
-write_pgm("/tmp/demo_blobs.pgm", img)
-print("\nwrote /tmp/demo_blobs.pgm for inspection")
+pgm_path = Path(tempfile.gettempdir()) / "demo_blobs.pgm"
+write_pgm(pgm_path, img)
+print(f"\nwrote {pgm_path} for inspection")

@@ -7,6 +7,9 @@ the full simulate -> track -> evaluate loop and prints the report.
 Run:  python3 demos/06_kinematics_report.py
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from camtrack3d.association import GateConfig
@@ -54,8 +57,11 @@ frames = packets_to_assembled(packets, spec.n_cameras)
 world = TrackerWorld(process=ProcessModel(dt=spec.dt),
                      observation=ObservationModel(cameras=cams),
                      gate=GateConfig())
-stats = run(frames, world, trajectory_path="/tmp/demo_traj.csv")
-report = evaluate("/tmp/demo_traj.csv", truths, matching_radius=0.05,
+out_dir = Path(tempfile.gettempdir())
+traj_path = out_dir / "demo_traj.csv"
+hist_path = out_dir / "demo_speed_hist.csv"
+stats = run(frames, world, trajectory_path=traj_path)
+report = evaluate(traj_path, truths, matching_radius=0.05,
                   cameras=cams, landmark=(0.0, 0.0, 0.15),
                   latencies=stats.latencies, fps=spec.fps)
 for key in sorted(report):
@@ -63,13 +69,12 @@ for key in sorted(report):
     print(f"  {key:30s} {val:.6g}" if isinstance(val, float) else
           f"  {key:30s} {val}")
 
-est = read_trajectory_csv("/tmp/demo_traj.csv")
+est = read_trajectory_csv(traj_path)
 speeds = []
 for tid in {t for fr in est.values() for t in fr}:
     fl = sorted(f for f in est if tid in est[f])
     pos = np.array([est[f][tid][:3] for f in fl])
     speeds.append(horizontal_speed(pos, spec.dt))
 edges, density = speed_histogram(np.concatenate(speeds), bins=30)
-write_histogram_csv("/tmp/demo_speed_hist.csv", edges, density)
-print("\nwrote /tmp/demo_traj.csv and /tmp/demo_speed_hist.csv "
-      "(per-bin normalized counts)")
+write_histogram_csv(hist_path, edges, density)
+print(f"\nwrote {traj_path} and {hist_path} (per-bin normalized counts)")

@@ -19,7 +19,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from queue import Queue
+from queue import Empty, Queue
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -425,8 +425,6 @@ class PacketListener:
         """One (arrival time, packet), or None when momentarily idle.
         Raises EOFError once stopped, or once every producer has connected,
         disconnected and been drained."""
-        from queue import Empty
-
         try:
             return self._queue.get(timeout=timeout)
         except Empty:

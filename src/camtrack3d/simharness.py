@@ -184,7 +184,6 @@ def _reflect(pos, vel, lo, hi):
         elif pos[k] > hi[k]:
             pos[k] = 2 * hi[k] - pos[k]
             vel[k] = -vel[k]
-    return pos, vel
 
 
 def simulate_truth(spec: RigSpec, n_targets: int, n_frames: int,
@@ -197,11 +196,16 @@ def simulate_truth(spec: RigSpec, n_targets: int, n_frames: int,
     With `crossing=True` the targets are launched from a ring so they all
     pass the arena center mid-run, separated vertically by 40 mm, which
     guarantees a close (sub-5 cm) multi-target encounter.
+
+    Each target is stepped in Python floats, one IEEE operation per
+    coordinate as numpy does it on the 3-vectors; a target's velocity
+    noise is drawn in one call, the same draws in the same order as one
+    3-vector per frame.
     """
     rng = np.random.default_rng(spec.seed) if rng is None else rng
     lo, hi = spec.bounds
-    lo = lo + margin
-    hi = hi - margin
+    lo = (lo + margin).tolist()
+    hi = (hi - margin).tolist()
     dt = spec.dt
     out = []
     for k in range(n_targets):
@@ -218,19 +222,22 @@ def simulate_truth(spec: RigSpec, n_targets: int, n_frames: int,
             direction = rng.normal(size=3)
             direction /= np.linalg.norm(direction)
             vel = direction * speed
-        positions = np.empty((n_frames, 3))
-        velocities = np.empty((n_frames, 3))
-        pos = pos.astype(float).copy()
-        vel = vel.astype(float).copy()
+        noise = rng.normal(0.0, maneuver_sigma, size=(n_frames, 3)).tolist() \
+            if maneuver_sigma > 0 else None
+        pos, vel = pos.tolist(), vel.tolist()
+        positions, velocities = [], []
         for t in range(n_frames):
-            positions[t] = pos
-            velocities[t] = vel
-            if maneuver_sigma > 0:
-                vel = vel + rng.normal(0.0, maneuver_sigma, size=3)
-            pos = pos + vel * dt
-            pos, vel = _reflect(pos, vel, lo, hi)
-        out.append(TruthTrajectory(target_id=k, birth=0, positions=positions,
-                                   velocities=velocities))
+            positions.append(pos)
+            velocities.append(vel)
+            if noise is None:
+                vel = vel[:]  # _reflect flips in place; the recorded row stays
+            else:
+                vel = [a + b for a, b in zip(vel, noise[t])]
+            pos = [p + v * dt for p, v in zip(pos, vel)]
+            _reflect(pos, vel, lo, hi)
+        out.append(TruthTrajectory(target_id=k, birth=0,
+                                   positions=np.array(positions, dtype=float),
+                                   velocities=np.array(velocities, dtype=float)))
     return out
 
 
@@ -312,24 +319,28 @@ def synthesize_observations(truths: Sequence[TruthTrajectory],
     for t in range(n_frames):
         ts_us = round(t * 1e6 / spec.fps)
         live = [first[k] + t - tr.birth for k, tr in enumerate(truths) if tr.alive_at(t)]
+        # (live, C) rows of this frame as Python floats and bools
+        uv_t, step_t = uv[live].tolist(), step[live].tolist()
+        seen_t, axis_t = seen[live].tolist(), has_axis[live].tolist()
         per_cam = []
         for c, cam in enumerate(cams):
             rows: list[list[float]] = []
             w, h = cam.image_size
             if t not in blanked[cam.cam_id]:
-                for i in live:
+                for i in range(len(live)):
                     detected = rng.random() < spec.detection_prob
-                    if not seen[i, c]:
+                    if not seen_t[i][c]:
                         continue
-                    noise = rng.normal(0.0, spec.pixel_noise, size=2) \
-                        if spec.pixel_noise > 0 else np.zeros(2)
+                    noise = rng.normal(0.0, spec.pixel_noise, size=2).tolist() \
+                        if spec.pixel_noise > 0 else (0.0, 0.0)
                     if not detected:
                         continue
-                    u, v = uv[i, c] + noise
+                    u, v = uv_t[i][c]
+                    u, v = u + noise[0], v + noise[1]
                     if not (0 <= u < w and 0 <= v < h):
                         continue
-                    du, dv = step[i, c]
-                    theta = math.atan2(dv, du) % math.pi if has_axis[i, c] else 0.0
+                    du, dv = step_t[i][c]
+                    theta = math.atan2(dv, du) % math.pi if axis_t[i][c] else 0.0
                     area = 20.0 + rng.uniform(-4.0, 4.0)
                     peak = 150.0 + rng.uniform(-30.0, 30.0)
                     ecc = 2.5 + rng.uniform(-0.5, 0.5)
@@ -354,35 +365,45 @@ def render_frame(features: Iterable[Feature] | np.ndarray,
                  sigma: float = 1.5, elongated: bool = False) -> np.ndarray:
     """Paint gaussian blobs onto a constant background. With `elongated`
     the blob is stretched along the feature's orientation by its
-    eccentricity, exercising the orientation/eccentricity moment path."""
+    eccentricity, exercising the orientation/eccentricity moment path.
+
+    A pixel outside every blob's box keeps the background, so the float
+    image is only filled, summed and rounded inside the boxes; the bytes
+    are those of rounding a whole background image with the blobs added
+    in feature order."""
     w, h = image_size
-    img = np.full((h, w), background, dtype=float)
-    feats = features
+    background = np.float64(background)
+    out = np.full((h, w), np.clip(np.rint(background), 0, 255).astype(np.uint8))
     if isinstance(features, np.ndarray):
-        feats = [Feature(u=r[0], v=r[1], u_raw=r[0], v_raw=r[1], area=r[2],
-                         peak=r[3], theta=r[4], ecc=r[5]) for r in features]
-    for f in feats:
-        ecc = max(1.0, min(f.ecc, 6.0)) if elongated else 1.0
-        s_major = sigma * ecc
-        reach = int(math.ceil(4.0 * s_major))
-        x0 = max(0, int(f.u_raw) - reach)
-        x1 = min(w, int(f.u_raw) + reach + 1)
-        y0 = max(0, int(f.v_raw) - reach)
-        y1 = min(h, int(f.v_raw) + reach + 1)
-        if x0 >= x1 or y0 >= y1:
-            continue
-        xs = np.arange(x0, x1) - f.u_raw
-        ys = np.arange(y0, y1) - f.v_raw
-        gx, gy = np.meshgrid(xs, ys)
+        blobs = [(r[0], r[1], r[4], r[5]) for r in features.tolist()]
+    else:
+        blobs = [(f.u_raw, f.v_raw, f.theta, f.ecc) for f in features]
+    img = np.empty((h, w))
+    boxes = []
+    for u, v, theta, ecc in blobs:
+        ecc = max(1.0, min(ecc, 6.0)) if elongated else 1.0
+        reach = int(math.ceil(4.0 * (sigma * ecc)))
+        x0 = max(0, int(u) - reach)
+        x1 = min(w, int(u) + reach + 1)
+        y0 = max(0, int(v) - reach)
+        y1 = min(h, int(v) + reach + 1)
+        if x0 < x1 and y0 < y1:
+            img[y0:y1, x0:x1] = background
+            boxes.append((y0, y1, x0, x1, u, v, theta, ecc))
+    for y0, y1, x0, x1, u, v, theta, ecc in boxes:
+        gx = np.arange(x0, x1)[None, :] - u
+        gy = np.arange(y0, y1)[:, None] - v
         if elongated and ecc > 1.0:
-            c, s = math.cos(f.theta), math.sin(f.theta)
+            c, s = math.cos(theta), math.sin(theta)
             major = gx * c + gy * s
             minor = -gx * s + gy * c
-            e = (major / s_major) ** 2 + (minor / sigma) ** 2
+            e = (major / (sigma * ecc)) ** 2 + (minor / sigma) ** 2
         else:
             e = (gx * gx + gy * gy) / (sigma * sigma)
         img[y0:y1, x0:x1] += amplitude * np.exp(-0.5 * e)
-    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    for y0, y1, x0, x1, *_ in boxes:
+        out[y0:y1, x0:x1] = np.clip(np.rint(img[y0:y1, x0:x1]), 0, 255)
+    return out
 
 
 def render_pgm_frames(out_dir, packets_by_frame: Sequence[Sequence[FramePacket]],

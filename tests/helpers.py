@@ -1,8 +1,21 @@
 """Shared fixtures-by-hand for the test suite: simple synthetic cameras."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from camtrack3d.geometry import CameraModel
+
+
+def checkout_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this checkout's
+    package first, with `extra` variables set."""
+    import camtrack3d
+
+    src = str(Path(camtrack3d.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def look_at_camera(position, target, cam_id="cam", focal=800.0,
@@ -611,3 +624,97 @@ def synthesize_observations_oracle(truths, cameras, spec, n_frames=None,
                                        features=np.array(rows, dtype=float).reshape(-1, 6)))
         frames.append(per_cam)
     return frames
+
+
+def render_frame_oracle(features, image_size, background=20.0, amplitude=200.0,
+                        sigma=1.5, elongated=False):
+    """simharness.render_frame as it was before it rounded only the blob
+    boxes: every blob added into a whole float image through `Feature`
+    objects and meshgrids, then the whole image rounded and clipped."""
+    import math
+
+    from camtrack3d.features import Feature
+
+    w, h = image_size
+    img = np.full((h, w), background, dtype=float)
+    feats = features
+    if isinstance(features, np.ndarray):
+        feats = [Feature(u=r[0], v=r[1], u_raw=r[0], v_raw=r[1], area=r[2],
+                         peak=r[3], theta=r[4], ecc=r[5]) for r in features]
+    for f in feats:
+        ecc = max(1.0, min(f.ecc, 6.0)) if elongated else 1.0
+        s_major = sigma * ecc
+        reach = int(math.ceil(4.0 * s_major))
+        x0 = max(0, int(f.u_raw) - reach)
+        x1 = min(w, int(f.u_raw) + reach + 1)
+        y0 = max(0, int(f.v_raw) - reach)
+        y1 = min(h, int(f.v_raw) + reach + 1)
+        if x0 >= x1 or y0 >= y1:
+            continue
+        xs = np.arange(x0, x1) - f.u_raw
+        ys = np.arange(y0, y1) - f.v_raw
+        gx, gy = np.meshgrid(xs, ys)
+        if elongated and ecc > 1.0:
+            c, s = math.cos(f.theta), math.sin(f.theta)
+            major = gx * c + gy * s
+            minor = -gx * s + gy * c
+            e = (major / s_major) ** 2 + (minor / sigma) ** 2
+        else:
+            e = (gx * gx + gy * gy) / (sigma * sigma)
+        img[y0:y1, x0:x1] += amplitude * np.exp(-0.5 * e)
+    return np.clip(np.rint(img), 0, 255).astype(np.uint8)
+
+
+def simulate_truth_oracle(spec, n_targets, n_frames, maneuver_sigma=0.0, speed=0.15,
+                          crossing=False, margin=0.08, rng=None):
+    """simharness.simulate_truth as it was before it stepped Python floats:
+    each target's position and velocity stepped as numpy 3-vectors, with
+    one 3-vector of velocity noise drawn per frame."""
+    import math
+
+    from camtrack3d.simharness import TruthTrajectory
+
+    def reflect(pos, vel, lo, hi):
+        for k in range(3):
+            if pos[k] < lo[k]:
+                pos[k] = 2 * lo[k] - pos[k]
+                vel[k] = -vel[k]
+            elif pos[k] > hi[k]:
+                pos[k] = 2 * hi[k] - pos[k]
+                vel[k] = -vel[k]
+        return pos, vel
+
+    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    lo, hi = spec.bounds
+    lo = lo + margin
+    hi = hi - margin
+    dt = spec.dt
+    out = []
+    for k in range(n_targets):
+        if crossing:
+            r0 = 0.35 * min(spec.arena[0], spec.arena[1])
+            a = 2.0 * math.pi * k / max(n_targets, 1)
+            zoff = 0.04 * (k - (n_targets - 1) / 2.0)
+            pos = spec.center + np.array([r0 * math.cos(a), r0 * math.sin(a), zoff])
+            goal = spec.center + np.array([0.0, 0.0, zoff])
+            t_mid = max(n_frames // 2, 1)
+            vel = (goal - pos) / (t_mid * dt)
+        else:
+            pos = rng.uniform(lo, hi)
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            vel = direction * speed
+        positions = np.empty((n_frames, 3))
+        velocities = np.empty((n_frames, 3))
+        pos = pos.astype(float).copy()
+        vel = vel.astype(float).copy()
+        for t in range(n_frames):
+            positions[t] = pos
+            velocities[t] = vel
+            if maneuver_sigma > 0:
+                vel = vel + rng.normal(0.0, maneuver_sigma, size=3)
+            pos = pos + vel * dt
+            pos, vel = reflect(pos, vel, lo, hi)
+        out.append(TruthTrajectory(target_id=k, birth=0, positions=positions,
+                                   velocities=velocities))
+    return out

@@ -2,12 +2,11 @@
 modules an earlier test imported cannot hide an eager import."""
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import camtrack3d
+from helpers import checkout_env
 
 # every name the package exported when it imported all its modules eagerly
 EXPORTS = [
@@ -31,11 +30,8 @@ EXPORTS = [
 def _fresh(code: str):
     """Run `code` in a new interpreter that imports this checkout's package
     and return the JSON it prints."""
-    src = str(Path(camtrack3d.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=checkout_env(),
+                         capture_output=True, text=True, timeout=120, check=True)
     return json.loads(out.stdout)
 
 

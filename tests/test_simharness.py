@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camtrack3d.features import BackgroundModel, Frame, extract_features
+from camtrack3d.features import BackgroundModel, Feature, Frame, extract_features
 from camtrack3d.geometry import BehindCamera, CameraModel, PointAtInfinity, project
 from camtrack3d.simharness import (
     PRESETS,
@@ -18,7 +20,11 @@ from camtrack3d.simharness import (
     visible,
     write_truth_csv,
 )
-from helpers import synthesize_observations_oracle
+from helpers import (
+    render_frame_oracle,
+    simulate_truth_oracle,
+    synthesize_observations_oracle,
+)
 
 
 # ------------------------------------------------------------------------- rig
@@ -118,6 +124,53 @@ def test_truth_csv_round_trip(tmp_path):
         assert a.target_id == b.target_id and a.birth == b.birth
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(PRESETS)),
+       n_targets=st.integers(0, 4),
+       n_frames=st.integers(0, 120),
+       maneuver_sigma=st.sampled_from([0.0, 0.01, 0.3]),
+       speed=st.sampled_from([0.0, 0.15, 4.0]),
+       crossing=st.booleans(),
+       margin=st.sampled_from([0.0, 0.08]),
+       seed=st.integers(0, 2**16))
+@example(name="smalltunnel", n_targets=3, n_frames=120, maneuver_sigma=0.0, speed=4.0,
+         crossing=False, margin=0.08, seed=3)
+@example(name="birdroom", n_targets=2, n_frames=0, maneuver_sigma=0.3, speed=0.15,
+         crossing=False, margin=0.08, seed=4)
+@example(name="bigcyl", n_targets=3, n_frames=1, maneuver_sigma=0.01, speed=0.15,
+         crossing=True, margin=0.08, seed=5)
+def test_truth_matches_vector_oracle(name, n_targets, n_frames, maneuver_sigma, speed,
+                                     crossing, margin, seed):
+    spec = preset(name, seed=seed)
+    kw = dict(maneuver_sigma=maneuver_sigma, speed=speed, crossing=crossing,
+              margin=margin)
+    rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = simulate_truth(spec, n_targets, n_frames, rng=rng, **kw)
+    want = simulate_truth_oracle(spec, n_targets, n_frames, rng=rng_oracle, **kw)
+    assert len(got) == len(want) == n_targets
+    for a, b in zip(got, want):
+        assert (a.target_id, a.birth) == (b.target_id, b.birth)
+        assert a.positions.shape == b.positions.shape == (n_frames, 3)
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.velocities.tobytes() == b.velocities.tobytes()
+    # the same number of draws: a shared generator continues identically
+    assert rng.bit_generator.state == rng_oracle.bit_generator.state
+    # and the seeded default generator gives the same trajectories
+    default = simulate_truth(spec, n_targets, n_frames, **kw)
+    assert [t.positions.tobytes() for t in default] \
+        == [t.positions.tobytes() for t in simulate_truth_oracle(spec, n_targets,
+                                                                 n_frames, **kw)]
+
+
+def test_fast_truth_reflects_off_the_walls():
+    # the first explicit example of the oracle property bounces off walls
+    spec = preset("smalltunnel", seed=3)
+    truths = simulate_truth(spec, 3, 120, speed=4.0)
+    flips = sum(int(np.sum(np.diff(np.sign(tr.velocities), axis=0) != 0))
+                for tr in truths)
+    assert flips > 20
 
 
 # ---------------------------------------------------------------- observations
@@ -325,3 +378,47 @@ def test_render_elongated_blob_orientation():
                          model)[0]
     assert f.theta == pytest.approx(0.5, abs=0.05)
     assert f.ecc > 2.0
+
+
+@st.composite
+def _blob_scenes(draw):
+    """An image size and blob rows (u_raw, v_raw, theta, ecc) inside it,
+    across its edges and wholly off it."""
+    w, h = draw(st.sampled_from([(1, 1), (7, 5), (33, 17), (97, 61), (640, 480)]))
+    blob = st.tuples(st.floats(-45.0, w + 45.0), st.floats(-45.0, h + 45.0),
+                     st.floats(0.0, math.pi), st.floats(0.5, 8.0))
+    blobs = draw(st.lists(blob, max_size=6))
+    if blobs and draw(st.booleans()):
+        blobs.append(blobs[0])  # two blobs on the same spot
+    return (w, h), blobs
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=_blob_scenes(),
+       as_features=st.booleans(),
+       background=st.sampled_from([20.0, 0.5, 2.5, 127.5, 254.5, 255.5, -0.5,
+                                   -7.0, 300.0, 0.0]),
+       amplitude=st.sampled_from([200.0, 0.0, -150.0, 1e6, 37.25]),
+       sigma=st.sampled_from([1.5, 0.6, 2.75]),
+       elongated=st.booleans())
+@example(scene=((640, 480), [(320.0, 240.0, 0.5, 4.0), (323.5, 241.0, 2.0, 2.5),
+                             (-20.0, 10.0, 0.0, 3.0), (650.0, 470.5, 1.0, 6.5)]),
+         as_features=False, background=20.0, amplitude=200.0, sigma=1.5, elongated=True)
+@example(scene=((1, 1), [(0.5, 0.5, 0.0, 1.0)]), as_features=True, background=2.5,
+         amplitude=-150.0, sigma=1.5, elongated=False)
+def test_render_frame_matches_whole_image_oracle(scene, as_features, background,
+                                                 amplitude, sigma, elongated):
+    size, blobs = scene
+    rows = np.array([[u, v, 20.0, 150.0, theta, ecc] for u, v, theta, ecc in blobs],
+                    dtype=float).reshape(-1, 6)
+    if as_features:
+        # u, v differ from the raw centroid the blob is drawn at
+        rows = [Feature(u=u + 3.0, v=v - 2.0, u_raw=u, v_raw=v, area=20.0, peak=150.0,
+                        theta=theta, ecc=ecc) for u, v, theta, ecc in blobs]
+    kw = dict(background=background, amplitude=amplitude, sigma=sigma,
+              elongated=elongated)
+    got = render_frame(rows, size, **kw)
+    want = render_frame_oracle(rows, size, **kw)
+    assert got.dtype == want.dtype == np.uint8
+    assert got.shape == want.shape == size[::-1]
+    assert got.tobytes() == want.tobytes()
