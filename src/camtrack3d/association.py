@@ -19,12 +19,13 @@ array operations. Assignment (:func:`assign`), merge prevention
 thresholds. Since the table computes every ray distance anyway, the gates
 no longer save work; ``LikelihoodCounters`` still counts the stages a
 pair-by-pair evaluation would run. The birth search (:func:`spawn_targets`)
-reads the rows no target claimed, triangulates each ray-consistent tuple
-of them once, counts the cameras that see every hypothesis with one
-projection and takes births in one scan of the acceptable hypotheses, best
-first. :func:`feature_likelihood` and :func:`mahalanobis_closest_point`
-compute the same quantities one pair at a time and are the reference the
-table is tested against.
+reads the rows outside the frame's claimed-row mask, tests all pairs of
+their rays at once, triangulates the cliques of that compatibility graph
+in one stacked call per size, counts the cameras that see every
+hypothesis with one projection and takes births in one scan of the
+acceptable hypotheses, best first. :func:`feature_likelihood` and
+:func:`mahalanobis_closest_point` compute the same quantities one pair at
+a time and are the reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ from .geometry import (
     Ray3,
     Rig,
     _T_EPS,
+    line_distances,
     pixel_ray,
+    pixel_rays,
     project,
-    triangulate,
+    triangulate,  # not called here; the traced benchmark wraps it by name
+    triangulate_sets,
 )
 from .tracker import _COND_LIMIT, Targets, TargetState, well_conditioned
 
@@ -97,7 +101,7 @@ class LikelihoodCounters:
 class SpawnStats:
     """Instrumentation for the birth search, summed over its calls."""
 
-    camera_combinations: int = 0      # of cameras holding a usable unclaimed row
+    camera_combinations: int = 0      # the combinations the search covers
     hypotheses_triangulated: int = 0  # each ray-consistent tuple, once
     passes: int = 0                   # one per call
 
@@ -167,14 +171,6 @@ class AssignmentMatrix:
 
     camera_ids: tuple[str, ...]
     columns: dict[int, tuple[int | None, ...]]
-
-    def claimed(self) -> set[tuple[str, int]]:
-        used = set()
-        for col in self.columns.values():
-            for cam_id, idx in zip(self.camera_ids, col):
-                if idx is not None:
-                    used.add((cam_id, idx))
-        return used
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,10 +357,10 @@ def resolve_shared(assignments: AssignmentMatrix, table: PairTable) -> Assignmen
     return replace(assignments, columns=columns)
 
 
-def gate_claimed_features(table: PairTable, gate: GateConfig) -> set[tuple[str, int]]:
-    """Features plausibly explained by an existing target: inside its
-    image-distance gate AND with a back-projected ray passing the target's
-    3D Mahalanobis gate.
+def gate_claimed_features(table: PairTable, gate: GateConfig) -> np.ndarray:
+    """The (N,) mask of the features plausibly explained by an existing
+    target: inside its image-distance gate AND with a back-projected ray
+    passing the target's 3D Mahalanobis gate.
 
     Such features are considered claimed by that prediction even when the
     target selected a different (more likely) feature, so they must not
@@ -373,47 +369,30 @@ def gate_claimed_features(table: PairTable, gate: GateConfig) -> set[tuple[str, 
     keeps the claim local in 3D; a feature that merely projects near a
     distant track along its viewing ray stays available for births.
     """
-    hit = (~(table.dist2d >= gate.dist2d_threshold)
-           & (table.ray_dist <= gate.mahalanobis_gate)).any(axis=0)
-    return table.features.ids(np.flatnonzero(hit))
+    return (~(table.dist2d >= gate.dist2d_threshold)
+            & (table.ray_dist <= gate.mahalanobis_gate)).any(axis=0)
 
 
-def _ray_ray_distance(r1: Ray3, r2: Ray3) -> float:
-    """Minimum Euclidean distance between two lines."""
-    w0 = r1.origin - r2.origin
-    b = float(r1.direction @ r2.direction)
-    d = float(r1.direction @ w0)
-    e = float(r2.direction @ w0)
-    denom = 1.0 - b * b
-    if denom < 1e-12:  # parallel
-        return float(np.linalg.norm(w0 - d * r1.direction))
-    s = (b * e - d) / denom
-    t = (e - b * d) / denom
-    return float(np.linalg.norm(r1.point_at(s) - r2.point_at(t)))
-
-
-def spawn_targets(frame: FrameFeatures, claimed: set[tuple[str, int]], rig: Rig,
+def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
                   gate: GateConfig, frame_number: int, next_id: int,
                   stats: SpawnStats | None = None
                   ) -> tuple[list[TargetState], set[tuple[str, int]]]:
     """Hypothesize new targets from the rows of `frame`, a table over
-    `rig`, that no existing track claimed.
+    `rig`, outside the (N,) mask `claimed` of rows existing tracks claimed.
 
-    Rows named in `claimed` as (camera id, row index) are left out, and so
-    are rows whose pixel ray is degenerate. Two remaining rows of different
+    Rows whose pixel ray is degenerate are left out. Two rows of different
     cameras are compatible when their rays pass closer than
-    ``birth_pair_distance``; each pair is tested once. For every
-    combination of at least ``min_birth_cameras`` of the cameras that hold
-    such rows, the tuples of one row per camera that are pairwise
-    compatible are grown camera by camera and each is triangulated once.
-    A hypothesis is acceptable when its mean reprojection error is below
-    the birth threshold AND it is supported by nearly every camera able to
-    see the hypothesized point (all but `birth_miss_tolerance` of them; a
-    point on the image border counts as seen): with detection thresholds
-    set low a real target is seen by almost all covering cameras, whereas
-    clutter coincidences and mixed-target phantom points muster only two
-    or three consistent rays. The points that pass the error test go
-    through the rig in one projection to count the cameras that see them.
+    ``birth_pair_distance`` (the later row's ray first, since the distance
+    is not bitwise symmetric; a NaN distance counts as compatible). The
+    hypotheses are the cliques of at least ``min_birth_cameras`` rows of
+    this graph, grown row by row; a clique holds one row per camera, since
+    rows of one camera are never compatible. A hypothesis is acceptable
+    when its mean reprojection error is below the birth threshold AND it is
+    supported by nearly every camera able to see the hypothesized point
+    (all but `birth_miss_tolerance` of them; a point on the image border
+    counts as seen): with detection thresholds set low a real target is
+    seen by almost all covering cameras, whereas clutter coincidences and
+    mixed-target phantom points muster only two or three consistent rays.
 
     Births are taken in one scan of the acceptable hypotheses sorted by
     (most cameras, smaller error, lexicographic feature choice): a
@@ -423,59 +402,47 @@ def spawn_targets(frame: FrameFeatures, claimed: set[tuple[str, int]], rig: Rig,
     other features. Returns the new targets and the set of consumed
     (camera id, row index).
 
-    `stats` counts one pass per call, every camera combination enumerated
-    (only cameras with a usable row take part) and every tuple
-    triangulated.
+    All pair distances come from one call, each clique size is
+    triangulated in one stacked call and the cameras seeing the points are
+    counted in one projection; with fewer than two unclaimed rows nothing
+    is computed. `stats` counts one pass per call, the camera combinations
+    covered (``min_birth_cameras`` or more cameras with a usable row) and
+    every clique triangulated.
     """
-    ids, views, rays = [], [], []  # usable rows, camera by camera
-    groups: dict[str, list[int]] = {}
-    for cam in rig.cameras:
-        rows = frame.slices[cam.cam_id]
-        for j in range(rows.stop - rows.start):
-            if (cam.cam_id, j) in claimed:
-                continue
-            uv = frame.rows[rows.start + j, :2]
-            try:
-                rays.append(pixel_ray(cam, uv))
-            except DegenerateGeometry:
-                continue
-            groups.setdefault(cam.cam_id, []).append(len(ids))
-            ids.append((cam.cam_id, j))
-            views.append((cam, uv))
-    # later ray first, since the distance is not bitwise symmetric; a NaN
-    # distance counts as compatible
-    compatible = [set() for _ in ids]
-    for b in range(len(ids)):
-        for a in range(b):
-            if ids[a][0] != ids[b][0] and not (
-                    _ray_ray_distance(rays[b], rays[a]) >= gate.birth_pair_distance):
-                compatible[a].add(b)
-                compatible[b].add(a)
-
-    if stats is not None:
-        stats.passes += 1
-    hypotheses = []  # ((-n_cams, err, feature ids), point) below the error threshold
-    for size in range(max(2, gate.min_birth_cameras), len(groups) + 1):
-        for first, *rest in itertools.combinations(groups.values(), size):
-            if stats is not None:
-                stats.camera_combinations += 1
-            tuples = [((r,), compatible[r]) for r in first]
-            for rows in rest:
-                tuples = [(t + (r,), ok & compatible[r])
-                          for t, ok in tuples for r in rows if r in ok]
-            for t, _ in tuples:
-                if stats is not None:
-                    stats.hypotheses_triangulated += 1
-                try:
-                    point, err = triangulate([views[r] for r in t])
-                except DegenerateGeometry:
-                    continue
-                if err < gate.birth_reprojection_threshold:
-                    hypotheses.append(((-size, err, tuple(ids[r] for r in t)), point))
-    born: list[TargetState] = []
-    used: set[tuple[str, int]] = set()
+    stats = SpawnStats() if stats is None else stats
+    stats.passes += 1
+    rows = np.flatnonzero(~claimed)
+    if len(rows) < 2:
+        return [], set()
+    cams = frame.cam_of[rows]
+    d, usable = pixel_rays(rig.m_inv[cams], frame.rows[rows, :2])
+    rows, cams, d = rows[usable], cams[usable], d[usable]
+    min_size, n_cams = max(2, gate.min_birth_cameras), len(set(cams.tolist()))
+    stats.camera_combinations += sum(math.comb(n_cams, k)
+                                     for k in range(min_size, n_cams + 1))
+    # later[i, j]: usable row j > i is compatible with usable row i
+    a, b = np.triu_indices(len(rows), 1)
+    o = rig.centers[cams]
+    later = np.zeros((len(rows), len(rows)), dtype=bool)
+    far = line_distances(o[b], d[b], o[a], d[a]) >= gate.birth_pair_distance
+    later[a, b] = (cams[a] != cams[b]) & ~far
+    hypotheses = []  # ((-n_cams, err, table rows), point) below the error threshold
+    cliques, grow = np.arange(len(rows))[:, None], later  # grow[i]: rows that extend clique i
+    while grow.any():
+        i, j = grow.nonzero()
+        cliques, grow = np.column_stack([cliques[i], j]), grow[i] & later[j]
+        if (size := cliques.shape[1]) < min_size:
+            continue
+        stats.hypotheses_triangulated += len(cliques)
+        t = rows[cliques]  # table rows
+        found, points, errs = triangulate_sets(rig.P[frame.cam_of[t]], frame.rows[t, :2])
+        keep = errs < gate.birth_reprojection_threshold
+        hypotheses += [((-size, err, tuple(r)), point) for err, r, point in
+                       zip(errs[keep].tolist(), t[found[keep]].tolist(), points[keep])]
     if not hypotheses:
-        return born, used
+        return [], set()
+    born: list[TargetState] = []
+    used: set[int] = set()  # table rows
     # cameras with each point in front of them and inside the image
     x, ok = rig.project([point for _, point in hypotheses])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -491,7 +458,7 @@ def spawn_targets(frame: FrameFeatures, claimed: set[tuple[str, int]], rig: Rig,
                                     mean=np.append(point, [0.0, 0.0, 0.0]),
                                     cov=cov.copy(), frames_since_observation=0,
                                     born_at=frame_number))
-    return born, used
+    return born, frame.ids(np.array(list(used), dtype=int))
 
 
 def cull_targets(targets, gate: GateConfig):

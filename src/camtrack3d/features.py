@@ -277,8 +277,6 @@ def _region_moments(diff, keep, peak):
     sums; numpy sums each contiguous row pairwise, as it sums the row
     alone, so every sum has the bits of its own .sum()."""
     ys, xs = np.nonzero(keep)
-    if not len(xs):  # an infinite peak with moment_fraction 0 keeps none
-        raise ValueError("no pixel kept for the region's moments")
     peak = float(peak)
     rows = np.empty((3, len(xs)))
     w = rows[0]
@@ -395,7 +393,7 @@ def extract_features(frame: Frame, model: BackgroundModel,
         d = np.subtract(pixels[ys, xs], model.mean[ys, xs])
         np.abs(d, out=d)
         peak = d[comp].max()
-        keep = comp & (d >= moment_fraction * peak)
+        keep = comp & ~(d < moment_fraction * peak)  # keeps the peak, even if inf
         u_loc, v_loc, area, peak, theta, ecc = _region_moments(d, keep, peak)
         u_raw = u_loc + xs.start
         v_raw = v_loc + ys.start

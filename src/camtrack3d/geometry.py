@@ -283,69 +283,102 @@ def pixel_ray(cam: CameraModel, p) -> Ray3:
     return Ray3(origin=cam.center.copy(), direction=d / n)
 
 
+def pixel_rays(m_inv, uv) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pixel_ray` of N pixels `uv` (N, 2) at once, each through its
+    camera's signed ``inv(M)`` (N, 3, 3; see :class:`Rig`): the unit
+    directions (N, 3), with the bits of ``pixel_ray(...).direction``, and
+    the (N,) mask of the rays it accepts."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = (m_inv @ np.column_stack([uv, np.ones(len(uv))])[..., None])[..., 0]
+        n = np.sqrt(_dot(d, d))
+        d = d / n[:, None]
+        return d / np.sqrt(_dot(d, d))[:, None], (n >= _T_EPS) & np.isfinite(n)
+
+
+def line_distances(o1, d1, o2, d2) -> np.ndarray:
+    """Minimum distance between the lines through `o1` along `d1` and
+    through `o2` along `d2` (unit directions), row by row over (K, 3)
+    arrays; for nearly parallel lines, from `o2` to the first line."""
+    w0 = o1 - o2
+    b, d, e = _dot(d1, d2)[:, None], _dot(d1, w0)[:, None], _dot(d2, w0)[:, None]
+    denom = 1.0 - b * b
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gap = np.where(denom < 1e-12, w0 - d * d1,
+                       (o1 + (b * e - d) / denom * d1) - (o2 + (e - b * d) / denom * d2))
+        return np.sqrt(_dot(gap, gap))
+
+
+def _dot(a, b) -> np.ndarray:
+    """Row-wise dot products, each with the bits of ``a[i] @ b[i]`` (a
+    stacked matmul; einsum and elementwise sums round differently)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def triangulate(views: Sequence[tuple[CameraModel, tuple[float, float]]]
                 ) -> tuple[np.ndarray, float]:
-    """Recover a 3D point from >= 2 distortion-corrected pixel observations.
-
-    Uses the homogeneous linear method: each view contributes the two
-    cross-product constraints u*P3 - P1 and v*P3 - P2, and the point is the
-    right singular vector of the stacked system with the smallest singular
-    value. Returns (point[m], mean reprojection error [px]).
-
-    Raises DegenerateGeometry when the system is rank deficient (e.g. all
-    camera centers coincide) or the solution lies at infinity.
-    """
-    views = list(views)
-    if len(views) < 2:
+    """Recover a 3D point from >= 2 distortion-corrected pixel observations
+    (:func:`triangulate_sets` of one set). Returns (point [m], mean
+    reprojection error [px]); raises DegenerateGeometry where that finds no
+    point, e.g. when all camera centers coincide."""
+    if len(views := list(views)) < 2:
         raise ValueError("triangulation needs at least two views")
-    rows = []
-    for cam, (u, v) in views:
-        P = cam.projection
-        rows.append(float(u) * P[2] - P[0])
-        rows.append(float(v) * P[2] - P[1])
-    A = np.asarray(rows)
-    norms = np.linalg.norm(A, axis=1)
-    if np.any(norms < _T_EPS):
-        raise DegenerateGeometry("degenerate constraint row")
-    A = A / norms[:, None]
-    _, s, vt = np.linalg.svd(A)
-    if s[2] < 1e-12 * s[0]:
-        raise DegenerateGeometry("design matrix rank deficient (coincident cameras?)")
-    X = vt[-1]
-    if abs(X[3]) < 1e-12 * np.linalg.norm(X):
-        raise DegenerateGeometry("triangulated point at infinity")
-    point = X[:3] / X[3]
-    err = 0.0
-    for cam, (u, v) in views:
-        x = cam.projection @ np.append(point, 1.0)
-        if abs(x[2]) < _T_EPS:
-            raise DegenerateGeometry("reprojection at infinity")
-        err += math.hypot(x[0] / x[2] - u, x[1] / x[2] - v)
-    return point, err / len(views)
+    found, points, errs = triangulate_sets(
+        np.array([[cam.projection for cam, _ in views]]),
+        np.array([[(float(u), float(v)) for _, (u, v) in views]]))
+    if not len(found):
+        raise DegenerateGeometry("no unique finite point (coincident cameras?)")
+    return points[0], float(errs[0])
 
 
-def _normalize_2d(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def triangulate_sets(P, uv) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Triangulate M sets of k views each, from the views' projections `P`
+    (M, k, 3, 4) and distortion-corrected pixels `uv` (M, k, 2).
+
+    Homogeneous linear method: each view contributes the constraints
+    u*P3 - P1 and v*P3 - P2, each normalized, and the point is the right
+    singular vector of the stacked system with the smallest singular value.
+    A set gives no point for a zero or non-finite constraint row, a rank
+    deficient system, or a point or reprojection at infinity. Returns the
+    indices of the sets that give one, their points and their mean
+    reprojection errors. Each set has the bits it has alone: one SVD call
+    and one einsum serve all sets, and each set's errors are summed with
+    ``math.hypot`` in view order (``np.hypot`` rounds differently).
+    """
+    m, k = uv.shape[:2]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        A = (uv[..., None] * P[..., 2:, :] - P[..., :2, :]).reshape(m, 2 * k, 4)
+        norms = np.linalg.norm(A, axis=2)
+        A /= norms[..., None]
+    sets = np.flatnonzero(~(norms < _T_EPS).any(axis=1) & np.isfinite(A).all(axis=(1, 2)))
+    _, s, vt = np.linalg.svd(A[sets])
+    X = vt[:, -1]
+    full = ~(s[:, 2] < 1e-12 * s[:, 0]) & ~(np.abs(X[:, 3]) < 1e-12 * np.sqrt(_dot(X, X)))
+    sets, points = sets[full], X[full, :3] / X[full, 3:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.einsum("mkij,mj->mki", P[sets], np.column_stack([points, np.ones(len(points))]))
+    finite = ~(np.abs(x[..., 2]) < _T_EPS).any(axis=1)
+    sets, points, x = sets[finite], points[finite], x[finite]
+    errs = np.empty(len(sets))
+    du, dv = (x[..., :2] / x[..., 2:] - uv[sets]).transpose(2, 0, 1).tolist()
+    for n, (row_u, row_v) in enumerate(zip(du, dv)):
+        err = 0.0
+        for a, b in zip(row_u, row_v):
+            err += math.hypot(a, b)
+        errs[n] = err / k
+    return sets, points, errs
+
+
+def _normalize(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, dim) points moved to their centroid and scaled to a mean
+    distance of sqrt(dim), and the homogeneous transform that does it."""
     centroid = pts.mean(axis=0)
-    d = np.linalg.norm(pts - centroid, axis=1)
-    rms = d.mean()
-    scale = math.sqrt(2) / rms if rms > _T_EPS else 1.0
-    T = np.array([[scale, 0, -scale * centroid[0]],
-                  [0, scale, -scale * centroid[1]],
-                  [0, 0, 1.0]])
-    n = (pts - centroid) * scale
-    return n, T
-
-
-def _normalize_3d(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    centroid = pts.mean(axis=0)
-    d = np.linalg.norm(pts - centroid, axis=1)
-    rms = d.mean()
-    scale = math.sqrt(3) / rms if rms > _T_EPS else 1.0
-    U = np.eye(4)
-    U[:3, :3] *= scale
-    U[:3, 3] = -scale * centroid
-    n = (pts - centroid) * scale
-    return n, U
+    rms = np.linalg.norm(pts - centroid, axis=1).mean()
+    dim = pts.shape[1]
+    scale = math.sqrt(dim) / rms if rms > _T_EPS else 1.0
+    T = np.eye(dim + 1)
+    T[:dim, :dim] *= scale
+    T[:dim, dim] = -scale * centroid
+    return (pts - centroid) * scale, T
 
 
 def dlt_calibrate(correspondences: Sequence[tuple], cam_id: str = "dlt",
@@ -365,8 +398,8 @@ def dlt_calibrate(correspondences: Sequence[tuple], cam_id: str = "dlt",
         raise InsufficientPoints(f"DLT needs >= 6 correspondences, got {len(pairs)}")
     world = np.asarray([np.asarray(w, dtype=float).ravel() for w, _ in pairs])
     pix = np.asarray([[float(p[0]), float(p[1])] for _, p in pairs])
-    wn, U = _normalize_3d(world)
-    pn, T = _normalize_2d(pix)
+    wn, U = _normalize(world)
+    pn, T = _normalize(pix)
     n = len(pairs)
     A = np.zeros((2 * n, 12))
     for i in range(n):

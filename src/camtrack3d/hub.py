@@ -277,8 +277,8 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     assignments = resolve_shared(assignments, table)
     t = lap("resolve", t)
     # 4: update
-    posteriors, dropped = update(priors, _observations(frame, assignments),
-                                 world.observation, projected)
+    seen, px, assigned = _observations(frame, assignments)
+    posteriors, dropped = update(priors, (seen, px), world.observation, projected)
     stats.singular_drops += len(dropped)
     for tid in dropped:
         log.warning("frame %d target %d: singular innovation, update dropped",
@@ -288,7 +288,8 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     # 5: birth from unclaimed features; a feature counts as claimed when a
     # track selected it OR when it falls inside any track's image gate
     # (else clutter next to a live target seeds a duplicate that fights it)
-    claimed = assignments.claimed() | gate_claimed_features(table, gate)
+    claimed = gate_claimed_features(table, gate)
+    claimed[assigned] = True
     t = lap("claim", t)
     born, birth_features = spawn_targets(frame, claimed, rig, gate, aframe.frame,
                                          world.next_target_id, stats.spawn)
@@ -315,15 +316,16 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
 
 
 def _observations(frame: FrameFeatures, assignments: AssignmentMatrix
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (T, C) mask of the features assigned to each target, by camera,
-    and their (T, C, 2) pixels."""
+    their (T, C, 2) pixels and their rows in `frame`."""
     index = np.array(list(assignments.columns.values()), dtype=float  # None -> NaN
                      ).reshape(len(assignments.columns), len(assignments.camera_ids))
     seen = ~np.isnan(index)
+    rows = (index + frame.starts)[seen].astype(int)
     px = np.zeros(seen.shape + (2,))
-    px[seen] = frame.rows[(index + frame.starts)[seen].astype(int), :2]
-    return seen, px
+    px[seen] = frame.rows[rows, :2]
+    return seen, px, rows
 
 
 def run(source: Iterable[AssembledFrame], world: TrackerWorld,

@@ -100,11 +100,24 @@ def table_of(features_by_camera, targets, cameras):
 
 def spawn_from_rows(rows_by_camera, claimed, cameras, gate, frame_number, next_id,
                     stats=None):
-    """association.spawn_targets of per-camera rows."""
+    """association.spawn_targets of per-camera rows, with the claimed rows
+    named as a set of (camera id, row index)."""
     from camtrack3d.association import spawn_targets
 
     frame, rig = frame_table(rows_by_camera, cameras)
-    return spawn_targets(frame, claimed, rig, gate, frame_number, next_id, stats)
+    return spawn_targets(frame, claimed_mask(frame, claimed), rig, gate, frame_number,
+                         next_id, stats)
+
+
+def claimed_mask(frame, claimed):
+    """The row mask of `frame` that a set of (camera id, row index) names;
+    names of rows the table does not hold are left out."""
+    mask = np.zeros(len(frame.rows), dtype=bool)
+    for cam_id, j in claimed:
+        rows = frame.slices.get(cam_id)
+        if rows is not None and j < rows.stop - rows.start:
+            mask[rows.start + j] = True
+    return mask
 
 
 def unclaimed_rows(unclaimed_by_camera):
@@ -521,8 +534,6 @@ def _consistent_tuples_oracle(combo, pool, ray_of, gate):
     """Depth-first enumeration of one-feature-per-camera choices over a
     camera combination, pruning pairs whose back-projected rays pass
     farther apart than the birth consistency distance."""
-    from camtrack3d.association import _ray_ray_distance
-
     combo = list(combo)
 
     def grow(level, chosen):
@@ -537,7 +548,7 @@ def _consistent_tuples_oracle(combo, pool, ray_of, gate):
             ok = True
             for pcam, pidx in chosen:
                 pray = ray_of(pcam, pidx)
-                if pray is None or _ray_ray_distance(ray, pray) >= gate.birth_pair_distance:
+                if pray is None or ray_ray_distance(ray, pray) >= gate.birth_pair_distance:
                     ok = False
                     break
             if ok:
@@ -546,6 +557,55 @@ def _consistent_tuples_oracle(combo, pool, ray_of, gate):
                 chosen.pop()
 
     yield from grow(0, [])
+
+
+def ray_ray_distance(r1, r2) -> float:
+    """Minimum Euclidean distance between two lines, given as Ray3: the
+    scalar reference for geometry.line_distances."""
+    w0 = r1.origin - r2.origin
+    b = float(r1.direction @ r2.direction)
+    d = float(r1.direction @ w0)
+    e = float(r2.direction @ w0)
+    denom = 1.0 - b * b
+    if denom < 1e-12:  # parallel
+        return float(np.linalg.norm(w0 - d * r1.direction))
+    s = (b * e - d) / denom
+    t = (e - b * d) / denom
+    return float(np.linalg.norm(r1.point_at(s) - r2.point_at(t)))
+
+
+def triangulate_oracle(views):
+    """The one-set triangulation that geometry.triangulate_sets replaced:
+    rows built in a loop, one SVD, reprojection view by view. Raises
+    DegenerateGeometry where it finds no point."""
+    import math
+
+    from camtrack3d.geometry import _T_EPS, DegenerateGeometry
+
+    rows = []
+    for cam, (u, v) in views:
+        P = cam.projection
+        rows.append(float(u) * P[2] - P[0])
+        rows.append(float(v) * P[2] - P[1])
+    A = np.asarray(rows)
+    norms = np.linalg.norm(A, axis=1)
+    if np.any(norms < _T_EPS):
+        raise DegenerateGeometry("degenerate constraint row")
+    A = A / norms[:, None]
+    _, s, vt = np.linalg.svd(A)
+    if s[2] < 1e-12 * s[0]:
+        raise DegenerateGeometry("design matrix rank deficient")
+    X = vt[-1]
+    if abs(X[3]) < 1e-12 * np.linalg.norm(X):
+        raise DegenerateGeometry("triangulated point at infinity")
+    point = X[:3] / X[3]
+    err = 0.0
+    for cam, (u, v) in views:
+        x = cam.projection @ np.append(point, 1.0)
+        if abs(x[2]) < _T_EPS:
+            raise DegenerateGeometry("reprojection at infinity")
+        err += math.hypot(x[0] / x[2] - u, x[1] / x[2] - v)
+    return point, err / len(views)
 
 
 def _axis_angle_oracle(cam, pos, vel):

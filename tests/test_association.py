@@ -213,7 +213,9 @@ def test_pair_table_matches_scalar_likelihood(frame):
                 assert (q > 0) == (p > 0), (i, cam.cam_id, j, p, q)
                 assert q == pytest.approx(p, rel=1e-12, abs=0.0)
     assert kernel_counts == scalar_counts
-    assert (gate_claimed_features(table, GATE)
+    claimed = gate_claimed_features(table, GATE)
+    assert claimed.shape == (len(table.features.rows),)
+    assert (table.features.ids(np.flatnonzero(claimed))
             == gate_claimed_features_oracle(feats, targets, cams, GATE))
 
 
@@ -223,7 +225,7 @@ def test_pair_table_empty_frame():
     assert table.dist2d.shape == (1, 0)
     am = assign(pair_table_of({}, [target_at([0.0, 0.0, 0.3])], cams), GATE)
     assert am.columns == {0: (None, None)}
-    assert gate_claimed_features(pair_table_of({}, [], cams), GATE) == set()
+    assert gate_claimed_features(pair_table_of({}, [], cams), GATE).shape == (0,)
 
 
 # ---------------------------------------------------------------------- assign
@@ -392,8 +394,8 @@ def test_spawn_from_consistent_triple():
 
 
 def test_spawn_enumerates_all_camera_combinations():
-    # 3 cameras with mutually inconsistent clutter: C(3,2)+C(3,3) == 4
-    # combinations are enumerated in the single pass and nothing spawns
+    # 3 cameras with mutually inconsistent clutter: the single pass covers
+    # C(3,2)+C(3,3) == 4 combinations and nothing spawns
     cams = ring_of_cameras(3)
     gate = GateConfig()
     rng = np.random.default_rng(79)
@@ -508,6 +510,25 @@ def test_spawn_needs_min_cameras():
     unclaimed = {cams[0].cam_id: [(0, make_feature(*project(cams[0], X)))]}
     born, used = spawn_from_rows(unclaimed_rows(unclaimed), set(), cams, gate, 0, 0)
     assert born == []
+
+
+def test_spawn_on_fewer_than_two_unclaimed_rows_does_no_array_work(monkeypatch):
+    # most frames of a tracked scene leave nothing to search: such a frame
+    # counts its pass and returns before back-projecting anything
+    import camtrack3d.association as association
+
+    def fail(*args):
+        raise AssertionError("array work on a frame with nothing to search")
+
+    monkeypatch.setattr(association, "pixel_rays", fail)
+    monkeypatch.setattr(association, "triangulate_sets", fail)
+    cams = ring_of_cameras(3)
+    rows = {c.cam_id: np.array([[100.0, 100.0, 20.0, 150.0, 0.0, 2.0]]) for c in cams}
+    stats = SpawnStats()
+    for frame_rows, claimed in [({}, set()), (rows, {(c.cam_id, 0) for c in cams}),
+                                (rows, {(c.cam_id, 0) for c in cams[1:]})]:
+        assert spawn_from_rows(frame_rows, claimed, cams, GateConfig(), 0, 0, stats) == ([], set())
+    assert stats == SpawnStats(passes=3)
 
 
 @st.composite

@@ -29,7 +29,7 @@ from camtrack3d.features import (
     write_features_jsonl,
     write_pgm,
 )
-from camtrack3d.geometry import CameraModel
+from camtrack3d.geometry import CameraModel, Rig
 from camtrack3d.simharness import (
     generate_rig,
     preset,
@@ -185,6 +185,31 @@ def test_moment_fraction_outside_unit_interval_is_rejected(fraction):
     model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=20.0)
     with pytest.raises(ValueError, match="moment_fraction"):
         extract_features(frame_with(px), model, moment_fraction=fraction)
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+def test_infinite_model_mean_gives_a_feature_the_hub_drops(fraction):
+    # 0 * inf is NaN: a keep test of d >= fraction * peak kept no pixel at
+    # fraction 0 and raised, while other fractions gave a NaN feature
+    from camtrack3d.hub import RunStats, _frame_features
+    from camtrack3d.netproto import AssembledFrame
+
+    px = np.zeros((8, 8), dtype=np.uint8)
+    px[3:5, 3:5] = 200
+    mean = np.zeros(px.shape)
+    mean[3:5, 3:5] = math.inf
+    model = BackgroundModel(mean=mean, variance=np.full(px.shape, 25.0),
+                            difference_threshold=20.0)
+    with np.errstate(invalid="ignore"):
+        feats = extract_features(frame_with(px), model, moment_fraction=fraction)
+    assert len(feats) == 1 and not np.isfinite(feats[0].as_row()).all()
+    cam = CameraModel(projection=np.hstack([np.eye(3), np.zeros((3, 1))]), cam_id="c0",
+                      image_size=(8, 8))
+    stats = RunStats()
+    frame = _frame_features(AssembledFrame(frame=0, features_by_camera={
+        "c0": np.array([f.as_row() for f in feats])}, complete=True, latency=0.0,
+        timestamp_us=0), Rig([cam]), stats)
+    assert len(frame.rows) == 0 and stats.nonfinite_rows == 1
 
 
 def test_translation_equivariance():

@@ -1,8 +1,11 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camtrack3d.geometry import (
     BehindCamera,
@@ -11,19 +14,29 @@ from camtrack3d.geometry import (
     DegenerateGeometry,
     InsufficientPoints,
     PointAtInfinity,
+    Rig,
     apply_distortion,
     body_axis,
     correct_distortion,
     dehomogenize,
     dlt_calibrate,
+    line_distances,
     load_calibration,
     normalized_projection,
     pixel_ray,
+    pixel_rays,
     project,
     save_calibration,
     triangulate,
+    triangulate_sets,
 )
-from helpers import look_at_camera, point_to_ray_distance, ring_of_cameras
+from helpers import (
+    look_at_camera,
+    point_to_ray_distance,
+    ray_ray_distance,
+    ring_of_cameras,
+    triangulate_oracle,
+)
 
 IDENTITY_P = np.hstack([np.eye(3), np.zeros((3, 1))])
 
@@ -214,6 +227,122 @@ def test_triangulate_baseline_collapse_never_improves():
 
 
 # ------------------------------------------------------------------- pixel_ray
+
+@st.composite
+def view_sets(draw):
+    """M sets of k views of random cameras: noisy projections of a point or
+    pure clutter, plus the degenerate cases (a zero constraint row, the
+    same camera twice, a point at infinity, an overflowing pixel)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, k = draw(st.integers(1, 6)), draw(st.integers(2, 6))
+    P, uv = np.empty((m, k, 3, 4)), np.empty((m, k, 2))
+    for i in range(m):
+        cams = []
+        for _ in range(k):
+            pos = rng.normal(size=3)
+            cams.append(look_at_camera(rng.uniform(1.0, 3.0) * pos / np.linalg.norm(pos),
+                                       rng.uniform(-0.2, 0.2, 3), focal=rng.uniform(400, 1200)))
+        P[i] = [c.projection for c in cams]
+        X = rng.uniform(-0.3, 0.3, 3)
+        uv[i] = [np.array(project(c, X)) + rng.normal(0, 1.0, 2) for c in cams]
+        case = rng.integers(6)
+        if case == 0:  # clutter
+            uv[i] = rng.uniform([0, 0], [640, 480], size=(k, 2))
+        elif case == 1:  # u * P3 - P1 is exactly zero
+            P[i, 0, 0] = uv[i, 0, 0] * P[i, 0, 2]
+        elif case == 2:  # every view is the same camera and pixel
+            P[i], uv[i] = P[i, :1], uv[i, :1]
+        elif case == 3:  # the rays are parallel: they meet at infinity
+            x = P[i, :, :, :3] @ rng.normal(size=3)
+            uv[i] = x[:, :2] / x[:, 2:]
+        elif case == 4:
+            uv[i, 0, 0] = 1e308
+    return P, uv
+
+
+@settings(max_examples=200, deadline=None)
+@given(view_sets())
+def test_triangulate_sets_matches_one_set_at_a_time(sets):
+    # the stacked kernel gives every set the bits of the one-set method,
+    # and rejects the sets it rejects
+    P, uv = sets
+    found, points, errs = triangulate_sets(P, uv)
+    assert points.shape == (len(found), 3) and errs.shape == (len(found),)
+    got = {i: (p.tobytes(), e) for i, p, e in zip(found.tolist(), points, errs.tolist())}
+    for i in range(len(P)):
+        views = [(SimpleNamespace(projection=p), tuple(x)) for p, x in zip(P[i], uv[i])]
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = triangulate_oracle(views)
+        except (DegenerateGeometry, np.linalg.LinAlgError):
+            assert i not in got
+            with pytest.raises(DegenerateGeometry):
+                triangulate(views)
+            continue
+        assert got[i] == (want[0].tobytes(), want[1])
+        point, err = triangulate(views)
+        assert (point.tobytes(), err) == (want[0].tobytes(), want[1])
+
+
+def test_triangulate_sets_error_bits_on_many_noisy_sets():
+    # np.hypot differs from math.hypot in about one pixel offset of 200,
+    # so summing errors with it shows here, if rarely in the property above
+    rng = np.random.default_rng(17)
+    cams = ring_of_cameras(5)
+    P = np.array([c.projection for c in cams])
+    X = rng.uniform(-0.3, 0.3, size=(2000, 3))
+    uv = np.array([[project(c, x) for c in cams] for x in X]) + rng.normal(0, 1.0, (2000, 5, 2))
+    found, points, errs = triangulate_sets(np.broadcast_to(P, (2000, 5, 3, 4)), uv)
+    assert found.tolist() == list(range(2000))
+    for i in range(2000):
+        want = triangulate_oracle(list(zip(cams, uv[i])))
+        assert (points[i].tobytes(), errs[i]) == (want[0].tobytes(), want[1])
+
+
+def test_triangulate_sets_of_no_sets():
+    found, points, errs = triangulate_sets(np.empty((0, 3, 3, 4)), np.empty((0, 3, 2)))
+    assert points.shape == (0, 3) and errs.shape == found.shape == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pixel_rays_and_line_distances_match_scalar(seed):
+    # stacked back-projection and pair distances give the bits of
+    # pixel_ray and the scalar line distance, degenerate and parallel
+    # rays included
+    rng = np.random.default_rng(seed)
+    cams = []
+    for k in range(rng.integers(1, 5)):
+        pos = rng.normal(size=3)
+        cams.append(look_at_camera(rng.uniform(1.0, 3.0) * pos / np.linalg.norm(pos),
+                                   rng.uniform(-0.2, 0.2, 3), cam_id=f"c{k}",
+                                   focal=rng.uniform(400, 1200)))
+    rig = Rig(cams)
+    n = int(rng.integers(1, 12))
+    cam_of = rng.integers(len(cams), size=n)
+    uv = rng.uniform([0, 0], [640, 480], size=(n, 2))
+    repeat = rng.random(n) < 0.2  # the same pixel again: a parallel pair
+    uv[1:][repeat[1:]], cam_of[1:][repeat[1:]] = uv[:-1][repeat[1:]], cam_of[:-1][repeat[1:]]
+    bad = rng.random(n) < 0.15
+    uv[bad] = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=(np.count_nonzero(bad), 2))
+    d, ok = pixel_rays(rig.m_inv[cam_of], uv)
+    rays = []
+    for i in range(n):
+        try:
+            rays.append(pixel_ray(rig.cameras[cam_of[i]], uv[i]))
+        except DegenerateGeometry:
+            rays.append(None)
+    assert ok.tolist() == [r is not None for r in rays]
+    good = np.flatnonzero(ok)
+    for i in good:
+        assert d[i].tobytes() == rays[i].direction.tobytes()
+    a, b = np.triu_indices(len(good), 1)
+    a, b = good[a], good[b]
+    o = rig.centers[cam_of]
+    got = line_distances(o[b], d[b], o[a], d[a])
+    want = [ray_ray_distance(rays[j], rays[i]) for i, j in zip(a, b)]
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+
 
 def test_pixel_ray_principal_ray():
     ray = pixel_ray(identity_camera(), (0.0, 0.0))

@@ -330,8 +330,10 @@ def test_every_feature_used_at_most_once_per_frame():
         for ev in events:
             # a feature either feeds a track update or a birth hypothesis,
             # never both
-            claimed = ev.assignments.claimed()
-            assert not (claimed & ev.birth_features)
+            am = ev.assignments
+            assigned = {(cam_id, idx) for col in am.columns.values()
+                        for cam_id, idx in zip(am.camera_ids, col) if idx is not None}
+            assert not (assigned & ev.birth_features)
             # and no two targets hold identical non-null columns
             nonnull = [col for col in ev.assignments.columns.values()
                        if any(i is not None for i in col)]
@@ -481,9 +483,9 @@ def test_bigcyl_birth_search_digest_is_recorded_value():
 
 
 def test_birth_search_work_is_bounded_on_criterion_5_scene():
-    # The birth search enumerates combinations only of the cameras that
-    # hold an unclaimed row, once per frame: at most every combination of
-    # two or more of the 11 cameras (2036) in any frame, and far fewer on
+    # The birth search covers the combinations of the cameras that hold
+    # an unclaimed row, once per frame: at most every combination of two
+    # or more of the 11 cameras (2036) in any frame, and far fewer on
     # average, since most frames leave only a few cameras with a row.
     spec = preset("bigcyl", seed=105, clutter_rate=1.0, detection_prob=0.95)
     cams = generate_rig(spec)

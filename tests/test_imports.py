@@ -1,9 +1,11 @@
 """What a fresh process loads: each check runs in its own interpreter, so
 modules an earlier test imported cannot hide an eager import."""
 
+import ast
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import camtrack3d
 from helpers import checkout_env
@@ -56,3 +58,27 @@ def test_every_former_export_resolves():
                      " if not hasattr(camtrack3d, n)]))")
     assert missing == []
     assert set(EXPORTS) <= set(camtrack3d.__all__) <= set(dir(camtrack3d))
+
+
+# (module, name) imported and never used, each with the reason it stays
+UNUSED_IMPORTS = {
+    ("hub", "feature_from_row"): "bench/tracing.py wraps hub.feature_from_row by name",
+    ("association", "triangulate"): "bench/tracing.py wraps association.triangulate by name",
+}
+
+
+def test_every_imported_name_is_used():
+    # code nothing calls is deleted, and an import nothing reads is the
+    # first sign of it; the allowed exceptions are listed above
+    unused = set()
+    for path in sorted(Path(camtrack3d.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == set(UNUSED_IMPORTS)
