@@ -225,10 +225,25 @@ class PairTable:
         return self.features.slices
 
 
-def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected) -> PairTable:
+def position_terms(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
+    """The pair table's per-target terms, which read no feature: the (T,)
+    mask of the position covariances that are finite with condition at
+    most 1e12, and their inverses (T, 3, 3), zero where not."""
+    cov = targets.covs[:, :3, :3]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cov_ok = np.isfinite(cov).all(axis=(1, 2))
+        cov_ok[cov_ok] = well_conditioned(cov[cov_ok])
+        s_inv = np.zeros_like(cov)
+        s_inv[cov_ok] = np.linalg.inv(cov[cov_ok])
+    return cov_ok, s_inv
+
+
+def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
+               terms=None) -> PairTable:
     """Back-project every feature of `frame` (a table over `rig`) and score
     every pair with `targets`, whose positions `projected` is
-    ``rig.project`` of, in one pass over the frame.
+    ``rig.project`` of, in one pass over the frame. `terms` is
+    :func:`position_terms` of `targets` if the caller has it.
 
     Per pair this is what :func:`project`, :func:`pixel_ray` and
     :func:`mahalanobis_closest_point` compute one call at a time, with the
@@ -251,7 +266,8 @@ def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected) -> P
                          dist2d=np.full((n_t, n_f), np.inf),
                          ray_dist=np.full((n_t, n_f), np.inf))
     uva, cam_of = frame.rows[:, :3], frame.cam_of
-    pos, cov = targets.means[:, :3], targets.covs[:, :3, :3]
+    pos = targets.means[:, :3]
+    cov_ok, s_inv = position_terms(targets) if terms is None else terms
     # targets through every camera: (T, C, 3) homogeneous image points
     x, seen = projected
     visible = seen[:, cam_of]
@@ -268,12 +284,6 @@ def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected) -> P
         norm = np.linalg.norm(d, axis=1)
         ray_ok = ~(norm < _T_EPS)
         d = d / norm[:, None]
-
-        # per target: the inverse position covariance, when usable
-        cov_ok = np.isfinite(cov).all(axis=(1, 2))
-        cov_ok[cov_ok] = well_conditioned(cov[cov_ok])
-        s_inv = np.zeros_like(cov)
-        s_inv[cov_ok] = np.linalg.inv(cov[cov_ok])
 
         # every pair: w (T, N, 3) with its along-ray part removed
         w = pos[:, None, :] - rig.centers[cam_of]

@@ -13,7 +13,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +68,24 @@ def _tracking_world(cfg, cameras) -> hub.TrackerWorld:
     return hub.TrackerWorld(process=pm, observation=om, gate=gate)
 
 
+@contextmanager
+def _stop_on_signal():
+    """An event that SIGINT or SIGTERM sets while the block runs, in place
+    of their default actions (in the main thread; elsewhere it is never
+    set)."""
+    stop = threading.Event()
+    if threading.current_thread() is not threading.main_thread():
+        yield stop
+        return
+    signals = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(s, lambda *_: stop.set()) for s in signals]
+    try:
+        yield stop
+    finally:
+        for s, handler in zip(signals, previous):
+            signal.signal(s, handler)
+
+
 def _cmd_track(args) -> int:
     cameras = geometry.load_calibration(args.calibration)
     cfg = cfgmod.load_config(args.config) if args.config else {}
@@ -77,11 +98,13 @@ def _cmd_track(args) -> int:
         asm = FrameAssembler(camera_ids=[c.cam_id for c in cameras],
                              wait_budget=wait_budget)
 
-        def frames():
+        def frames(stop):
             # the wait budget is only consulted while the input queue is
             # actually dry, so a lagging consumer never mistakes its own
-            # queueing delay for camera loss
-            while True:
+            # queueing delay for camera loss; the stream ends when every
+            # camera has disconnected or on SIGINT/SIGTERM, and either way
+            # the frames still pending are flushed and processed
+            while not stop.is_set():
                 try:
                     item = listener.get(timeout=0.02)
                 except EOFError:
@@ -94,8 +117,9 @@ def _cmd_track(args) -> int:
             yield from asm.finish()
 
         try:
-            stats = hub.run(frames(), world, trajectory_path=args.out,
-                            dump_assignments_path=args.dump_assignments)
+            with _stop_on_signal() as stop:
+                stats = hub.run(frames(stop), world, trajectory_path=args.out,
+                                dump_assignments_path=args.dump_assignments)
         finally:
             listener.stop()
         transport = {**asm.counters(), **listener.counters()}

@@ -1,7 +1,7 @@
 """The central tracking loop: per assembled frame, predict every target,
 associate features, resolve shared assignments, update, spawn new targets
-from unclaimed features and cull lost ones. Each stage is one call per
-frame over all of the frame's targets.
+from unclaimed features and cull lost ones. Each stage works on all of
+the frame's targets at once.
 
 The frame state is stacked from ingress to trajectory row. At ingress the
 cameras' (n, 6) float rows become one
@@ -13,6 +13,18 @@ rig once; every (target, camera, feature) pair is scored once into an
 :class:`~camtrack3d.association.PairTable`, which assignment, merge
 resolution and the gate-claim test read, and the update's Jacobians reuse
 the projection. ``RunStats.stages`` sums the time of each stage.
+
+Most of a frame's filter work reads no measurement: the priors, their
+projection, the pair table's per-target terms and, for each target, the
+EKF gain step (Jacobians, predicted pixels, gain and posterior
+covariance). :func:`run` makes them with :func:`prepare` in the idle gap
+after a frame's rows are written and flushed and before it asks for the
+next frame, for the camera set each target was updated with in its last
+frame (every camera in front of it, for a target the last frame did not
+update). The next frame uses them while the world's targets and models
+are the objects they were made from; any target whose cameras differ, and
+a frame with nothing prepared, computes them on demand with the same
+code, so the output bits do not depend on what was prepared.
 
 Processing is single-threaded and deterministic: identical assembled-frame
 sequences and configuration produce bit-identical trajectory output.
@@ -41,6 +53,7 @@ from .association import (
     cull_targets,
     gate_claimed_features,
     pair_table,
+    position_terms,
     resolve_shared,
     spawn_targets,
 )
@@ -50,6 +63,7 @@ from .geometry import Rig
 from .metrics import latency_percentiles
 from .netproto import AssembledFrame
 from .tracker import (
+    Gains,
     ObservationModel,
     ProcessModel,
     Targets,
@@ -67,7 +81,8 @@ class StageTimes:
     """Seconds spent in each stage of the frame loop, summed over frames:
     ingress (the feature table), predict, score (projection and pair
     table), assign, resolve, update, claim (the claimed features), spawn
-    and cull."""
+    and cull, then prepare (:func:`prepare`, between frames). Predict,
+    score and update are mostly lookups when the frame was prepared."""
 
     ingress: float = 0.0
     predict: float = 0.0
@@ -78,6 +93,7 @@ class StageTimes:
     claim: float = 0.0
     spawn: float = 0.0
     cull: float = 0.0
+    prepare: float = 0.0
 
     def lap(self, stage: str, since: float) -> float:
         """Add the time from `since` to now to `stage`; returns now."""
@@ -88,6 +104,12 @@ class StageTimes:
 
 @dataclass
 class RunStats:
+    """Counters and times of a run. ``latencies`` holds each frame's time
+    from receipt (or the start of its processing) to its last stage; it
+    and the frame stages exclude ``stages.prepare``, the work done between
+    frames, so ``stages.prepare`` plus the frame stages is the hub's CPU
+    time per frame."""
+
     frames: int = 0
     births: int = 0
     deaths: int = 0
@@ -138,6 +160,10 @@ class TrackerWorld:
     # a frame past the death horizon and its receipt time, waiting for the
     # next frame (see process_frame)
     held: tuple[AssembledFrame, float | None] | None = None
+    # the (C,) mask of the cameras each target the last frame updated was
+    # updated with, by target id (read by prepare)
+    updated_with: dict[int, np.ndarray] = field(default_factory=dict)
+    prepared: Prepared | None = None  # made by prepare for the next frame
 
     @property
     def targets(self) -> list[TargetState]:
@@ -147,6 +173,50 @@ class TrackerWorld:
 
     def live_posteriors(self) -> list[TargetState]:
         return self.targets
+
+
+@dataclass(frozen=True, eq=False)
+class Prepared:
+    """What the next frame computes before reading its features, made from
+    `live` under `process` and `observation`: the priors, their
+    projection through the rig, the pair table's per-target terms and the
+    EKF gain steps."""
+
+    live: Targets
+    process: ProcessModel
+    observation: ObservationModel
+    priors: Targets
+    projected: tuple[np.ndarray, np.ndarray]
+    terms: tuple[np.ndarray, np.ndarray]
+    gains: Gains
+
+    def fits(self, world: TrackerWorld) -> bool:
+        """Whether these are still the world's targets and models."""
+        return (self.live is world.live and self.process is world.process
+                and self.observation is world.observation)
+
+
+def prepare(world: TrackerWorld) -> None:
+    """Make the next frame's priors, their projection, the pair table's
+    per-target terms and each target's EKF gain step from the world's
+    live targets alone, and keep them in ``world.prepared``. The gain step
+    is made for the cameras the target was updated with in the last frame
+    (every camera in front of it, for a target that frame did not update).
+    Timed into ``RunStats.stages.prepare``; nothing is redone while the
+    world is unchanged (a frame held past the death horizon)."""
+    if world.prepared is not None and world.prepared.fits(world):
+        return
+    t = time.perf_counter()
+    live, om = world.live, world.observation
+    priors = predict(live, world.process)
+    projected = om.rig.project(priors.means[:, :3])
+    cameras = np.ones((len(live), len(om.cameras)), dtype=bool)
+    for i, tid in enumerate(live.ids.tolist()):
+        if tid in world.updated_with:
+            cameras[i] = world.updated_with[tid]
+    world.prepared = Prepared(live, world.process, om, priors, projected,
+                              position_terms(priors), Gains.of(priors, cameras, om, projected))
+    world.stats.stages.lap("prepare", t)
 
 
 def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameFeatures:
@@ -261,14 +331,20 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     frame = _frame_features(aframe, rig, stats)
     t = lap("ingress", t)
 
-    # 1: predict
-    priors = predict(world.live, world.process)
+    # 1: predict, unless prepared from these very targets and models
+    prep, world.prepared = world.prepared, None
+    if prep is not None and prep.fits(world):
+        priors, projected, terms, gains = prep.priors, prep.projected, prep.terms, prep.gains
+    else:
+        priors = predict(world.live, world.process)
+        projected, terms, gains = None, None, None
     t = lap("predict", t)
     # the priors through every camera, once, for the pair table and the
     # update's Jacobians; every (target, camera, feature) pair is scored
     # once for steps 2, 3 and 5
-    projected = rig.project(priors.means[:, :3])
-    table = pair_table(frame, priors, rig, projected)
+    if projected is None:
+        projected = rig.project(priors.means[:, :3])
+    table = pair_table(frame, priors, rig, projected, terms)
     t = lap("score", t)
     # 2: associate
     assignments = assign(table, gate, stats.likelihood)
@@ -278,7 +354,10 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     t = lap("resolve", t)
     # 4: update
     seen, px, assigned = _observations(frame, assignments)
-    posteriors, dropped = update(priors, (seen, px), world.observation, projected)
+    posteriors, dropped = update(priors, (seen, px), world.observation, projected, gains)
+    updated = posteriors.missed == 0
+    world.updated_with = dict(zip(posteriors.ids[updated].tolist(),
+                                  (seen & projected[1])[updated]))
     stats.singular_drops += len(dropped)
     for tid in dropped:
         log.warning("frame %d target %d: singular innovation, update dropped",
@@ -332,7 +411,9 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
         trajectory_path=None, dump_assignments_path=None) -> RunStats:
     """Drive :func:`process_frame` over a stream of assembled frames,
     writing the trajectory CSV as frames complete (each row is flushed
-    before the next frame is processed)."""
+    before the next frame is processed). After a frame's rows are flushed
+    and before the next frame is asked for, :func:`prepare` makes what the
+    next frame needs that reads no feature."""
     writer = TrajectoryWriter(trajectory_path) if trajectory_path is not None else None
     dump = open(dump_assignments_path, "w") if dump_assignments_path else None
     try:
@@ -346,6 +427,7 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
                     dump.write(json.dumps({"frame": ev.frame, "assignments": cols,
                                            "births": ev.births,
                                            "deaths": ev.deaths}) + "\n")
+            prepare(world)
         if world.held is not None:  # nothing came after it to confirm it
             world.held = None
             world.stats.gap_drops += 1

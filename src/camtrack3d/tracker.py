@@ -11,6 +11,13 @@ of :class:`TargetState` is stacked, stepped and returned as states) with
 the same bits as one filter step per target: each product is a stacked
 ``matmul``, which calls the same BLAS routine per target that the 2D
 product calls, and each factorization is the same LAPACK call.
+
+The update is split at the measurement. Its gain step (Jacobians,
+predicted pixels, the keep or drop decision, gain and posterior
+covariance) depends only on the prior and the target's camera set, so it
+can be made before the frame arrives (:class:`Gains`, :func:`gain_steps`);
+:func:`update` then adds ``K (y - h)`` to each prior mean and makes only
+the gain steps it was not given.
 """
 
 from __future__ import annotations
@@ -220,13 +227,14 @@ def observation_jacobian(mean, cams: Sequence[CameraModel]) -> np.ndarray:
     return _observe(mean, cams)[1]
 
 
-def _kalman_stack(means, P, C, y, h, r_px):
-    """One EKF measurement update of each of G targets with n stacked
-    pixel observations: means (G, 6), covariances P (G, 6, 6), Jacobians C
-    (G, n, 6), observations y and predictions h (G, n). Returns the (G,)
-    mask of the updates kept and their posterior means and covariances;
-    an update is dropped when the innovation covariance S is not finite,
-    its condition number exceeds 1e12, or it is not positive definite."""
+def _gain(P, C, r_px):
+    """The half of one EKF measurement update that reads no measurement,
+    of each of G targets with n stacked pixel observations: covariances P
+    (G, 6, 6) and Jacobians C (G, n, 6). Returns the (G,) mask of the
+    updates kept and their gains (g, 6, n) and posterior covariances
+    (g, 6, 6); an update is dropped when the innovation covariance S is
+    not finite, its condition number exceeds 1e12, or it is not positive
+    definite."""
     R = np.eye(C.shape[1]) * r_px
     CP = C @ P
     S = CP @ C.transpose(0, 2, 1) + R
@@ -244,17 +252,85 @@ def _kalman_stack(means, P, C, y, h, r_px):
         else:
             K[g] = lapack.dpotrs(c, CP[g], lower=0)[0].T  # P C^T S^-1
     if not good.all():
-        K, C, P, means, y, h = K[good], C[good], P[good], means[good], y[good], h[good]
-    mean = means + (K @ (y - h)[:, :, None])[:, :, 0]
+        K, C, P = K[good], C[good], P[good]
     IKC = np.eye(6) - K @ C
     cov = clamp_psd(IKC @ P @ IKC.transpose(0, 2, 1) + K @ R @ K.transpose(0, 2, 1))
-    return good, mean, cov
+    return good, K, cov
 
 
-def update(priors, observations, om: ObservationModel, projected=None):
+@dataclass(frozen=True, eq=False)
+class GainStep:
+    """The measurement-free half of the update of G targets that use m
+    cameras each: their rows (G,) in the priors, camera columns (G, m)
+    and predicted pixels (G, 2m), which updates are kept (G,), and the
+    gains (g, 6, 2m) and posterior covariances (g, 6, 6) of the g kept
+    ones."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    h: np.ndarray
+    kept: np.ndarray
+    K: np.ndarray
+    cov: np.ndarray
+
+    def take(self, mask) -> GainStep:
+        """The step of the targets the (G,) `mask` selects."""
+        k = mask[self.kept]
+        return GainStep(self.rows[mask], self.cols[mask], self.h[mask], self.kept[mask],
+                        self.K[k], self.cov[k])
+
+
+def gain_steps(priors: Targets, use, om: ObservationModel, x) -> list[GainStep]:
+    """The gain steps of the targets of `priors` through the cameras of
+    the (T, C) mask `use` of ``om.cameras``, where `x` (T, C, 3) is the
+    priors' projection. Targets are grouped by their number of cameras, so
+    that each group's innovation covariances stack; a target with no
+    camera has no step."""
+    counts = np.count_nonzero(use, axis=1)
+    steps = []
+    for m in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == m)
+        cols = np.nonzero(use[rows])[1].reshape(len(rows), m)
+        pred, C = _linearize(x[rows[:, None], cols], om.rig.P[cols])
+        kept, K, cov = _gain(priors.covs[rows], C.reshape(len(rows), 2 * m, 6), om.r_px)
+        steps.append(GainStep(rows, cols, pred.reshape(len(rows), 2 * m), kept, K, cov))
+    return steps
+
+
+@dataclass(frozen=True, eq=False)
+class Gains:
+    """Gain steps made before the measurements arrive: for each target of
+    `priors`, the step through the cameras of its row of `use` (T, C).
+    :func:`update` looks a target up by its row and camera mask, and only
+    for these very `priors` and `om`."""
+
+    priors: Targets
+    om: ObservationModel
+    use: np.ndarray
+    steps: list[GainStep]
+
+    @classmethod
+    def of(cls, priors: Targets, cameras, om: ObservationModel, projected) -> Gains:
+        """The gain steps of `priors` through the cameras of the (T, C)
+        guess `cameras` that project them (``projected`` is
+        ``om.rig.project`` of the prior positions)."""
+        x, ok = projected
+        use = cameras & ok
+        return cls(priors, om, use, gain_steps(priors, use, om, x))
+
+    def lookup(self, use) -> tuple[np.ndarray, list[GainStep]]:
+        """The (T,) mask of the targets whose step is for their row of
+        `use`, and those steps."""
+        hit = (self.use == use).all(axis=1)
+        if hit.all():
+            return hit, self.steps
+        return hit, [step.take(hit[step.rows]) for step in self.steps]
+
+
+def update(priors, observations, om: ObservationModel, projected=None, gains=None):
     """Measurement update of every target of a frame. Returns the
     posteriors and the ids of the targets whose update was dropped because
-    the innovation covariance is singular (see :func:`_kalman_stack`).
+    the innovation covariance is singular (see :func:`_gain`).
 
     For a :class:`Targets` stack, `observations` is the (T, C) mask of the
     ``om.cameras`` that observed each target and the (T, C, 2) pixels, and
@@ -262,6 +338,14 @@ def update(priors, observations, om: ObservationModel, projected=None):
     has it. For a list of states, ``observations[i]`` lists target i's
     ``(camera, (u, v))``, each camera one of ``om.cameras`` (the same
     object, at most once; else ValueError).
+
+    Each update is split at the measurement: a gain step (:func:`_gain`:
+    Jacobians, predicted pixels, the keep or drop decision, the gain K and
+    the posterior covariance) that reads no measurement, then
+    ``mean = prior + K (y - h)``. `gains`, a :class:`Gains` of these
+    `priors` and `om` made before the frame, supplies the gain step of
+    every target it holds for the target's camera mask; the others are
+    computed here, stacked by group, with the same bits.
 
     A target with no observation, one whose prior position no observing
     camera can project (behind it), and a dropped one keep the prior and
@@ -286,20 +370,19 @@ def update(priors, observations, om: ObservationModel, projected=None):
     seen, px = observations
     x, ok = om.rig.project(priors.means[:, :3]) if projected is None else projected
     use = seen & ok
-    counts = np.count_nonzero(use, axis=1)
+    if gains is not None and gains.priors is priors and gains.om is om:
+        hit, steps = gains.lookup(use)
+        steps = steps + gain_steps(priors, use & ~hit[:, None], om, x)
+    else:
+        steps = gain_steps(priors, use, om, x)
     means, covs, missed = priors.means.copy(), priors.covs.copy(), priors.missed + 1
     dropped = []
-    # targets grouped by their number of usable cameras, so that each
-    # group's innovation covariances stack
-    for m in sorted(set(counts.tolist()) - {0}):
-        index = np.flatnonzero(counts == m)
-        at = (index[:, None], np.nonzero(use[index])[1].reshape(len(index), m))
-        pred, rows = _linearize(x[at], om.rig.P[at[1]])
-        good, mean, cov = _kalman_stack(
-            priors.means[index], priors.covs[index], rows.reshape(len(index), 2 * m, 6),
-            px[at].reshape(len(index), 2 * m), pred.reshape(len(index), 2 * m), om.r_px)
-        means[index[good]], covs[index[good]], missed[index[good]] = mean, cov, 0
-        dropped += index[~good].tolist()
+    for step in steps:
+        rows, h = step.rows[step.kept], step.h[step.kept]
+        innovation = px[rows[:, None], step.cols[step.kept]].reshape(h.shape) - h
+        means[rows] = priors.means[rows] + (step.K @ innovation[:, :, None])[:, :, 0]
+        covs[rows], missed[rows] = step.cov, 0
+        dropped += step.rows[~step.kept].tolist()
     return (Targets(priors.ids, means, covs, missed, priors.born_at),
             priors.ids[sorted(dropped)].tolist())
 

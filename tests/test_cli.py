@@ -1,6 +1,11 @@
 import csv
 import json
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +13,7 @@ import pytest
 from camtrack3d.cli import main
 from camtrack3d.geometry import BehindCamera, load_calibration, project
 from camtrack3d.simharness import generate_rig, preset
-from helpers import look_at_camera
+from helpers import checkout_env, look_at_camera
 
 
 def test_simulate_then_track_then_report(tmp_path, capsys):
@@ -239,3 +244,54 @@ def test_track_over_tcp_reports_transport_counters(tmp_path, capsys):
         assert summary["frames"] == 20
         assert summary["likelihood_dist2d_evals"] > 0
         assert summary["spawn_passes"] > 0
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
+def test_live_track_ends_cleanly_on_signal(tmp_path, signum):
+    # one camera connection stays open, and the last frame waits in the
+    # assembler for a camera that never reports (the wait budget is long):
+    # a signal ends the run, the pending frame is processed, and the
+    # trajectory and the summary are written
+    from camtrack3d.netproto import write_packet
+    from camtrack3d.simharness import simulate_truth, synthesize_observations
+    from camtrack3d.tracker import read_trajectory_csv
+
+    spec = preset("smalltunnel", seed=13, pixel_noise=0.5)
+    generate_rig(spec, calibration_path=tmp_path / "rig.cal")
+    cams = load_calibration(tmp_path / "rig.cal")
+    truths = simulate_truth(spec, 1, 20, maneuver_sigma=0.0, speed=0.05)
+    packets = synthesize_observations(truths, cams, spec)
+    (tmp_path / "run.cfg").write_text("wait_budget = 600\n")
+    traj, stats_path = tmp_path / "traj.csv", tmp_path / "stats.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "camtrack3d.cli", "track", "--config", str(tmp_path / "run.cfg"),
+         "--features", "0", "--calibration", str(tmp_path / "rig.cal"),
+         "--out", str(traj), "--stats-out", str(stats_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env())
+    try:
+        port = int(proc.stderr.readline().decode().split()[-1])  # "listening on port N"
+        with socket.create_connection(("127.0.0.1", port)) as sock:
+            for per_cam in packets[:-1]:
+                for p in per_cam:
+                    write_packet(sock, p)
+            for p in packets[-1][:-1]:
+                write_packet(sock, p)
+            deadline = time.monotonic() + 60
+            while not (traj.exists() and "\n18," in traj.read_text()):
+                assert time.monotonic() < deadline and proc.poll() is None
+                time.sleep(0.02)
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err.decode()
+    assert sorted(read_trajectory_csv(traj)) == list(range(20))
+    printed = json.loads(out.decode().strip().splitlines()[-1])
+    saved = json.loads(stats_path.read_text())
+    for summary in (printed, saved):
+        assert summary["frames"] == 20
+        assert summary["partial"] == 1 and summary["late"] == 0
+        assert summary["stage_prepare_s"] > 0
+    assert len(saved["latencies"]) == 20

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import importlib
 import importlib.util
+import io
 import math
 import sys
 import time
@@ -21,6 +22,7 @@ from camtrack3d.hub import (
     assembled_frames_from_records,
     death_horizon,
     packets_to_assembled,
+    prepare,
     process_frame,
     run,
 )
@@ -31,7 +33,14 @@ from camtrack3d.simharness import (
     simulate_truth,
     synthesize_observations,
 )
-from camtrack3d.tracker import ObservationModel, ProcessModel, TargetState, predict
+from camtrack3d.tracker import (
+    Gains,
+    ObservationModel,
+    ProcessModel,
+    TargetState,
+    TrajectoryWriter,
+    predict,
+)
 from helpers import ring_of_cameras
 
 
@@ -219,10 +228,11 @@ def test_stage_times_sum_within_frame_latencies():
     stats = run(frames, world)
     stages = dataclasses.asdict(stats.stages)
     assert list(stages) == ["ingress", "predict", "score", "assign", "resolve",
-                            "update", "claim", "spawn", "cull"]
+                            "update", "claim", "spawn", "cull", "prepare"]
     # every stage runs on every frame
     assert all(seconds > 0 for seconds in stages.values()), stages
-    assert sum(stages.values()) <= sum(stats.latencies)
+    # the latencies cover the frame stages; prepare runs between frames
+    assert sum(v for k, v in stages.items() if k != "prepare") <= sum(stats.latencies)
     summary = stats.summary()
     assert {k: summary[f"stage_{k}_s"] for k in stages} == stages
 
@@ -435,6 +445,140 @@ def test_arbitrary_rows_never_raise(tracked_two_targets, rows):
     process_frame(world, after)
     for t in world.targets:
         assert np.all(np.isfinite(t.mean)) and np.all(np.isfinite(t.cov))
+
+
+# ------------------------------------------------- prepared frames
+
+def counters(stats):
+    return {k: v for k, v in stats.summary().items()
+            if not k.startswith(("stage_", "latency_"))}
+
+
+@pytest.fixture
+def memo_hits(monkeypatch):
+    """Counts the updates :meth:`Gains.lookup` serves, and those it is asked for."""
+    counts = {"hits": 0, "updates": 0, "calls": 0}
+    lookup = Gains.lookup
+
+    def counted(self, use):
+        hit, steps = lookup(self, use)
+        counts["calls"] += 1
+        observed = use.any(axis=1)
+        counts["hits"] += int(np.count_nonzero(hit & observed))
+        counts["updates"] += int(np.count_nonzero(observed))
+        return hit, steps
+
+    monkeypatch.setattr(Gains, "lookup", counted)
+    return counts
+
+
+def cluttered_smalltunnel():
+    spec = preset("smalltunnel", seed=7, clutter_rate=1.0, detection_prob=0.95)
+    cams = generate_rig(spec)
+    truths = simulate_truth(spec, 3, 300)
+    return cams, spec.fps, packets_to_assembled(synthesize_observations(truths, cams, spec),
+                                                spec.n_cameras)
+
+
+def bigcyl_seed_21():
+    # the scene of test_bigcyl_birth_search_digest_is_recorded_value
+    spec = preset("bigcyl", seed=21, clutter_rate=1.0, detection_prob=0.95)
+    cams = generate_rig(spec)
+    truths = simulate_truth(spec, 3, 90, crossing=True)
+    return cams, spec.fps, packets_to_assembled(synthesize_observations(truths, cams, spec),
+                                                spec.n_cameras)
+
+
+def with_gaps(kept):
+    def scene():
+        spec, cams, truths, frames = noiseless_scene(n_frames=112)
+        return cams, spec.fps, [frames[i] for i in kept]
+    return scene
+
+
+@pytest.mark.parametrize("scene", [
+    cluttered_smalltunnel, bigcyl_seed_21,
+    with_gaps([*range(5), 8, 9]),  # a gap predicted through
+    with_gaps([*range(5), *range(101, 112)]),  # held past the death horizon
+], ids=["smalltunnel-clutter", "bigcyl-21", "gap", "held"])
+def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits):
+    cams, fps, frames = scene()
+    prepared = io.StringIO()
+    stats = run(frames, make_world(cams, fps), trajectory_path=prepared)
+    assert memo_hits["hits"] > 0
+    assert stats.stages.prepare > 0
+    served = dict(memo_hits)
+    world = make_world(cams, fps)
+    bare = io.StringIO()
+    writer = TrajectoryWriter(bare)
+    for af in frames:
+        for ev in process_frame(world, af):
+            writer.write_frame(ev.frame, ev.targets)
+    assert memo_hits == served  # nothing prepared, nothing looked up
+    assert world.held is None and world.stats.stages.prepare == 0
+    assert prepared.getvalue() == bare.getvalue()
+    assert counters(stats) == counters(world.stats)
+
+
+def frame_result(world, af):
+    events = process_frame(world, af)
+    return [(ev.frame, ev.births, ev.deaths, ev.targets.ids.tobytes(),
+             ev.targets.means.tobytes(), ev.targets.covs.tobytes()) for ev in events]
+
+
+@pytest.mark.parametrize("change", ["replace live", "rescale live", "new observation model",
+                                    "new process model", "deepcopy", "deepcopy shared"])
+def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, memo_hits):
+    spec, cams, truths, frames = noiseless_scene(n_targets=2, n_frames=12)
+    world = make_world(cams, spec.fps)
+    for af in frames[:10]:
+        process_frame(world, af)
+    fresh = copy.deepcopy(world)
+    prepare(world)
+    assert world.prepared.fits(world)
+    if change == "replace live":  # the same values in a new stack
+        world.live = dataclasses.replace(world.live)
+    elif change == "rescale live":
+        world.live = dataclasses.replace(world.live, covs=world.live.covs * 4.0)
+    elif change == "new observation model":
+        world.observation = ObservationModel(cameras=cams, r_px=4.0)
+    elif change == "new process model":
+        world.process = ProcessModel(dt=2.0 / spec.fps)
+    elif change == "deepcopy":
+        world = copy.deepcopy(world)
+    else:  # as the benchmark copies a world: its models shared
+        world = copy.deepcopy(world, {id(world.process): world.process,
+                                      id(world.observation): world.observation,
+                                      id(world.gate): world.gate})
+    for name in ("live", "observation", "process"):
+        setattr(fresh, name, getattr(world, name))
+    used = change.startswith("deepcopy")
+    assert world.prepared.fits(world) == used
+    got = frame_result(world, frames[10])
+    assert (memo_hits["hits"] > 0) == used
+    assert got == frame_result(fresh, frames[10])
+    assert world.prepared is None
+    assert frame_result(world, frames[11]) == frame_result(fresh, frames[11])
+
+
+@pytest.mark.parametrize("skip", [3, 20])
+def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, memo_hits):
+    # the prepared priors are for the next processed frame, whatever its
+    # number: the first frame predicted through the gap (or, past the
+    # death horizon, the held frame's successor) uses them
+    spec, cams, truths, frames = noiseless_scene(n_frames=40)
+    world = make_world(cams, spec.fps)
+    for af in frames[:5]:
+        process_frame(world, af)
+    fresh = copy.deepcopy(world)
+    prepare(world)
+    later = frames[4 + skip:4 + skip + 2]
+    first, second = frame_result(world, later[0]), frame_result(world, later[1])
+    assert (first, second) == (frame_result(fresh, later[0]), frame_result(fresh, later[1]))
+    assert (first == []) == (skip > death_horizon(world))  # held for the next frame
+    assert (first + second)[0][0] == 5
+    # looked up once, by frame 5, which observes nothing
+    assert memo_hits == {"hits": 0, "updates": 0, "calls": 1}
 
 
 # ------------------------------------------------------------ determinism

@@ -10,12 +10,14 @@ from hypothesis import strategies as st
 from camtrack3d.association import GateConfig, cull_targets
 from camtrack3d.geometry import BehindCamera, PointAtInfinity, project, triangulate
 from camtrack3d.tracker import (
+    Gains,
     ObservationModel,
     ProcessModel,
     Targets,
     TargetState,
     TrajectoryWriter,
     extrapolate,
+    gain_steps,
     observation_function,
     observation_jacobian,
     predict,
@@ -473,6 +475,86 @@ def test_frame_ekf_matches_per_target_oracle_bit_for_bit(frame):
     want_kept, want_removed = cull_targets_oracle(posteriors, gate)
     assert [t.target_id for t in kept] == [t.target_id for t in want_kept]
     assert [t.target_id for t in removed] == [t.target_id for t in want_removed]
+
+
+def observation_arrays(observations, om):
+    """The (T, C) mask of the cameras of ``om`` that observed each target
+    and the (T, C, 2) pixels, from per-target ``(camera, (u, v))`` lists."""
+    seen = np.zeros((len(observations), len(om.cameras)), dtype=bool)
+    px = np.zeros(seen.shape + (2,))
+    for i, obs in enumerate(observations):
+        for cam, uv in obs:
+            k = om.rig.column[cam.cam_id]
+            seen[i, k], px[i, k] = True, uv
+    return seen, px
+
+
+def assert_same_stack(got, want):
+    for name in ("ids", "means", "covs", "missed", "born_at"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+GUESSES = ("right", "wrong", "subset", "superset", "none", "all")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ekf_frames(), st.data())
+def test_update_with_prepared_gains_matches_update_without(frame, data):
+    # a gain step made before the measurements, for any guess of each
+    # target's cameras, gives the bits of the step made from them; a memo
+    # of other priors or another observation model is not used
+    pm, om, states, observations = frame
+    priors = predict(Targets.of(states), pm)
+    seen, px = observation_arrays(observations, om)
+    projected = om.rig.project(priors.means[:, :3])
+    want, want_dropped = update(priors, (seen, px), om, projected)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    other = rng.random(seen.shape) < 0.5
+    kinds = data.draw(st.lists(st.sampled_from(GUESSES), min_size=len(states),
+                               max_size=len(states)))
+    cameras = np.array([{"right": s, "wrong": o, "subset": s & o, "superset": s | o,
+                         "none": np.zeros_like(s), "all": np.ones_like(s)}[kind]
+                        for kind, s, o in zip(kinds, seen, other)], dtype=bool
+                       ).reshape(seen.shape)
+    gains = Gains.of(priors, cameras, om, projected)
+    stale_priors = predict(priors, pm)
+    memos = [gains,
+             Gains.of(stale_priors, cameras, om,
+                      om.rig.project(stale_priors.means[:, :3])),  # last frame's
+             Gains.of(priors.take(slice(None)), cameras, om, projected),  # a copy's
+             Gains.of(priors, cameras, ObservationModel(om.cameras, om.r_px * 2),
+                      projected)]
+    for memo in memos:
+        got, got_dropped = update(priors, (seen, px), om, projected, memo)
+        assert got_dropped == want_dropped
+        assert_same_stack(got, want)
+    # a right guess is looked up for every observed target
+    hit, _ = Gains.of(priors, seen, om, projected).lookup(seen & projected[1])
+    assert hit.all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ekf_frames())
+def test_gain_step_alone_equals_the_same_target_in_a_stack(frame):
+    pm, om, states, observations = frame
+    priors = predict(Targets.of(states), pm)
+    seen, _ = observation_arrays(observations, om)
+    x, ok = om.rig.project(priors.means[:, :3])
+    use = seen & ok
+    stacked = {int(r): (step, j) for step in gain_steps(priors, use, om, x)
+               for j, r in enumerate(step.rows)}
+    assert set(stacked) == set(np.flatnonzero(use.any(axis=1)).tolist())
+    for i, (step, j) in stacked.items():
+        alone = np.zeros_like(use)
+        alone[i] = use[i]
+        (one,) = gain_steps(priors, alone, om, x)
+        assert one.rows.tolist() == [i]
+        assert one.cols.tobytes() == step.cols[j:j + 1].tobytes()
+        assert one.h.tobytes() == step.h[j:j + 1].tobytes()
+        assert one.kept.tolist() == [bool(step.kept[j])]
+        k = int(np.count_nonzero(step.kept[:j]))
+        assert one.K.tobytes() == step.K[k:k + one.kept.sum()].tobytes()
+        assert one.cov.tobytes() == step.cov[k:k + one.kept.sum()].tobytes()
 
 
 def test_update_singular_rule_at_condition_limit_matches_oracle():
