@@ -53,7 +53,7 @@ from .geometry import (
     triangulate,  # not called here; the traced benchmark wraps it by name
     triangulate_sets,
 )
-from .tracker import _COND_LIMIT, Targets, TargetState, well_conditioned
+from .tracker import _COND_LIMIT, Targets, TargetState, by_value, well_conditioned
 
 _NO_ROWS = np.empty((0, 6))  # a camera that reported no features
 
@@ -453,12 +453,8 @@ def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
         return [], set()
     born: list[TargetState] = []
     used: set[int] = set()  # table rows
-    # cameras with each point in front of them and inside the image
-    x, ok = rig.project([point for _, point in hypotheses])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u, v = x[..., 0] / x[..., 2], x[..., 1] / x[..., 2]
-    w, h = rig.size.T
-    viewing = np.count_nonzero(ok & (0 <= u) & (u <= w) & (0 <= v) & (v <= h), axis=1)
+    viewing = np.count_nonzero(rig.viewing(rig.project([point for _, point in hypotheses])),
+                               axis=1)
     cov = np.diag([gate.sigma_birth**2] * 3 + [gate.sigma_vbirth**2] * 3)
     for (key, point), n in sorted(zip(hypotheses, viewing.tolist()),
                                   key=lambda hyp: hyp[0][0]):
@@ -471,13 +467,24 @@ def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
     return born, frame.ids(np.array(list(used), dtype=int))
 
 
-def cull_targets(targets, gate: GateConfig):
+def largest_position_variance(covs) -> np.ndarray:
+    """The largest eigenvalue of the position block of each covariance of
+    the (T, 6, 6) stack `covs`: what :func:`cull_targets` compares with
+    the death threshold."""
+    return np.linalg.eigvalsh(covs[:, :3, :3])[:, -1]
+
+
+def cull_targets(targets, gate: GateConfig, variances=None):
     """Split targets into (kept, removed): removed when the largest
     eigenvalue of the position covariance block exceeds the death
     threshold. Takes a :class:`~camtrack3d.tracker.Targets` stack and
-    returns two, or a list of states and returns two lists of them."""
+    returns two, or a list of states and returns two lists of them.
+    `variances` maps covariances (:func:`~camtrack3d.tracker.cov_keys`)
+    to their :func:`largest_position_variance`, made earlier; the others
+    are computed here."""
     stack = targets if isinstance(targets, Targets) else Targets.of(targets)
-    dead = np.linalg.eigvalsh(stack.covs[:, :3, :3])[:, -1] > gate.death_covariance_threshold
+    largest = by_value(stack.covs, variances, largest_position_variance)
+    dead = np.asarray(largest, dtype=float) > gate.death_covariance_threshold
     if stack is not targets:
         return ([t for t, d in zip(targets, dead) if not d],
                 [t for t, d in zip(targets, dead) if d])

@@ -222,6 +222,15 @@ class Rig:
         """:func:`project_points` of `points` through the rig's cameras."""
         return _project(self.P, self.front, points)
 
+    def viewing(self, projected) -> np.ndarray:
+        """The (T, C) mask of the cameras that have each point of
+        `projected`, a :meth:`project` result, in front of them and inside
+        their image (a point on the image border counts as inside)."""
+        x, ok = projected
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pixels = x[..., :2] / x[..., 2:]
+        return ok & ((0 <= pixels) & (pixels <= self.size)).all(axis=-1)
+
 
 def apply_distortion(cam: CameraModel, ideal) -> tuple[float, float]:
     """Map an ideal pixel to the observed (distorted) pixel."""

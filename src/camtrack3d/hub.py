@@ -14,17 +14,20 @@ rig once; every (target, camera, feature) pair is scored once into an
 resolution and the gate-claim test read, and the update's Jacobians reuse
 the projection. ``RunStats.stages`` sums the time of each stage.
 
-Most of a frame's filter work reads no measurement: the priors, their
-projection, the pair table's per-target terms and, for each target, the
-EKF gain step (Jacobians, predicted pixels, gain and posterior
-covariance). :func:`run` makes them with :func:`prepare` in the idle gap
-after a frame's rows are written and flushed and before it asks for the
-next frame, for the camera set each target was updated with in its last
-frame (every camera in front of it, for a target the last frame did not
-update). The next frame uses them while the world's targets and models
-are the objects they were made from; any target whose cameras differ, and
-a frame with nothing prepared, computes them on demand with the same
-code, so the output bits do not depend on what was prepared.
+Most of a frame's work reads no feature: the priors, their projection,
+the pair table's per-target terms and, for each target, the EKF gain step
+(Jacobians, predicted pixels, gain and posterior covariance), then the
+death test and the trajectory-row text of that posterior covariance.
+:func:`run` makes them with :func:`prepare` in the idle gap after a
+frame's rows are written and flushed and before it asks for the next
+frame. The gain step is made for a guess of the target's cameras: those
+that have its predicted position in front of them and inside their image.
+The next frame uses the steps while the world's targets and models are
+the objects they were made from, and finds the death tests and the text
+by the covariance's bytes; any target whose cameras differ from the guess,
+a born or missed target, and a frame with nothing prepared compute them
+on demand with the same code, so the output bits do not depend on what
+was prepared.
 
 Processing is single-threaded and deterministic: identical assembled-frame
 sequences and configuration produce bit-identical trajectory output.
@@ -52,6 +55,7 @@ from .association import (
     assign,
     cull_targets,
     gate_claimed_features,
+    largest_position_variance,
     pair_table,
     position_terms,
     resolve_shared,
@@ -69,6 +73,9 @@ from .tracker import (
     Targets,
     TargetState,
     TrajectoryWriter,
+    UpdateCounters,
+    cov_keys,
+    covariance_text,
     predict,
     update,
 )
@@ -82,7 +89,8 @@ class StageTimes:
     ingress (the feature table), predict, score (projection and pair
     table), assign, resolve, update, claim (the claimed features), spawn
     and cull, then prepare (:func:`prepare`, between frames). Predict,
-    score and update are mostly lookups when the frame was prepared."""
+    score, update and cull are mostly lookups when the frame was
+    prepared."""
 
     ingress: float = 0.0
     predict: float = 0.0
@@ -108,7 +116,8 @@ class RunStats:
     from receipt (or the start of its processing) to its last stage; it
     and the frame stages exclude ``stages.prepare``, the work done between
     frames, so ``stages.prepare`` plus the frame stages is the hub's CPU
-    time per frame."""
+    time per frame. ``updates`` counts the updates whose gain step was
+    prepared, and those made on demand."""
 
     frames: int = 0
     births: int = 0
@@ -119,6 +128,7 @@ class RunStats:
     latencies: list = field(default_factory=list)
     likelihood: LikelihoodCounters = field(default_factory=LikelihoodCounters)
     spawn: SpawnStats = field(default_factory=SpawnStats)
+    updates: UpdateCounters = field(default_factory=UpdateCounters)
     stages: StageTimes = field(default_factory=StageTimes)
 
     def latency_percentiles(self) -> dict[str, float]:
@@ -130,6 +140,7 @@ class RunStats:
                "nonfinite_rows": self.nonfinite_rows, "gap_drops": self.gap_drops}
         out.update({f"likelihood_{k}": v for k, v in asdict(self.likelihood).items()})
         out.update({f"spawn_{k}": v for k, v in asdict(self.spawn).items()})
+        out.update({f"updates_{k}": v for k, v in asdict(self.updates).items()})
         out.update({f"stage_{k}_s": v for k, v in asdict(self.stages).items()})
         out.update({f"latency_{k}": v for k, v in self.latency_percentiles().items()})
         return out
@@ -144,6 +155,8 @@ class FrameEvents:
     targets: Targets  # the live targets this frame left, in id order
     assignments: AssignmentMatrix | None = None
     birth_features: set = field(default_factory=set)  # (cam_id, index) consumed
+    # covariance_text prepared for this frame, by cov_keys (see prepare)
+    cov_text: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -160,9 +173,6 @@ class TrackerWorld:
     # a frame past the death horizon and its receipt time, waiting for the
     # next frame (see process_frame)
     held: tuple[AssembledFrame, float | None] | None = None
-    # the (C,) mask of the cameras each target the last frame updated was
-    # updated with, by target id (read by prepare)
-    updated_with: dict[int, np.ndarray] = field(default_factory=dict)
     prepared: Prepared | None = None  # made by prepare for the next frame
 
     @property
@@ -179,8 +189,11 @@ class TrackerWorld:
 class Prepared:
     """What the next frame computes before reading its features, made from
     `live` under `process` and `observation`: the priors, their
-    projection through the rig, the pair table's per-target terms and the
-    EKF gain steps."""
+    projection through the rig, the pair table's per-target terms, the
+    EKF gain steps for the guessed cameras and, by the bytes of each
+    step's posterior covariance (:func:`~camtrack3d.tracker.cov_keys`),
+    its :func:`~camtrack3d.association.largest_position_variance` and its
+    :func:`~camtrack3d.tracker.covariance_text`."""
 
     live: Targets
     process: ProcessModel
@@ -189,6 +202,8 @@ class Prepared:
     projected: tuple[np.ndarray, np.ndarray]
     terms: tuple[np.ndarray, np.ndarray]
     gains: Gains
+    variances: dict[bytes, float]
+    cov_text: dict[bytes, str]
 
     def fits(self, world: TrackerWorld) -> bool:
         """Whether these are still the world's targets and models."""
@@ -199,23 +214,28 @@ class Prepared:
 def prepare(world: TrackerWorld) -> None:
     """Make the next frame's priors, their projection, the pair table's
     per-target terms and each target's EKF gain step from the world's
-    live targets alone, and keep them in ``world.prepared``. The gain step
-    is made for the cameras the target was updated with in the last frame
-    (every camera in front of it, for a target that frame did not update).
-    Timed into ``RunStats.stages.prepare``; nothing is redone while the
-    world is unchanged (a frame held past the death horizon)."""
+    live targets alone, then the death test's variance and the trajectory
+    row's covariance text of each step's posterior covariance, and keep
+    them in ``world.prepared``. The gain step is made for the cameras that
+    have the target's predicted position in front of them and inside their
+    image, the cameras likely to see it. Timed into
+    ``RunStats.stages.prepare``; nothing is redone while the world is
+    unchanged (a frame held past the death horizon)."""
     if world.prepared is not None and world.prepared.fits(world):
         return
     t = time.perf_counter()
     live, om = world.live, world.observation
     priors = predict(live, world.process)
     projected = om.rig.project(priors.means[:, :3])
-    cameras = np.ones((len(live), len(om.cameras)), dtype=bool)
-    for i, tid in enumerate(live.ids.tolist()):
-        if tid in world.updated_with:
-            cameras[i] = world.updated_with[tid]
+    gains = Gains.of(priors, om.rig.viewing(projected), om, projected)
+    variances, cov_text = {}, {}
+    if gains.steps:
+        covs = np.concatenate([step.cov for step in gains.steps])
+        keys = cov_keys(covs)
+        variances = dict(zip(keys, largest_position_variance(covs).tolist()))
+        cov_text = dict(zip(keys, covariance_text(covs)))
     world.prepared = Prepared(live, world.process, om, priors, projected,
-                              position_terms(priors), Gains.of(priors, cameras, om, projected))
+                              position_terms(priors), gains, variances, cov_text)
     world.stats.stages.lap("prepare", t)
 
 
@@ -335,9 +355,10 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     prep, world.prepared = world.prepared, None
     if prep is not None and prep.fits(world):
         priors, projected, terms, gains = prep.priors, prep.projected, prep.terms, prep.gains
+        variances, cov_text = prep.variances, prep.cov_text
     else:
         priors = predict(world.live, world.process)
-        projected, terms, gains = None, None, None
+        projected, terms, gains, variances, cov_text = None, None, None, {}, {}
     t = lap("predict", t)
     # the priors through every camera, once, for the pair table and the
     # update's Jacobians; every (target, camera, feature) pair is scored
@@ -354,10 +375,8 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     t = lap("resolve", t)
     # 4: update
     seen, px, assigned = _observations(frame, assignments)
-    posteriors, dropped = update(priors, (seen, px), world.observation, projected, gains)
-    updated = posteriors.missed == 0
-    world.updated_with = dict(zip(posteriors.ids[updated].tolist(),
-                                  (seen & projected[1])[updated]))
+    posteriors, dropped = update(priors, (seen, px), world.observation, projected, gains,
+                                 stats.updates)
     stats.singular_drops += len(dropped)
     for tid in dropped:
         log.warning("frame %d target %d: singular innovation, update dropped",
@@ -375,7 +394,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     world.next_target_id += len(born)
     t = lap("spawn", t)
     # 6: death by covariance threshold
-    kept, removed = cull_targets(posteriors.join(born), gate)
+    kept, removed = cull_targets(posteriors.join(born), gate, variances)
     lap("cull", t)
     latency = time.perf_counter() - t0
 
@@ -391,7 +410,8 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
                        latency=latency,
                        targets=kept,
                        assignments=assignments,
-                       birth_features=birth_features)
+                       birth_features=birth_features,
+                       cov_text=cov_text)
 
 
 def _observations(frame: FrameFeatures, assignments: AssignmentMatrix
@@ -413,14 +433,15 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
     writing the trajectory CSV as frames complete (each row is flushed
     before the next frame is processed). After a frame's rows are flushed
     and before the next frame is asked for, :func:`prepare` makes what the
-    next frame needs that reads no feature."""
+    next frame needs that reads no feature, and that frame's rows are
+    written with the covariance text it made."""
     writer = TrajectoryWriter(trajectory_path) if trajectory_path is not None else None
     dump = open(dump_assignments_path, "w") if dump_assignments_path else None
     try:
         for aframe in source:
             for ev in process_frame(world, aframe):
                 if writer is not None:
-                    writer.write_frame(ev.frame, ev.targets)
+                    writer.write_frame(ev.frame, ev.targets, ev.cov_text)
                 if dump is not None:
                     cols = {str(tid): [i for i in col]
                             for tid, col in ev.assignments.columns.items()}

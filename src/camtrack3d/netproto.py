@@ -361,7 +361,6 @@ class PacketListener:
     def __init__(self, host: str = "0.0.0.0", port: int = 0, maxsize: int = 1024):
         self._srv = socket.create_server((host, port))
         self._queue: Queue = Queue(maxsize=maxsize)
-        self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self._accept_thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -388,9 +387,8 @@ class PacketListener:
                 continue
             except OSError:
                 break
-            t = threading.Thread(target=self._reader, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+            # not kept: a reader thread ends when its connection closes
+            threading.Thread(target=self._reader, args=(conn,), daemon=True).start()
 
     def _reader(self, conn: socket.socket):
         with self._lock:

@@ -17,7 +17,9 @@ predicted pixels, the keep or drop decision, gain and posterior
 covariance) depends only on the prior and the target's camera set, so it
 can be made before the frame arrives (:class:`Gains`, :func:`gain_steps`);
 :func:`update` then adds ``K (y - h)`` to each prior mean and makes only
-the gain steps it was not given.
+the gain steps it was not given. What a posterior covariance alone decides,
+such as its trajectory-row text (:func:`covariance_text`), can be made
+ahead too and found again by the covariance's bytes (:func:`by_value`).
 """
 
 from __future__ import annotations
@@ -327,7 +329,17 @@ class Gains:
         return hit, [step.take(hit[step.rows]) for step in self.steps]
 
 
-def update(priors, observations, om: ObservationModel, projected=None, gains=None):
+@dataclass
+class UpdateCounters:
+    """Instrumentation: the updates whose gain step was prepared before the
+    frame (:class:`Gains`), and those whose step was made on demand."""
+
+    prepared: int = 0
+    on_demand: int = 0
+
+
+def update(priors, observations, om: ObservationModel, projected=None, gains=None,
+           counters: UpdateCounters | None = None):
     """Measurement update of every target of a frame. Returns the
     posteriors and the ids of the targets whose update was dropped because
     the innovation covariance is singular (see :func:`_gain`).
@@ -345,7 +357,9 @@ def update(priors, observations, om: ObservationModel, projected=None, gains=Non
     ``mean = prior + K (y - h)``. `gains`, a :class:`Gains` of these
     `priors` and `om` made before the frame, supplies the gain step of
     every target it holds for the target's camera mask; the others are
-    computed here, stacked by group, with the same bits.
+    computed here, stacked by group, with the same bits, and nothing is
+    computed when every step was supplied. `counters` counts the updates
+    of each kind.
 
     A target with no observation, one whose prior position no observing
     camera can project (behind it), and a dropped one keep the prior and
@@ -370,11 +384,18 @@ def update(priors, observations, om: ObservationModel, projected=None, gains=Non
     seen, px = observations
     x, ok = om.rig.project(priors.means[:, :3]) if projected is None else projected
     use = seen & ok
+    need = use.any(axis=1)
     if gains is not None and gains.priors is priors and gains.om is om:
         hit, steps = gains.lookup(use)
-        steps = steps + gain_steps(priors, use & ~hit[:, None], om, x)
+        if counters is not None:
+            counters.prepared += int(np.count_nonzero(need & hit))
+        need &= ~hit
     else:
-        steps = gain_steps(priors, use, om, x)
+        steps = []
+    if need.any():
+        steps = steps + gain_steps(priors, use & need[:, None], om, x)
+        if counters is not None:
+            counters.on_demand += int(np.count_nonzero(need))
     means, covs, missed = priors.means.copy(), priors.covs.copy(), priors.missed + 1
     dropped = []
     for step in steps:
@@ -406,6 +427,44 @@ _FROM_UPPER = operator.itemgetter(*(
     list(zip(*_UPPER)).index((min(i, j), max(i, j))) for i in range(6) for j in range(6)))
 
 
+_COV_BYTES = 36 * 8
+
+
+def cov_keys(covs) -> list[bytes]:
+    """The bytes of each covariance of the (T, 6, 6) stack `covs`, in C
+    order: the key under which a value made from it is found again."""
+    raw = covs.tobytes()
+    return [raw[i:i + _COV_BYTES] for i in range(0, len(raw), _COV_BYTES)]
+
+
+def by_value(covs, known, compute) -> list:
+    """``compute(covs)``, one value per covariance of the (T, 6, 6) stack
+    `covs`, each taken from `known` (a mapping from :func:`cov_keys` to
+    values `compute` made earlier) when it holds the covariance; `compute`
+    runs once, on the covariances it lacks."""
+    if not known:
+        return compute(covs)
+    values = list(map(known.get, cov_keys(covs)))
+    missing = [i for i, value in enumerate(values) if value is None]
+    if missing:
+        for i, value in zip(missing, compute(covs[missing])):
+            values[i] = value
+    return values
+
+
+def covariance_text(covs) -> list[str]:
+    """The 36 covariance cells of each trajectory row, comma-joined, for
+    each covariance of the (T, 6, 6) stack `covs`: ``repr`` of each entry
+    (the shortest exact form), row by row. A covariance whose lower
+    triangle mirrors its upper one bit for bit is formatted from its 21
+    upper-triangle entries."""
+    bits = covs.view(np.uint64)
+    mirrored = (bits == bits.swapaxes(1, 2)).all(axis=(1, 2)).tolist()
+    return [",".join(_FROM_UPPER(list(map(repr, upper))) if sym
+                     else map(repr, cov.ravel().tolist()))
+            for cov, upper, sym in zip(covs, covs[:, _UPPER[0], _UPPER[1]].tolist(), mirrored)]
+
+
 class TrajectoryWriter:
     """Streams one CSV row per live target per frame; flushed per frame so
     rows are readable before the next frame is processed."""
@@ -419,24 +478,20 @@ class TrajectoryWriter:
             self._own = True
         self._file.write(",".join(TRAJECTORY_FIELDS) + "\n")
 
-    def write_frame(self, frame_number: int, targets: Targets | Iterable[TargetState]):
+    def write_frame(self, frame_number: int, targets: Targets | Iterable[TargetState],
+                    cov_text=None):
         """One row per target of a stack in id order, or of states in any
         order. Numbers are ``repr`` of Python floats (the shortest exact
-        form); a covariance whose lower triangle mirrors its upper one bit
-        for bit is formatted from its 21 upper-triangle entries."""
+        form); the covariance cells are :func:`covariance_text`, taken
+        from `cov_text` (its result by :func:`cov_keys`, made earlier) for
+        the covariances it holds."""
         if not isinstance(targets, Targets):
             targets = Targets.of(sorted(targets, key=lambda t: t.target_id))
-        bits = targets.covs.view(np.uint64)
-        mirrored = (bits == bits.swapaxes(1, 2)).all(axis=(1, 2)).tolist()
-        rows = []
-        for tid, mean, cov, upper, sym in zip(
-                targets.ids.tolist(), targets.means.tolist(),
-                targets.covs.reshape(-1, 36).tolist(),
-                targets.covs[:, _UPPER[0], _UPPER[1]].tolist(), mirrored):
-            cells = _FROM_UPPER(list(map(repr, upper))) if sym else map(repr, cov)
-            rows.append(",".join([str(frame_number), str(tid), *map(repr, mean), *cells])
-                        + "\n")
-        self._file.write("".join(rows))
+        frame = str(frame_number)
+        self._file.write("".join(
+            f"{frame},{tid},{','.join(map(repr, mean))},{cells}\n"
+            for tid, mean, cells in zip(targets.ids.tolist(), targets.means.tolist(),
+                                        by_value(targets.covs, cov_text, covariance_text))))
         self._file.flush()
 
     def close(self):

@@ -15,6 +15,7 @@ from camtrack3d.association import (
     cull_targets,
     feature_likelihood,
     gate_claimed_features,
+    largest_position_variance,
     mahalanobis_closest_point,
     pair_likelihoods,
     resolve_shared,
@@ -27,9 +28,10 @@ from camtrack3d.geometry import (
     project,
     triangulate,
 )
-from camtrack3d.tracker import ProcessModel, TargetState
+from camtrack3d.tracker import ProcessModel, Targets, TargetState, cov_keys
 from helpers import (
     bruteforce_assignment,
+    cull_targets_oracle,
     feature_rows,
     gate_claimed_features_oracle,
     look_at_camera,
@@ -656,3 +658,41 @@ def test_cull_infinite_threshold_removes_nothing():
     t = target_at([0, 0, 0.3], sigma=100.0)
     kept, removed = cull_targets([t], gate)
     assert removed == []
+
+
+@st.composite
+def targets_near_death(draw):
+    """Targets whose covariances are A A^T for a random 6x6 A, so that the
+    largest position variance falls on either side of the default death
+    threshold, some of them sharing one covariance."""
+    shared = draw(st.lists(st.floats(-0.035, 0.035), min_size=36, max_size=36))
+    targets = []
+    for tid in range(draw(st.integers(0, 6))):
+        cells = shared if draw(st.booleans()) else draw(
+            st.lists(st.floats(-0.035, 0.035), min_size=36, max_size=36))
+        a = np.array(cells).reshape(6, 6)
+        targets.append(TargetState(target_id=tid, mean=np.zeros(6), cov=a @ a.T))
+    return targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets_near_death(), targets_near_death(), st.data())
+def test_cull_with_prepared_variances_matches_cull_without(targets, others, data):
+    # variances made ahead are found by the covariance's bytes, so a set
+    # for all, some, none or other targets' covariances decides as the
+    # one-target-at-a-time death test does
+    gate = GateConfig()
+    stack = Targets.of(targets)
+    some = [data.draw(st.booleans()) for _ in targets]
+    sets = {"complete": stack.covs, "partial": stack.covs[np.array(some, dtype=bool)],
+            "other": Targets.of(others).covs * 1.5, "empty": stack.covs[:0]}
+    want_kept, want_removed = cull_targets_oracle(targets, gate)
+    want = ([t.target_id for t in want_kept], [t.target_id for t in want_removed])
+    for name, covs in [*sets.items(), ("none", None)]:
+        variances = None if covs is None else dict(
+            zip(cov_keys(covs), largest_position_variance(covs).tolist()))
+        kept, removed = cull_targets(stack, gate, variances)
+        assert (kept.ids.tolist(), removed.ids.tolist()) == want, name
+        assert kept.covs.tobytes() == stack.covs[np.isin(stack.ids, want[0])].tobytes()
+        kept, removed = cull_targets(targets, gate, variances)
+        assert ([t.target_id for t in kept], [t.target_id for t in removed]) == want, name

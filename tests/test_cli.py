@@ -35,6 +35,8 @@ def test_simulate_then_track_then_report(tmp_path, capsys):
     assert summary["frames"] == 120
     assert summary["births"] >= 1
     assert json.loads(stats.read_text())["stage_update_s"] == summary["stage_update_s"] > 0
+    # a track run prepares every frame after the first, so the camera guess serves updates
+    assert json.loads(stats.read_text())["updates_prepared"] == summary["updates_prepared"] > 0
 
     assert main(["report", "--traj", str(traj), "--truth", str(out / "truth.csv"),
                  "--fps", "100", "--stats", str(stats),

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import math
 import sys
 import time
@@ -450,8 +451,11 @@ def test_arbitrary_rows_never_raise(tracked_two_targets, rows):
 # ------------------------------------------------- prepared frames
 
 def counters(stats):
-    return {k: v for k, v in stats.summary().items()
-            if not k.startswith(("stage_", "latency_"))}
+    """The summary's counters. Of the updates it keeps only the total: how
+    many had a prepared gain step depends on whether frames were prepared."""
+    out = {k: v for k, v in stats.summary().items()
+           if not k.startswith(("stage_", "latency_", "updates_"))}
+    return out | {"updates": stats.updates.prepared + stats.updates.on_demand}
 
 
 @pytest.fixture
@@ -480,6 +484,16 @@ def cluttered_smalltunnel():
                                                 spec.n_cameras)
 
 
+def tunnel_scene():
+    # the shape of the tunnel-live benchmark's scene 15: no clutter, every
+    # target seen by every camera that views it
+    spec = preset("smalltunnel", seed=15, clutter_rate=0.0, detection_prob=1.0)
+    cams = generate_rig(spec)
+    truths = simulate_truth(spec, 3, 300, maneuver_sigma=0.002, speed=0.1)
+    return cams, spec.fps, packets_to_assembled(synthesize_observations(truths, cams, spec),
+                                                spec.n_cameras)
+
+
 def bigcyl_seed_21():
     # the scene of test_bigcyl_birth_search_digest_is_recorded_value
     spec = preset("bigcyl", seed=21, clutter_rate=1.0, detection_prob=0.95)
@@ -497,27 +511,53 @@ def with_gaps(kept):
 
 
 @pytest.mark.parametrize("scene", [
-    cluttered_smalltunnel, bigcyl_seed_21,
+    cluttered_smalltunnel, tunnel_scene, bigcyl_seed_21,
     with_gaps([*range(5), 8, 9]),  # a gap predicted through
     with_gaps([*range(5), *range(101, 112)]),  # held past the death horizon
-], ids=["smalltunnel-clutter", "bigcyl-21", "gap", "held"])
-def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits):
+], ids=["smalltunnel-clutter", "tunnel", "bigcyl-21", "gap", "held"])
+def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits, tmp_path):
     cams, fps, frames = scene()
     prepared = io.StringIO()
-    stats = run(frames, make_world(cams, fps), trajectory_path=prepared)
+    dump = tmp_path / "assignments.jsonl"
+    stats = run(frames, make_world(cams, fps), trajectory_path=prepared,
+                dump_assignments_path=dump)
     assert memo_hits["hits"] > 0
     assert stats.stages.prepare > 0
     served = dict(memo_hits)
     world = make_world(cams, fps)
     bare = io.StringIO()
     writer = TrajectoryWriter(bare)
+    events = []
     for af in frames:
         for ev in process_frame(world, af):
             writer.write_frame(ev.frame, ev.targets)
+            events.append({"frame": ev.frame, "births": ev.births, "deaths": ev.deaths,
+                           "assignments": {str(tid): list(col) for tid, col
+                                           in ev.assignments.columns.items()}})
     assert memo_hits == served  # nothing prepared, nothing looked up
     assert world.held is None and world.stats.stages.prepare == 0
+    assert world.stats.updates.prepared == 0
     assert prepared.getvalue() == bare.getvalue()
+    assert [json.loads(line) for line in dump.read_text().splitlines()] == events
     assert counters(stats) == counters(world.stats)
+
+
+@pytest.mark.parametrize("scene, served_before", [
+    (cluttered_smalltunnel, 632), (tunnel_scene, 897),
+], ids=["smalltunnel-clutter", "tunnel"])
+def test_camera_guess_serves_no_fewer_updates_than_the_last_frames_cameras(
+        scene, served_before, memo_hits):
+    # served_before: the updates a prepared gain step served when each
+    # target's cameras were guessed as those of its last update (counted
+    # with memo_hits); guessing the cameras that view the prior serves as
+    # many, and RunStats counts what memo_hits counts
+    cams, fps, frames = scene()
+    stats = run(frames, make_world(cams, fps))
+    assert stats.updates.prepared == memo_hits["hits"] >= served_before
+    assert stats.updates.prepared + stats.updates.on_demand == memo_hits["updates"]
+    summary = stats.summary()
+    assert (summary["updates_prepared"], summary["updates_on_demand"]) == (
+        stats.updates.prepared, stats.updates.on_demand)
 
 
 def frame_result(world, af):

@@ -1,5 +1,6 @@
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -495,3 +496,30 @@ def test_listener_accepts_packet_of_largest_legal_size():
         listener.stop()
     assert received == [big]
     assert listener.counters() == {"undecodable": 0, "closed_connections": 0}
+
+
+def test_listener_forgets_finished_reader_threads():
+    # each connection gets a reader thread that ends when the connection
+    # closes; the listener keeps no reference to it, so three connections
+    # opened and closed one after another leave nothing behind
+    listener = PacketListener(host="127.0.0.1", port=0).start()
+    try:
+        before = set(threading.enumerate())
+        count = threading.active_count()
+        for k in range(3):
+            with socket.create_connection(listener.address) as conn:
+                write_packet(conn, packet(cam=f"c{k}", frame=k))
+            deadline = time.monotonic() + 5.0
+            while set(threading.enumerate()) - before and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not set(threading.enumerate()) - before
+        assert threading.active_count() <= count
+        held = [v for v in vars(listener).values()
+                if isinstance(v, threading.Thread)
+                or isinstance(v, (list, tuple, set, dict))
+                and any(isinstance(x, threading.Thread) for x in v)]
+        assert held == [listener._accept_thread]
+        received = [p.cam_id for _, p in listener.packets(idle_timeout=0.2)]
+    finally:
+        listener.stop()
+    assert received == ["c0", "c1", "c2"]

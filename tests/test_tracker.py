@@ -16,6 +16,8 @@ from camtrack3d.tracker import (
     Targets,
     TargetState,
     TrajectoryWriter,
+    cov_keys,
+    covariance_text,
     extrapolate,
     gain_steps,
     observation_function,
@@ -373,6 +375,30 @@ def test_write_frame_matches_per_element_oracle(targets, frame_number):
         header = buf.getvalue()
         w.write_frame(frame_number, given_as)
         assert buf.getvalue() == header + trajectory_rows_oracle(frame_number, targets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_targets(), written_targets(), st.data())
+def test_write_frame_with_prepared_text_writes_the_same_bytes(targets, others, data):
+    # covariance text made ahead is found by the covariance's bytes, so
+    # text for some of the frame's covariances and for others' changes no
+    # byte; -0.0 and 0.0 are told apart by their bytes, and a covariance
+    # holding a NaN is found by its own
+    by_id = sorted(targets, key=lambda t: t.target_id)
+    some = [t for t in by_id if data.draw(st.booleans())]
+    # each covariance with the sign of its zeros flipped: equal by ==
+    flipped = [TargetState(t.target_id, t.mean, np.where(t.cov == 0, -t.cov, t.cov))
+               for t in by_id]
+    known = Targets.of(some + others + flipped).covs
+    cov_text = dict(zip(cov_keys(known), covariance_text(known)))
+    frame_number = data.draw(st.integers(0, 2**40))
+    written = []
+    for given_as, text in [(Targets.of(by_id), None), (Targets.of(by_id), cov_text),
+                           (targets, cov_text)]:
+        buf = io.StringIO()
+        TrajectoryWriter(buf).write_frame(frame_number, given_as, text)
+        written.append(buf.getvalue())
+    assert written[1] == written[2] == written[0]
 
 
 # ------------------------------------- frame-level EKF vs the per-target oracle
