@@ -7,23 +7,24 @@ exp(-d) where d is the Mahalanobis distance between the back-projected
 pixel ray and the predicted 3D position.
 
 The hub keeps a frame's features as one :class:`FrameFeatures` table of
-(n, 6) float rows (u, v, area, peak, theta, ecc), camera by camera, and its
-targets as one :class:`~camtrack3d.tracker.Targets` stack. :func:`pair_table`
-takes the targets' projection through every camera (made once per frame
-and shared with the EKF update), back-projects every feature with the
-rig's stacked constants and computes the image distance and the ray
-distance of every (target, camera, feature) pair in a fixed number of
-array operations. Assignment (:func:`assign`), merge prevention
-(:func:`resolve_shared`) and the birth search's claim test
-(:func:`gate_claimed_features`) take that table and apply their own
-thresholds. Since the table computes every ray distance anyway, the gates
-no longer save work; ``LikelihoodCounters`` still counts the stages a
-pair-by-pair evaluation would run. The birth search (:func:`spawn_targets`)
-reads the rows outside the frame's claimed-row mask, tests all pairs of
-their rays at once, triangulates the cliques of that compatibility graph
-in one stacked call per size, counts the cameras that see every
-hypothesis with one projection and takes births in one scan of the
-acceptable hypotheses, best first. :func:`feature_likelihood` and
+(n, 6) float rows (u, v, area, peak, theta, ecc), camera by camera, with
+each row's unit ray, back-projected once when the table is stacked, and
+its targets as one :class:`~camtrack3d.tracker.Targets` stack.
+:func:`pair_table` takes the targets' projection through every camera
+(made once per frame and shared with the EKF update) and the table's
+rays and computes the image distance and the ray distance of every
+(target, camera, feature) pair in a fixed number of array operations.
+Assignment (:func:`assign`), merge prevention (:func:`resolve_shared`)
+and the birth search's claim test (:func:`gate_claimed_features`) take
+that table and apply their own thresholds. Since the table computes
+every ray distance anyway, the gates no longer save work;
+``LikelihoodCounters`` still counts the stages a pair-by-pair evaluation
+would run. The birth search (:func:`spawn_targets`) reads the rows
+outside the frame's claimed-row mask, tests all pairs of the same rays
+at once, triangulates the cliques of that compatibility graph in one
+stacked call per size, counts the cameras that see every hypothesis with
+one projection and takes births in one scan of the acceptable
+hypotheses, best first. :func:`feature_likelihood` and
 :func:`mahalanobis_closest_point` compute the same quantities one pair at
 a time and are the reference the table is tested against.
 """
@@ -48,12 +49,11 @@ from .geometry import (
     _T_EPS,
     line_distances,
     pixel_ray,
-    pixel_rays,
     project,
     triangulate,  # not called here; the traced benchmark wraps it by name
     triangulate_sets,
 )
-from .tracker import _COND_LIMIT, Targets, TargetState, by_value, well_conditioned
+from .tracker import _COND_LIMIT, Targets, TargetState, well_conditioned
 
 _NO_ROWS = np.empty((0, 6))  # a camera that reported no features
 
@@ -178,23 +178,36 @@ class FrameFeatures:
     """One frame's feature rows as one table: `rows` (N, 6), camera by
     camera in the rig's camera order. ``slices[cam_id]`` selects one
     camera's rows, in its row order; ``cam_of[n]`` is row n's camera
-    index and ``starts[k]`` the first row of camera k."""
+    index and ``starts[k]`` the first row of camera k. ``rays`` (N, 3)
+    are the rows' back-projected unit directions, toward the scene from
+    their camera's center, and ``ray_ok`` (N,) marks those that
+    :func:`pixel_ray` accepts: the others are numerically zero or not
+    finite before normalization."""
 
     rows: np.ndarray
     slices: dict[str, slice]
     cam_of: np.ndarray
     starts: np.ndarray
+    rays: np.ndarray
+    ray_ok: np.ndarray
 
     @classmethod
     def stack(cls, rows: np.ndarray, counts: Sequence[int], rig: Rig) -> FrameFeatures:
         """The table of `rows`, which hold ``counts[k]`` rows of the rig's
-        camera k, camera after camera."""
+        camera k, camera after camera, back-projected with the rig's
+        stacked ``inv(M)``."""
         ends = list(itertools.accumulate(counts, initial=0))
+        cam_of = np.repeat(np.arange(len(counts)), counts)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d = np.einsum("nij,nj->ni", rig.m_inv[cam_of],
+                          np.column_stack([rows[:, :2], np.ones(len(rows))]))
+            norm = np.linalg.norm(d, axis=1)
+            d = d / norm[:, None]
         return cls(rows=rows,
                    slices={cam_id: slice(ends[k], ends[k + 1])
                            for k, cam_id in enumerate(rig.ids)},
-                   cam_of=np.repeat(np.arange(len(counts)), counts),
-                   starts=np.array(ends[:-1]))
+                   cam_of=cam_of, starts=np.array(ends[:-1]),
+                   rays=d, ray_ok=~(norm < _T_EPS) & np.isfinite(norm))
 
     def ids(self, rows: np.ndarray) -> set[tuple[str, int]]:
         """The (camera id, row index) of the table's rows `rows`."""
@@ -240,17 +253,17 @@ def position_terms(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
 
 def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
                terms=None) -> PairTable:
-    """Back-project every feature of `frame` (a table over `rig`) and score
-    every pair with `targets`, whose positions `projected` is
-    ``rig.project`` of, in one pass over the frame. `terms` is
+    """Score every pair of a feature of `frame` (a table over `rig`) and a
+    target of `targets`, whose positions `projected` is ``rig.project``
+    of, in one pass over the frame and its rays. `terms` is
     :func:`position_terms` of `targets` if the caller has it.
 
     Per pair this is what :func:`project`, :func:`pixel_ray` and
     :func:`mahalanobis_closest_point` compute one call at a time, with the
     same rejections: a target behind the camera or at infinity is not
     visible; a covariance that is not finite or has condition above 1e12,
-    a numerically zero ray and a ray with d^T S^-1 d <= 0 give an infinite
-    ray distance. The ray distance is the closed form
+    a ray outside ``frame.ray_ok`` and a ray with d^T S^-1 d <= 0 give an
+    infinite ray distance. The ray distance is the closed form
     d^2 = w^T S^-1 w - (d^T S^-1 w)^2 / (d^T S^-1 d), with w the vector
     from the ray origin to the target, S its position covariance and d the
     unit ray direction. It is evaluated as the quadratic form of the
@@ -258,14 +271,7 @@ def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
     along d (which leaves the residual unchanged), so that no large terms
     cancel.
     """
-    target_ids = tuple(targets.ids.tolist())
-    n_t, n_f = len(targets), len(frame.rows)
-    if n_t == 0 or n_f == 0:
-        return PairTable(target_ids=target_ids, features=frame,
-                         visible=np.zeros((n_t, n_f), dtype=bool),
-                         dist2d=np.full((n_t, n_f), np.inf),
-                         ray_dist=np.full((n_t, n_f), np.inf))
-    uva, cam_of = frame.rows[:, :3], frame.cam_of
+    uv, cam_of = frame.rows[:, :2], frame.cam_of
     pos = targets.means[:, :3]
     cov_ok, s_inv = position_terms(targets) if terms is None else terms
     # targets through every camera: (T, C, 3) homogeneous image points
@@ -274,18 +280,12 @@ def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         depth = x[..., 2]
         dist2d = np.where(visible,
-                          np.hypot(uva[:, 0] - (x[..., 0] / depth)[:, cam_of],
-                                   uva[:, 1] - (x[..., 1] / depth)[:, cam_of]),
+                          np.hypot(uv[:, 0] - (x[..., 0] / depth)[:, cam_of],
+                                   uv[:, 1] - (x[..., 1] / depth)[:, cam_of]),
                           np.inf)
 
-        # feature rays: unit directions (N, 3) from each camera's inv(M)
-        d = np.einsum("nij,nj->ni", rig.m_inv[cam_of],
-                      np.column_stack([uva[:, :2], np.ones(n_f)]))
-        norm = np.linalg.norm(d, axis=1)
-        ray_ok = ~(norm < _T_EPS)
-        d = d / norm[:, None]
-
         # every pair: w (T, N, 3) with its along-ray part removed
+        d = frame.rays
         w = pos[:, None, :] - rig.centers[cam_of]
         w -= np.einsum("tni,ni->tn", w, d)[..., None] * d
         sd = np.einsum("tij,nj->tni", s_inv, d)
@@ -294,9 +294,9 @@ def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
         resid = (dsw / dsd)[..., None] * d - w
         d2 = np.einsum("tni,tij,tnj->tn", resid, s_inv, resid)
         ray_dist = np.sqrt(np.maximum(d2, 0.0))
-        ok = cov_ok[:, None] & ray_ok & ~(dsd <= 0) & np.isfinite(ray_dist)
-    return PairTable(target_ids=target_ids, features=frame, visible=visible,
-                     dist2d=dist2d, ray_dist=np.where(ok, ray_dist, np.inf))
+        ok = cov_ok[:, None] & frame.ray_ok & ~(dsd <= 0) & np.isfinite(ray_dist)
+    return PairTable(target_ids=tuple(targets.ids.tolist()), features=frame,
+                     visible=visible, dist2d=dist2d, ray_dist=np.where(ok, ray_dist, np.inf))
 
 
 def pair_likelihoods(table: PairTable, gate: GateConfig,
@@ -390,7 +390,7 @@ def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
     """Hypothesize new targets from the rows of `frame`, a table over
     `rig`, outside the (N,) mask `claimed` of rows existing tracks claimed.
 
-    Rows whose pixel ray is degenerate are left out. Two rows of different
+    Rows outside ``frame.ray_ok`` are left out. Two rows of different
     cameras are compatible when their rays pass closer than
     ``birth_pair_distance`` (the later row's ray first, since the distance
     is not bitwise symmetric; a NaN distance counts as compatible). The
@@ -414,19 +414,17 @@ def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
 
     All pair distances come from one call, each clique size is
     triangulated in one stacked call and the cameras seeing the points are
-    counted in one projection; with fewer than two unclaimed rows nothing
-    is computed. `stats` counts one pass per call, the camera combinations
-    covered (``min_birth_cameras`` or more cameras with a usable row) and
-    every clique triangulated.
+    counted in one projection; with fewer than two unclaimed rows with a
+    usable ray nothing is computed. `stats` counts one pass per call, the
+    camera combinations covered (``min_birth_cameras`` or more cameras
+    with a usable row) and every clique triangulated.
     """
     stats = SpawnStats() if stats is None else stats
     stats.passes += 1
-    rows = np.flatnonzero(~claimed)
+    rows = np.flatnonzero(~claimed & frame.ray_ok)
     if len(rows) < 2:
         return [], set()
-    cams = frame.cam_of[rows]
-    d, usable = pixel_rays(rig.m_inv[cams], frame.rows[rows, :2])
-    rows, cams, d = rows[usable], cams[usable], d[usable]
+    cams, d = frame.cam_of[rows], frame.rays[rows]
     min_size, n_cams = max(2, gate.min_birth_cameras), len(set(cams.tolist()))
     stats.camera_combinations += sum(math.comb(n_cams, k)
                                      for k in range(min_size, n_cams + 1))
@@ -467,24 +465,20 @@ def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
     return born, frame.ids(np.array(list(used), dtype=int))
 
 
-def largest_position_variance(covs) -> np.ndarray:
-    """The largest eigenvalue of the position block of each covariance of
-    the (T, 6, 6) stack `covs`: what :func:`cull_targets` compares with
-    the death threshold."""
-    return np.linalg.eigvalsh(covs[:, :3, :3])[:, -1]
-
-
-def cull_targets(targets, gate: GateConfig, variances=None):
+def cull_targets(targets, gate: GateConfig):
     """Split targets into (kept, removed): removed when the largest
     eigenvalue of the position covariance block exceeds the death
     threshold. Takes a :class:`~camtrack3d.tracker.Targets` stack and
-    returns two, or a list of states and returns two lists of them.
-    `variances` maps covariances (:func:`~camtrack3d.tracker.cov_keys`)
-    to their :func:`largest_position_variance`, made earlier; the others
-    are computed here."""
+    returns two, or a list of states and returns two lists of them."""
     stack = targets if isinstance(targets, Targets) else Targets.of(targets)
-    largest = by_value(stack.covs, variances, largest_position_variance)
-    dead = np.asarray(largest, dtype=float) > gate.death_covariance_threshold
+    covs, threshold = stack.covs[:, :3, :3], gate.death_covariance_threshold
+    # no eigenvalue of a 3x3 block exceeds 3 max|entry| (Gershgorin), so
+    # only blocks within a rounding margin of the threshold, or with an
+    # entry that is not finite, need their eigenvalues
+    near = ~(3.0 * np.abs(covs).max(axis=(1, 2)) < threshold * (1.0 - 1e-9))
+    dead = np.zeros(len(stack), dtype=bool)
+    if near.any():
+        dead[near] = np.linalg.eigvalsh(covs[near])[:, -1] > threshold
     if stack is not targets:
         return ([t for t, d in zip(targets, dead) if not d],
                 [t for t, d in zip(targets, dead) if d])

@@ -292,18 +292,6 @@ def pixel_ray(cam: CameraModel, p) -> Ray3:
     return Ray3(origin=cam.center.copy(), direction=d / n)
 
 
-def pixel_rays(m_inv, uv) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pixel_ray` of N pixels `uv` (N, 2) at once, each through its
-    camera's signed ``inv(M)`` (N, 3, 3; see :class:`Rig`): the unit
-    directions (N, 3), with the bits of ``pixel_ray(...).direction``, and
-    the (N,) mask of the rays it accepts."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = (m_inv @ np.column_stack([uv, np.ones(len(uv))])[..., None])[..., 0]
-        n = np.sqrt(_dot(d, d))
-        d = d / n[:, None]
-        return d / np.sqrt(_dot(d, d))[:, None], (n >= _T_EPS) & np.isfinite(n)
-
-
 def line_distances(o1, d1, o2, d2) -> np.ndarray:
     """Minimum distance between the lines through `o1` along `d1` and
     through `o2` along `d2` (unit directions), row by row over (K, 3)

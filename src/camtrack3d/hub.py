@@ -6,7 +6,9 @@ the frame's targets at once.
 The frame state is stacked from ingress to trajectory row. At ingress the
 cameras' (n, 6) float rows become one
 :class:`~camtrack3d.association.FrameFeatures` table, with rows that are
-not finite dropped and counted by one test. The world keeps its targets as
+not finite and rows of cameras outside the rig dropped and counted, and
+each row is back-projected once, for the pair table and the birth search
+alike. The world keeps its targets as
 one :class:`~camtrack3d.tracker.Targets` stack in id order, which predict,
 update and cull read and replace. The priors are projected through the
 rig once; every (target, camera, feature) pair is scored once into an
@@ -17,17 +19,16 @@ the projection. ``RunStats.stages`` sums the time of each stage.
 Most of a frame's work reads no feature: the priors, their projection,
 the pair table's per-target terms and, for each target, the EKF gain step
 (Jacobians, predicted pixels, gain and posterior covariance), then the
-death test and the trajectory-row text of that posterior covariance.
-:func:`run` makes them with :func:`prepare` in the idle gap after a
-frame's rows are written and flushed and before it asks for the next
-frame. The gain step is made for a guess of the target's cameras: those
-that have its predicted position in front of them and inside their image.
-The next frame uses the steps while the world's targets and models are
-the objects they were made from, and finds the death tests and the text
-by the covariance's bytes; any target whose cameras differ from the guess,
-a born or missed target, and a frame with nothing prepared compute them
-on demand with the same code, so the output bits do not depend on what
-was prepared.
+trajectory-row text of that posterior covariance. :func:`run` makes them
+with :func:`prepare` in the idle gap after a frame's rows are written and
+flushed and before it asks for the next frame. The gain step is made for
+a guess of the target's cameras: those that have its predicted position
+in front of them and inside their image. The next frame uses the steps
+while the world's targets and models are the objects they were made
+from, and finds the text by the covariance's bytes; any target whose
+cameras differ from the guess, a born or missed target, and a frame with
+nothing prepared compute them on demand with the same code, so the output
+bits do not depend on what was prepared.
 
 Processing is single-threaded and deterministic: identical assembled-frame
 sequences and configuration produce bit-identical trajectory output.
@@ -55,7 +56,6 @@ from .association import (
     assign,
     cull_targets,
     gate_claimed_features,
-    largest_position_variance,
     pair_table,
     position_terms,
     resolve_shared,
@@ -88,9 +88,9 @@ class StageTimes:
     """Seconds spent in each stage of the frame loop, summed over frames:
     ingress (the feature table), predict, score (projection and pair
     table), assign, resolve, update, claim (the claimed features), spawn
-    and cull, then prepare (:func:`prepare`, between frames). Predict,
-    score, update and cull are mostly lookups when the frame was
-    prepared."""
+    and cull, then, between frames, write (:func:`run`'s trajectory rows)
+    and prepare (:func:`prepare`). Predict, score and update are mostly
+    lookups when the frame was prepared."""
 
     ingress: float = 0.0
     predict: float = 0.0
@@ -101,6 +101,7 @@ class StageTimes:
     claim: float = 0.0
     spawn: float = 0.0
     cull: float = 0.0
+    write: float = 0.0
     prepare: float = 0.0
 
     def lap(self, stage: str, since: float) -> float:
@@ -114,16 +115,18 @@ class StageTimes:
 class RunStats:
     """Counters and times of a run. ``latencies`` holds each frame's time
     from receipt (or the start of its processing) to its last stage; it
-    and the frame stages exclude ``stages.prepare``, the work done between
-    frames, so ``stages.prepare`` plus the frame stages is the hub's CPU
-    time per frame. ``updates`` counts the updates whose gain step was
-    prepared, and those made on demand."""
+    and the frame stages exclude ``stages.write`` and ``stages.prepare``,
+    the work done between frames, so ``stages.prepare`` plus the frame
+    stages plus ``stages.write`` is the hub's CPU time per frame.
+    ``updates`` counts the updates whose gain step was prepared, and those
+    made on demand."""
 
     frames: int = 0
     births: int = 0
     deaths: int = 0
     singular_drops: int = 0
     nonfinite_rows: int = 0  # feature rows dropped at ingress
+    unknown_camera_rows: int = 0  # finite rows of cameras outside the rig, dropped
     gap_drops: int = 0  # frames past the death horizon that no frame confirmed
     latencies: list = field(default_factory=list)
     likelihood: LikelihoodCounters = field(default_factory=LikelihoodCounters)
@@ -137,7 +140,8 @@ class RunStats:
     def summary(self) -> dict:
         out = {"frames": self.frames, "births": self.births,
                "deaths": self.deaths, "singular_drops": self.singular_drops,
-               "nonfinite_rows": self.nonfinite_rows, "gap_drops": self.gap_drops}
+               "nonfinite_rows": self.nonfinite_rows,
+               "unknown_camera_rows": self.unknown_camera_rows, "gap_drops": self.gap_drops}
         out.update({f"likelihood_{k}": v for k, v in asdict(self.likelihood).items()})
         out.update({f"spawn_{k}": v for k, v in asdict(self.spawn).items()})
         out.update({f"updates_{k}": v for k, v in asdict(self.updates).items()})
@@ -188,39 +192,35 @@ class TrackerWorld:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """What the next frame computes before reading its features, made from
-    `live` under `process` and `observation`: the priors, their
-    projection through the rig, the pair table's per-target terms, the
-    EKF gain steps for the guessed cameras and, by the bytes of each
-    step's posterior covariance (:func:`~camtrack3d.tracker.cov_keys`),
-    its :func:`~camtrack3d.association.largest_position_variance` and its
+    `live` under `process` and the observation model of `gains`: the EKF
+    gain steps for the guessed cameras, which hold the priors and that
+    model, the priors' projection through the rig, the pair table's
+    per-target terms and, by the bytes of each step's posterior covariance
+    (:func:`~camtrack3d.tracker.cov_keys`), its
     :func:`~camtrack3d.tracker.covariance_text`."""
 
     live: Targets
     process: ProcessModel
-    observation: ObservationModel
-    priors: Targets
     projected: tuple[np.ndarray, np.ndarray]
     terms: tuple[np.ndarray, np.ndarray]
     gains: Gains
-    variances: dict[bytes, float]
     cov_text: dict[bytes, str]
 
     def fits(self, world: TrackerWorld) -> bool:
         """Whether these are still the world's targets and models."""
         return (self.live is world.live and self.process is world.process
-                and self.observation is world.observation)
+                and self.gains.om is world.observation)
 
 
 def prepare(world: TrackerWorld) -> None:
     """Make the next frame's priors, their projection, the pair table's
     per-target terms and each target's EKF gain step from the world's
-    live targets alone, then the death test's variance and the trajectory
-    row's covariance text of each step's posterior covariance, and keep
-    them in ``world.prepared``. The gain step is made for the cameras that
-    have the target's predicted position in front of them and inside their
-    image, the cameras likely to see it. Timed into
-    ``RunStats.stages.prepare``; nothing is redone while the world is
-    unchanged (a frame held past the death horizon)."""
+    live targets alone, then the trajectory row's covariance text of each
+    step's posterior covariance, and keep them in ``world.prepared``. The
+    gain step is made for the cameras that have the target's predicted
+    position in front of them and inside their image, the cameras likely
+    to see it. Timed into ``RunStats.stages.prepare``; nothing is redone
+    while the world is unchanged (a frame held past the death horizon)."""
     if world.prepared is not None and world.prepared.fits(world):
         return
     t = time.perf_counter()
@@ -228,14 +228,12 @@ def prepare(world: TrackerWorld) -> None:
     priors = predict(live, world.process)
     projected = om.rig.project(priors.means[:, :3])
     gains = Gains.of(priors, om.rig.viewing(projected), om, projected)
-    variances, cov_text = {}, {}
+    cov_text = {}
     if gains.steps:
         covs = np.concatenate([step.cov for step in gains.steps])
-        keys = cov_keys(covs)
-        variances = dict(zip(keys, largest_position_variance(covs).tolist()))
-        cov_text = dict(zip(keys, covariance_text(covs)))
-    world.prepared = Prepared(live, world.process, om, priors, projected,
-                              position_terms(priors), gains, variances, cov_text)
+        cov_text = dict(zip(cov_keys(covs), covariance_text(covs)))
+    world.prepared = Prepared(live, world.process, projected, position_terms(priors),
+                              gains, cov_text)
     world.stats.stages.lap("prepare", t)
 
 
@@ -243,7 +241,8 @@ def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameF
     """The frame's finite feature rows as one table over the rig's
     cameras. Rows holding a NaN or an infinity are dropped and counted,
     those of cameras outside the rig included: no gate rejects them
-    reliably, and they break the birth search's triangulation."""
+    reliably, and they break the birth search's triangulation. The finite
+    rows of cameras outside the rig are dropped and counted apart."""
     feats = aframe.features_by_camera
     blocks = [np.asarray(feats.get(cam_id, _NO_ROWS), dtype=float).reshape(-1, 6)
               for cam_id in rig.ids]
@@ -253,6 +252,8 @@ def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameF
                for cam_id, rows in feats.items() if cam_id not in rig.column]
     rows = np.concatenate(blocks)
     finite = np.isfinite(rows).all(axis=1)
+    if len(rows) > n:
+        stats.unknown_camera_rows += int(np.count_nonzero(finite[n:]))
     if not finite.all():
         stats.nonfinite_rows += int(np.count_nonzero(~finite))
         kept = np.concatenate([[0], np.cumsum(finite[:n])])
@@ -354,17 +355,16 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     # 1: predict, unless prepared from these very targets and models
     prep, world.prepared = world.prepared, None
     if prep is not None and prep.fits(world):
-        priors, projected, terms, gains = prep.priors, prep.projected, prep.terms, prep.gains
-        variances, cov_text = prep.variances, prep.cov_text
+        gains, projected, terms, cov_text = prep.gains, prep.projected, prep.terms, prep.cov_text
+        priors = gains.priors
     else:
         priors = predict(world.live, world.process)
-        projected, terms, gains, variances, cov_text = None, None, None, {}, {}
-    t = lap("predict", t)
-    # the priors through every camera, once, for the pair table and the
-    # update's Jacobians; every (target, camera, feature) pair is scored
-    # once for steps 2, 3 and 5
-    if projected is None:
+        # the priors through every camera, once, for the pair table and
+        # the update's Jacobians
         projected = rig.project(priors.means[:, :3])
+        terms, gains, cov_text = None, None, {}
+    t = lap("predict", t)
+    # every (target, camera, feature) pair is scored once for steps 2, 3 and 5
     table = pair_table(frame, priors, rig, projected, terms)
     t = lap("score", t)
     # 2: associate
@@ -394,7 +394,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     world.next_target_id += len(born)
     t = lap("spawn", t)
     # 6: death by covariance threshold
-    kept, removed = cull_targets(posteriors.join(born), gate, variances)
+    kept, removed = cull_targets(posteriors.join(born), gate)
     lap("cull", t)
     latency = time.perf_counter() - t0
 
@@ -431,15 +431,18 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
         trajectory_path=None, dump_assignments_path=None) -> RunStats:
     """Drive :func:`process_frame` over a stream of assembled frames,
     writing the trajectory CSV as frames complete (each row is flushed
-    before the next frame is processed). After a frame's rows are flushed
-    and before the next frame is asked for, :func:`prepare` makes what the
+    before the next frame is processed; timed into
+    ``RunStats.stages.write``). After a frame's rows are flushed and
+    before the next frame is asked for, :func:`prepare` makes what the
     next frame needs that reads no feature, and that frame's rows are
     written with the covariance text it made."""
     writer = TrajectoryWriter(trajectory_path) if trajectory_path is not None else None
     dump = open(dump_assignments_path, "w") if dump_assignments_path else None
     try:
         for aframe in source:
-            for ev in process_frame(world, aframe):
+            events = process_frame(world, aframe)
+            t = time.perf_counter()
+            for ev in events:
                 if writer is not None:
                     writer.write_frame(ev.frame, ev.targets, ev.cov_text)
                 if dump is not None:
@@ -448,6 +451,7 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
                     dump.write(json.dumps({"frame": ev.frame, "assignments": cols,
                                            "births": ev.births,
                                            "deaths": ev.deaths}) + "\n")
+            world.stats.stages.lap("write", t)
             prepare(world)
         if world.held is not None:  # nothing came after it to confirm it
             world.held = None

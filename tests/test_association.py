@@ -15,7 +15,6 @@ from camtrack3d.association import (
     cull_targets,
     feature_likelihood,
     gate_claimed_features,
-    largest_position_variance,
     mahalanobis_closest_point,
     pair_likelihoods,
     resolve_shared,
@@ -23,16 +22,19 @@ from camtrack3d.association import (
 from camtrack3d.geometry import (
     BehindCamera,
     CameraModel,
+    DegenerateGeometry,
     PointAtInfinity,
     Ray3,
+    pixel_ray,
     project,
     triangulate,
 )
-from camtrack3d.tracker import ProcessModel, Targets, TargetState, cov_keys
+from camtrack3d.tracker import ProcessModel, Targets, TargetState
 from helpers import (
     bruteforce_assignment,
     cull_targets_oracle,
     feature_rows,
+    frame_table,
     gate_claimed_features_oracle,
     look_at_camera,
     make_feature,
@@ -228,6 +230,37 @@ def test_pair_table_empty_frame():
     am = assign(pair_table_of({}, [target_at([0.0, 0.0, 0.3])], cams), GATE)
     assert am.columns == {0: (None, None)}
     assert gate_claimed_features(pair_table_of({}, [], cams), GATE).shape == (0,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_frame_table_rays_are_the_pixel_rays(seed):
+    # each row is back-projected once, when the table is stacked, for the
+    # pair table and the birth search alike: the rays pixel_ray accepts,
+    # in its directions, and no others
+    rng = np.random.default_rng(seed)
+    cams = []
+    for k in range(rng.integers(1, 5)):
+        pos = rng.normal(size=3)
+        cams.append(look_at_camera(rng.uniform(1.0, 3.0) * pos / np.linalg.norm(pos),
+                                   rng.uniform(-0.2, 0.2, 3), cam_id=f"c{k}",
+                                   focal=rng.uniform(400, 1200)))
+    rows = {}
+    for cam in cams:
+        uv = rng.uniform([0, 0], [640, 480], size=(int(rng.integers(0, 6)), 2))
+        bad = rng.random(len(uv)) < 0.2
+        uv[bad] = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=(np.count_nonzero(bad), 2))
+        rows[cam.cam_id] = np.column_stack([uv, np.tile([20.0, 150.0, 0.0, 2.0], (len(uv), 1))])
+    frame, rig = frame_table(rows, cams)
+    assert frame.rays.shape == (len(frame.rows), 3)
+    for n, k in enumerate(frame.cam_of.tolist()):
+        try:
+            want = pixel_ray(rig.cameras[k], frame.rows[n, :2]).direction
+        except DegenerateGeometry:
+            want = None
+        assert frame.ray_ok[n] == (want is not None), n
+        if want is not None:
+            np.testing.assert_allclose(frame.rays[n], want, rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------- assign
@@ -516,13 +549,13 @@ def test_spawn_needs_min_cameras():
 
 def test_spawn_on_fewer_than_two_unclaimed_rows_does_no_array_work(monkeypatch):
     # most frames of a tracked scene leave nothing to search: such a frame
-    # counts its pass and returns before back-projecting anything
+    # counts its pass and returns before pairing or triangulating any ray
     import camtrack3d.association as association
 
     def fail(*args):
         raise AssertionError("array work on a frame with nothing to search")
 
-    monkeypatch.setattr(association, "pixel_rays", fail)
+    monkeypatch.setattr(association, "line_distances", fail)
     monkeypatch.setattr(association, "triangulate_sets", fail)
     cams = ring_of_cameras(3)
     rows = {c.cam_id: np.array([[100.0, 100.0, 20.0, 150.0, 0.0, 2.0]]) for c in cams}
@@ -664,35 +697,25 @@ def test_cull_infinite_threshold_removes_nothing():
 def targets_near_death(draw):
     """Targets whose covariances are A A^T for a random 6x6 A, so that the
     largest position variance falls on either side of the default death
-    threshold, some of them sharing one covariance."""
-    shared = draw(st.lists(st.floats(-0.035, 0.035), min_size=36, max_size=36))
+    threshold, or are scaled far below it."""
     targets = []
     for tid in range(draw(st.integers(0, 6))):
-        cells = shared if draw(st.booleans()) else draw(
-            st.lists(st.floats(-0.035, 0.035), min_size=36, max_size=36))
-        a = np.array(cells).reshape(6, 6)
-        targets.append(TargetState(target_id=tid, mean=np.zeros(6), cov=a @ a.T))
+        a = np.array(draw(st.lists(st.floats(-0.035, 0.035), min_size=36, max_size=36)))
+        cov = a.reshape(6, 6) @ a.reshape(6, 6).T * draw(st.sampled_from([1.0, 1e-3]))
+        targets.append(TargetState(target_id=tid, mean=np.zeros(6), cov=cov))
     return targets
 
 
-@settings(max_examples=200, deadline=None)
-@given(targets_near_death(), targets_near_death(), st.data())
-def test_cull_with_prepared_variances_matches_cull_without(targets, others, data):
-    # variances made ahead are found by the covariance's bytes, so a set
-    # for all, some, none or other targets' covariances decides as the
-    # one-target-at-a-time death test does
+@settings(max_examples=300, deadline=None)
+@given(targets_near_death())
+def test_cull_matches_the_one_target_death_test(targets):
+    # the eigenvalues are computed only for the targets whose entries do
+    # not bound them below the threshold, and the split is the one-target
+    # death test's, on a stack and on a list
     gate = GateConfig()
-    stack = Targets.of(targets)
-    some = [data.draw(st.booleans()) for _ in targets]
-    sets = {"complete": stack.covs, "partial": stack.covs[np.array(some, dtype=bool)],
-            "other": Targets.of(others).covs * 1.5, "empty": stack.covs[:0]}
     want_kept, want_removed = cull_targets_oracle(targets, gate)
     want = ([t.target_id for t in want_kept], [t.target_id for t in want_removed])
-    for name, covs in [*sets.items(), ("none", None)]:
-        variances = None if covs is None else dict(
-            zip(cov_keys(covs), largest_position_variance(covs).tolist()))
-        kept, removed = cull_targets(stack, gate, variances)
-        assert (kept.ids.tolist(), removed.ids.tolist()) == want, name
-        assert kept.covs.tobytes() == stack.covs[np.isin(stack.ids, want[0])].tobytes()
-        kept, removed = cull_targets(targets, gate, variances)
-        assert ([t.target_id for t in kept], [t.target_id for t in removed]) == want, name
+    kept, removed = cull_targets(Targets.of(targets), gate)
+    assert (kept.ids.tolist(), removed.ids.tolist()) == want
+    kept, removed = cull_targets(targets, gate)
+    assert ([t.target_id for t in kept], [t.target_id for t in removed]) == want

@@ -49,6 +49,34 @@ def test_simulate_then_track_then_report(tmp_path, capsys):
     assert (tmp_path / "hist.csv").exists()
 
 
+def test_track_counts_rows_of_cameras_outside_the_calibration(tmp_path, capsys):
+    # a features file naming a camera the calibration does not hold: its
+    # finite rows are dropped and counted once as unknown_camera_rows, its
+    # non-finite row only as non-finite, and the trajectory is as without it
+    out = tmp_path / "scene"
+    assert main(["simulate", "--preset", "smalltunnel", "--targets", "1",
+                 "--frames", "20", "--seed", "5", "--out-dir", str(out)]) == 0
+    plain = (out / "features.jsonl").read_text()
+    ghost = {"frame": 3, "cam": "ghost", "t": 0.03,
+             "features": [[100.0, 100.0, 20.0, 150.0, 0.0, 2.0]] * 3
+             + [[float("nan"), 100.0, 20.0, 150.0, 0.0, 2.0]]}
+    (tmp_path / "haunted.jsonl").write_text(plain + json.dumps(ghost) + "\n")
+    summaries, trajectories = [], []
+    for features in (out / "features.jsonl", tmp_path / "haunted.jsonl"):
+        traj, stats = tmp_path / f"{features.stem}.csv", tmp_path / f"{features.stem}.json"
+        assert main(["track", "--config", str(out / "run.cfg"), "--features", str(features),
+                     "--calibration", str(out / "calibration.cal"),
+                     "--out", str(traj), "--stats-out", str(stats)]) == 0
+        printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        summaries.append((printed, json.loads(stats.read_text())))
+        trajectories.append(traj.read_bytes())
+    assert trajectories[0] == trajectories[1]
+    for (printed, saved), rows in zip(summaries, [(0, 0), (3, 1)]):
+        for summary in (printed, saved):
+            assert (summary["unknown_camera_rows"], summary["nonfinite_rows"]) == rows
+            assert summary["frames"] == 20
+
+
 def test_simulate_render_writes_pgm(tmp_path):
     out = tmp_path / "scene"
     assert main(["simulate", "--preset", "smalltunnel", "--targets", "1",
@@ -269,9 +297,22 @@ def test_live_track_ends_cleanly_on_signal(tmp_path, signum):
         [sys.executable, "-m", "camtrack3d.cli", "track", "--config", str(tmp_path / "run.cfg"),
          "--features", "0", "--calibration", str(tmp_path / "rig.cal"),
          "--out", str(traj), "--stats-out", str(stats_path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env())
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=checkout_env(),
+        bufsize=0)  # unbuffered: communicate() reads the pipes past any buffer
+
+    def fail(why, err=b""):
+        """End the child and fail with `why` and everything it wrote to stderr."""
+        if proc.poll() is None:
+            proc.kill()
+        err += proc.communicate()[1]
+        pytest.fail(f"{why} (exit code {proc.returncode}); track's stderr:\n"
+                    f"{err.decode(errors='replace')}")
+
     try:
-        port = int(proc.stderr.readline().decode().split()[-1])  # "listening on port N"
+        line = proc.stderr.readline()
+        if not line.startswith(b"listening on port"):
+            fail(f"track did not report its port, first stderr line {line!r}", line)
+        port = int(line.decode().split()[-1])
         with socket.create_connection(("127.0.0.1", port)) as sock:
             for per_cam in packets[:-1]:
                 for p in per_cam:
@@ -280,20 +321,28 @@ def test_live_track_ends_cleanly_on_signal(tmp_path, signum):
                 write_packet(sock, p)
             deadline = time.monotonic() + 60
             while not (traj.exists() and "\n18," in traj.read_text()):
-                assert time.monotonic() < deadline and proc.poll() is None
+                if proc.poll() is not None:
+                    fail("track exited before writing frame 18")
+                if time.monotonic() > deadline:
+                    fail("frame 18 not in the trajectory after 60 s")
                 time.sleep(0.02)
             proc.send_signal(signum)
-            out, err = proc.communicate(timeout=60)
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                fail("track still running 60 s after the signal")
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.communicate()
-    assert proc.returncode == 0, err.decode()
-    assert sorted(read_trajectory_csv(traj)) == list(range(20))
+    stderr = f"track's stderr:\n{err.decode(errors='replace')}"
+    assert proc.returncode == 0, stderr
+    assert sorted(read_trajectory_csv(traj)) == list(range(20)), stderr
     printed = json.loads(out.decode().strip().splitlines()[-1])
     saved = json.loads(stats_path.read_text())
-    for summary in (printed, saved):
-        assert summary["frames"] == 20
-        assert summary["partial"] == 1 and summary["late"] == 0
-        assert summary["stage_prepare_s"] > 0
-    assert len(saved["latencies"]) == 20
+    for name, summary in (("printed", printed), ("saved", saved)):
+        assert summary["frames"] == 20, (name, stderr)
+        assert summary["partial"] == 1, (name, stderr)
+        assert summary["late"] == 0, (name, stderr)
+        assert summary["stage_prepare_s"] > 0, (name, stderr)
+    assert len(saved["latencies"]) == 20, stderr

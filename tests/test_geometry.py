@@ -24,7 +24,6 @@ from camtrack3d.geometry import (
     load_calibration,
     normalized_projection,
     pixel_ray,
-    pixel_rays,
     project,
     save_calibration,
     triangulate,
@@ -306,10 +305,10 @@ def test_triangulate_sets_of_no_sets():
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_pixel_rays_and_line_distances_match_scalar(seed):
-    # stacked back-projection and pair distances give the bits of
-    # pixel_ray and the scalar line distance, degenerate and parallel
-    # rays included
+def test_line_distances_match_scalar(seed):
+    # stacked pair distances between pixel_ray rays give the bits of the
+    # scalar line distance, parallel rays included; degenerate pixels
+    # give no ray
     rng = np.random.default_rng(seed)
     cams = []
     for k in range(rng.integers(1, 5)):
@@ -325,17 +324,14 @@ def test_pixel_rays_and_line_distances_match_scalar(seed):
     uv[1:][repeat[1:]], cam_of[1:][repeat[1:]] = uv[:-1][repeat[1:]], cam_of[:-1][repeat[1:]]
     bad = rng.random(n) < 0.15
     uv[bad] = rng.choice([np.nan, np.inf, -np.inf, 1e308], size=(np.count_nonzero(bad), 2))
-    d, ok = pixel_rays(rig.m_inv[cam_of], uv)
     rays = []
     for i in range(n):
         try:
             rays.append(pixel_ray(rig.cameras[cam_of[i]], uv[i]))
         except DegenerateGeometry:
             rays.append(None)
-    assert ok.tolist() == [r is not None for r in rays]
-    good = np.flatnonzero(ok)
-    for i in good:
-        assert d[i].tobytes() == rays[i].direction.tobytes()
+    good = np.array([i for i, r in enumerate(rays) if r is not None], dtype=int)
+    d = np.array([r.direction if r is not None else np.zeros(3) for r in rays])
     a, b = np.triu_indices(len(good), 1)
     a, b = good[a], good[b]
     o = rig.centers[cam_of]
