@@ -16,6 +16,7 @@ import json
 import signal
 import sys
 import threading
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -86,6 +87,33 @@ def _stop_on_signal():
             signal.signal(s, handler)
 
 
+def _live_frames(listener, asm: FrameAssembler, stop: threading.Event):
+    """The assembled frames of the listener's packets. The wait budget is
+    only consulted while the input queue is actually dry, so a lagging
+    consumer never mistakes its own queueing delay for camera loss. The
+    stream ends when every camera has disconnected or once `stop` is set;
+    then the packets received before the stop are still fed, without
+    waiting, and the frames still pending are flushed."""
+    stopped_at = None
+    while True:
+        if stopped_at is None and stop.is_set():
+            stopped_at = time.monotonic()
+        try:
+            item = listener.get(timeout=0.02 if stopped_at is None else 0)
+        except EOFError:
+            break
+        if item is None:
+            if stopped_at is not None:  # drained
+                break
+            yield from asm.flush_due()
+            continue
+        arrived, packet = item
+        if stopped_at is not None and arrived > stopped_at:
+            break
+        yield from asm.feed(packet, now=arrived)
+    yield from asm.finish()
+
+
 def _cmd_track(args) -> int:
     cameras = geometry.load_calibration(args.calibration)
     cfg = cfgmod.load_config(args.config) if args.config else {}
@@ -97,28 +125,10 @@ def _cmd_track(args) -> int:
         print(f"listening on port {listener.address[1]}", file=sys.stderr)
         asm = FrameAssembler(camera_ids=[c.cam_id for c in cameras],
                              wait_budget=wait_budget)
-
-        def frames(stop):
-            # the wait budget is only consulted while the input queue is
-            # actually dry, so a lagging consumer never mistakes its own
-            # queueing delay for camera loss; the stream ends when every
-            # camera has disconnected or on SIGINT/SIGTERM, and either way
-            # the frames still pending are flushed and processed
-            while not stop.is_set():
-                try:
-                    item = listener.get(timeout=0.02)
-                except EOFError:
-                    break
-                if item is None:
-                    yield from asm.flush_due()
-                    continue
-                arrived, packet = item
-                yield from asm.feed(packet, now=arrived)
-            yield from asm.finish()
-
         try:
             with _stop_on_signal() as stop:
-                stats = hub.run(frames(stop), world, trajectory_path=args.out,
+                stats = hub.run(_live_frames(listener, asm, stop), world,
+                                trajectory_path=args.out,
                                 dump_assignments_path=args.dump_assignments)
         finally:
             listener.stop()

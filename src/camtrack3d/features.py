@@ -21,14 +21,14 @@ and derives the new model's bounds in one pass over blocks of rows small
 enough that their float64 temporaries stay in cache; a model built any
 other way derives its bounds, on first use, through the same blocks.
 
-The mask is OR-reduced into 16x16 tiles and the tile grid is labelled with
-8-connectivity. Every 8-connected pixel region lies inside one tile
-component, so each component's own pixels are copied onto one canvas, one
-zero column apart, and the canvas is labelled once per frame; regions map
-back to the image by their canvas column. The difference image is computed
-only over each region's bounding box, and a region's six weighted moment
-sums are taken as two stacked row sums, each row summed as its own 1-D
-array would be.
+The mask is compacted to its occupied rows and columns, each run of them
+followed by the empty line after it, and that canvas is labelled with
+8-connectivity once per frame. The kept empty lines keep apart what the
+dropped ones kept apart, and a region's rows and columns are consecutive
+in the image, so each region maps back by its first row and column. The
+difference image is computed only over each region's bounding box, and a
+region's six weighted moment sums are taken as two stacked row sums, each
+row summed as its own 1-D array would be.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -56,9 +55,6 @@ ECC_DEGENERATE = math.inf
 _INTRA_PIXEL_VAR = 1.0 / 12.0
 
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
-
-# side of the square tiles the detection mask is reduced to before labelling
-_TILE = 16
 
 # rows per pass of the background refresh: a block's float64 temporaries
 # stay in cache
@@ -309,47 +305,20 @@ def _region_moments(diff, keep, peak):
     return u_raw, v_raw, wsum, peak, theta, ecc
 
 
-def _tile_canvas(mask: np.ndarray) -> tuple[np.ndarray, list, list] | None:
-    """The mask's 16x16-tile components side by side on one canvas, one
-    zero column apart, so that no 8-connected region spans two of them:
-    the canvas, each component's first canvas column, and the offset
-    (rows, columns) from its canvas pixels to image pixels. The mask
-    itself, as one component, when that canvas would be no smaller; None
-    when the mask is empty."""
-    from scipy import ndimage
-
-    h, w = mask.shape
-    th, tw = -(-h // _TILE), -(-w // _TILE)
-    padded = mask
-    if (th * _TILE, tw * _TILE) != (h, w):
-        padded = np.zeros((th * _TILE, tw * _TILE), dtype=bool)
-        padded[:h, :w] = mask
-    # a tile row of the padded mask is two uint64 words
-    words = np.bitwise_or.reduce(padded.view(np.uint64).reshape(th, _TILE, tw, 2), axis=1)
-    tiles = (words[..., 0] | words[..., 1]).astype(bool)
-    if not tiles.any():
-        return None
-    tile_labels, n_tiles = ndimage.label(tiles, structure=_EIGHT_CONNECTED)
-    sizes = np.bincount(tile_labels.reshape(-1))  # tiles per component
-    boxes = [(slice(ty.start * _TILE, min(ty.stop * _TILE, h)),
-              slice(tx.start * _TILE, min(tx.stop * _TILE, w)), tile_labels[ty, tx])
-             for ty, tx in ndimage.find_objects(tile_labels, n_tiles)]
-    height = max(ys.stop - ys.start for ys, _, _ in boxes)
-    width = sum(xs.stop - xs.start + 1 for _, xs, _ in boxes) - 1
-    if height * width >= mask.size:  # boxes that overlap or span the frame
-        return mask, [0], [(0, 0)]
-    canvas = np.zeros((height, width), dtype=bool)
-    starts, offsets, col = [], [], 0
-    for k, (ys, xs, box) in enumerate(boxes, 1):
-        bh, bw = ys.stop - ys.start, xs.stop - xs.start
-        slot = canvas[:bh, col:col + bw]
-        slot[...] = mask[ys, xs]
-        if np.count_nonzero(box) > sizes[k]:  # another component's tiles in the box
-            slot &= np.repeat(np.repeat(box == k, _TILE, 0), _TILE, 1)[:bh, :bw]
-        starts.append(col)
-        offsets.append((ys.start, xs.start - col))
-        col += bw + 1
-    return canvas, starts, offsets
+def _compact(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mask cut down to its occupied rows and columns, each run of them
+    followed by the empty line after it, if any: the canvas, and the image
+    row and column of each canvas row and column. Two canvas neighbours
+    that are not image neighbours always include a pixel of such an empty
+    line, so the canvas has the mask's 8-connected regions, each with its
+    image shape."""
+    keep_rows = mask.any(axis=1)
+    keep_rows[1:] |= keep_rows[:-1]  # numpy reads the overlapping input first
+    wide = np.compress(keep_rows, mask, axis=0)
+    keep_cols = wide.any(axis=0)  # the dropped rows are empty
+    keep_cols[1:] |= keep_cols[:-1]
+    canvas = np.compress(keep_cols, wide, axis=1)
+    return canvas, np.flatnonzero(keep_rows), np.flatnonzero(keep_cols)
 
 
 def extract_features(frame: Frame, model: BackgroundModel,
@@ -377,19 +346,19 @@ def extract_features(frame: Frame, model: BackgroundModel,
     if pixels.shape != model.mean.shape:
         raise DimensionMismatch(
             f"frame {pixels.shape} vs model {model.mean.shape}")
-    placed = _tile_canvas(_detection_mask(pixels, model))
-    if placed is None:
+    canvas, rows, cols = _compact(_detection_mask(pixels, model))
+    if canvas.size == 0:
         return []
-    canvas, starts, offsets = placed
     labels, count = ndimage.label(canvas, structure=_EIGHT_CONNECTED)
     found = []  # (first pixel's raster index, feature)
     for i, (ry, rx) in enumerate(ndimage.find_objects(labels, count), 1):
         comp = labels[ry, rx] == i
         # the region's bounding box in image coordinates, as the moments
-        # must be taken in the same frame for bit-identical centroids
-        dy, dx = offsets[bisect_right(starts, rx.start) - 1]
-        ys = slice(ry.start + dy, ry.stop + dy)
-        xs = slice(rx.start + dx, rx.stop + dx)
+        # must be taken in the same frame for bit-identical centroids; its
+        # rows and columns are consecutive in the image
+        y0, x0 = int(rows[ry.start]), int(cols[rx.start])
+        ys = slice(y0, y0 + ry.stop - ry.start)
+        xs = slice(x0, x0 + rx.stop - rx.start)
         d = np.subtract(pixels[ys, xs], model.mean[ys, xs])
         np.abs(d, out=d)
         peak = d[comp].max()

@@ -276,6 +276,38 @@ def test_track_over_tcp_reports_transport_counters(tmp_path, capsys):
         assert summary["spawn_passes"] > 0
 
 
+def test_live_frames_feed_the_packets_received_before_the_stop():
+    # the listener already holds four of five cameras' packets of frame 7
+    # when the stop is seen, and a fifth arrives after it: the four are fed
+    # and their partial frame is flushed, the fifth is not fed
+    from camtrack3d.cli import _live_frames
+    from camtrack3d.netproto import FrameAssembler
+    from camtrack3d.simharness import simulate_truth, synthesize_observations
+
+    spec = preset("smalltunnel", seed=13, pixel_noise=0.5)
+    cams = generate_rig(spec)
+    truths = simulate_truth(spec, 1, 8, maneuver_sigma=0.0, speed=0.05)
+    packets = synthesize_observations(truths, cams, spec)[7]
+
+    class QueuedListener:
+        def __init__(self, items):
+            self.items = list(items)
+
+        def get(self, timeout=0.05):
+            return self.items.pop(0) if self.items else None
+
+    now = time.monotonic()
+    listener = QueuedListener([(now - 1.0, p) for p in packets[:4]] + [(now + 60.0, packets[4])])
+    asm = FrameAssembler(camera_ids=[c.cam_id for c in cams], wait_budget=600.0)
+    stop = threading.Event()
+    stop.set()
+    frames = list(_live_frames(listener, asm, stop))
+    assert [f.frame for f in frames] == [7]
+    assert not frames[0].complete
+    assert sorted(frames[0].features_by_camera) == sorted(p.cam_id for p in packets[:4])
+    assert listener.items == []
+
+
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])
 def test_live_track_ends_cleanly_on_signal(tmp_path, signum):
     # one camera connection stays open, and the last frame waits in the

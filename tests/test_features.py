@@ -16,9 +16,9 @@ from camtrack3d.features import (
     BackgroundModel,
     DimensionMismatch,
     Frame,
+    _compact,
     _detection_mask,
     _region_moments,
-    _tile_canvas,
     extract_features,
     feature_from_row,
     feature_record,
@@ -409,26 +409,24 @@ def test_tie_across_tile_components_keeps_raster_order():
                                                          moment_fraction=0.0))
 
 
-def test_tile_components_of_mixed_heights_clipped_at_the_edges():
-    # 130x200: the last tile row and column are clipped to 2 and 8 pixels;
-    # nine tile components from one to four tiles tall, one with two
-    # regions and one inside another's box; the first two touch the
-    # canvas column between them
+def test_blobs_of_mixed_heights_at_the_edges_on_a_smaller_canvas():
+    # 130x200: ten regions from 1 to 59 rows tall, one inside another's
+    # box, four at an edge of the frame and one on a diagonal; the
+    # compacted canvas is smaller than the mask
     rng = np.random.default_rng(11)
     px = np.zeros((130, 200), dtype=np.uint8)
-    px[2:61, 5] = rng.integers(40, 256, size=59)          # four tiles tall
+    px[2:61, 5] = rng.integers(40, 256, size=59)          # 59 rows tall
     px[3:9, 8:16] = 120                                   # a second one, at the box's edge
-    px[40:45, 40:46] = rng.integers(40, 256, size=(5, 6))  # one tile
+    px[40:45, 40:46] = rng.integers(40, 256, size=(5, 6))  # a 5x6 block
     px[2:40, 96] = px[39, 96:150] = 150                   # an L at its box's left edge
     px[5:9, 135:139] = 60                                 # inside the L's box
     px[60:71, 194:200] = 200                              # at the right edge
     px[127:130, 185:200] = 90                             # in the bottom-right corner
-    px[110:130, 20] = 70                                  # three tiles tall, at the bottom
+    px[110:130, 20] = 70                                  # 20 rows tall, at the bottom
     px[129, 60:91] = rng.integers(40, 256, size=31)       # along the bottom edge
-    px[np.arange(80, 106), np.arange(80, 106)] = 160      # a diagonal over 2x2 tiles
+    px[np.arange(80, 106), np.arange(80, 106)] = 160      # a diagonal, 26 rows and columns
     mask = px > 30
-    canvas, starts, _ = _tile_canvas(mask)
-    assert len(starts) == 9 and canvas.size < mask.size
+    assert _compact(mask)[0].size < mask.size
     model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=30.0)
     for camera in (None, DISTORTED):
         feats = extract_features(frame_with(px), model, camera=camera, max_features=100)
@@ -437,19 +435,88 @@ def test_tile_components_of_mixed_heights_clipped_at_the_edges():
             frame_with(px), model, camera=camera, max_features=100))
 
 
-def test_tile_boxes_spanning_the_frame_label_the_mask_itself():
-    # a full-height bar and full-width stripes: side by side, their boxes
-    # would make a canvas 14 times the frame
+def test_bar_and_stripes_spanning_the_frame_label_no_more_than_the_mask():
+    # a full-height bar and full-width stripes: every row is occupied, so
+    # the canvas keeps every row
     px = np.zeros((480, 640), dtype=np.uint8)
     px[:, 3] = 200
     px[5::32, 40:] = 120
     mask = px > 30
-    assert _tile_canvas(mask)[0] is mask
+    assert _compact(mask)[0].size <= mask.size
     model = BackgroundModel.constant(px.shape, 0.0, difference_threshold=30.0)
     feats = extract_features(frame_with(px), model, max_features=100)
     assert len(feats) == 16
     assert exact(feats) == exact(extract_features_oracle(frame_with(px), model,
                                                          max_features=100))
+
+
+@st.composite
+def masks(draw):
+    """Boolean masks from 1x1 to 70x90: random speckle, empty, full, a
+    ragged single row or column, ragged blobs at the edges, or ragged
+    blobs spread along a diagonal."""
+    h, w = draw(st.integers(1, 70)), draw(st.integers(1, 90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["speckle", "empty", "full", "row", "column",
+                                 "edges", "diagonal"]))
+    mask = np.zeros((h, w), dtype=bool)
+    if kind == "speckle":
+        mask = rng.random((h, w)) < draw(st.sampled_from([0.02, 0.1, 0.3, 0.6, 0.9]))
+    elif kind == "full":
+        mask[:] = True
+    elif kind == "row":
+        mask[rng.integers(h)] = rng.random(w) < 0.8
+    elif kind == "column":
+        mask[:, rng.integers(w)] = rng.random(h) < 0.8
+    else:
+        n = draw(st.integers(1, 8))
+        for k in range(n):
+            bh, bw = rng.integers(1, 6, size=2)
+            if kind == "edges":  # flush with the top or bottom and the left or right
+                y = rng.choice([0, max(h - bh, 0)])
+                x = rng.choice([0, max(w - bw, 0)]) if rng.random() < 0.7 else rng.integers(w)
+            else:
+                y, x = k * h // n, k * w // n
+            patch = mask[y:y + bh, x:x + bw]
+            patch |= rng.random(patch.shape) < 0.7
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks())
+def test_compacted_canvas_has_the_masks_regions(mask):
+    from scipy import ndimage
+
+    canvas, rows, cols = _compact(mask)
+    # the dropped rows and columns are empty, and the canvas is the mask's
+    assert np.count_nonzero(canvas) == np.count_nonzero(mask)
+    assert np.array_equal(canvas, mask[np.ix_(rows, cols)])
+    want, n_want = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    if canvas.size == 0:
+        assert n_want == 0
+        return
+    got, n_got = ndimage.label(canvas, structure=np.ones((3, 3), dtype=bool))
+    # each region's rows and columns are consecutive in the image, so its
+    # image box is its canvas box moved to its first row and column
+    for ry, rx in ndimage.find_objects(got, n_got):
+        assert rows[ry.stop - 1] - rows[ry.start] == ry.stop - ry.start - 1
+        assert cols[rx.stop - 1] - cols[rx.start] == rx.stop - rx.start - 1
+    # the canvas regions, mapped back to the image, are the mask's regions
+    back = np.zeros_like(want)
+    back[np.ix_(rows, cols)] = got
+    pairs = np.unique(np.stack([back[mask], want[mask]]), axis=1)
+    assert n_got == n_want == pairs.shape[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(masks(), st.integers(0, 2**32 - 1))
+def test_extraction_on_compacted_masks_matches_oracle(mask, seed):
+    px = np.where(mask, np.random.default_rng(seed).integers(31, 256, size=mask.shape), 0)
+    frame = frame_with(px.astype(np.uint8))
+    model = BackgroundModel.constant(mask.shape, 0.0, difference_threshold=30.0)
+    for camera in (None, DISTORTED):
+        assert exact(extract_features(frame, model, camera=camera, max_features=10**4)) == \
+            exact(extract_features_oracle(frame, model, camera=camera, max_features=10**4))
 
 
 def test_blob_inside_another_tile_components_box_counted_once():
