@@ -88,12 +88,12 @@ def _stop_on_signal():
 
 
 def _live_frames(listener, asm: FrameAssembler, stop: threading.Event):
-    """The assembled frames of the listener's packets. The wait budget is
-    only consulted while the input queue is actually dry, so a lagging
-    consumer never mistakes its own queueing delay for camera loss. The
-    stream ends when every camera has disconnected or once `stop` is set;
-    then the packets received before the stop are still fed, without
-    waiting, and the frames still pending are flushed."""
+    """The assembled frames of the listener's packets, each arriving when
+    ``get`` reads it. The wait budget is consulted only while nothing is
+    left to read, so a lagging consumer never takes its delay for camera
+    loss. The stream ends when every camera has disconnected or once
+    `stop` is set; what can be read at once is then fed, up to a packet
+    read a wait budget after the stop, and the pending frames flushed."""
     stopped_at = None
     while True:
         if stopped_at is None and stop.is_set():
@@ -108,8 +108,8 @@ def _live_frames(listener, asm: FrameAssembler, stop: threading.Event):
             yield from asm.flush_due()
             continue
         arrived, packet = item
-        if stopped_at is not None and arrived > stopped_at:
-            break
+        if stopped_at is not None and arrived > stopped_at + asm.wait_budget:
+            break  # a backlog: it cannot hold the run open
         yield from asm.feed(packet, now=arrived)
     yield from asm.finish()
 

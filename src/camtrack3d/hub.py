@@ -6,12 +6,12 @@ the frame's targets at once.
 The frame state is stacked from ingress to trajectory row. At ingress the
 cameras' (n, 6) float rows become one
 :class:`~camtrack3d.association.FrameFeatures` table, with rows that are
-not finite and rows of cameras outside the rig dropped and counted, and
-each row is back-projected once, for the pair table and the birth search
-alike. The world keeps its targets as
-one :class:`~camtrack3d.tracker.Targets` stack in id order, which predict,
-update and cull read and replace. The priors are projected through the
-rig once; every (target, camera, feature) pair is scored once into an
+not finite, rows of cameras outside the rig and rows past the per-camera
+cap dropped and counted, and each row is back-projected once, for the pair
+table and the birth search alike. The world keeps its targets as one
+:class:`~camtrack3d.tracker.Targets` stack in id order, which predict,
+update and cull read and replace. The priors are projected through the rig
+once; every (target, camera, feature) pair is scored once into an
 :class:`~camtrack3d.association.PairTable`, which assignment, merge
 resolution and the gate-claim test read, and the update's Jacobians reuse
 the projection. ``RunStats.stages`` sums the time of each stage.
@@ -36,7 +36,6 @@ sequences and configuration produce bit-identical trajectory output.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -81,6 +80,7 @@ from .tracker import (
 )
 
 log = logging.getLogger(__name__)
+MAX_ROWS_PER_CAMERA = 32  # cameras send 10 by default; no recorded scene has over 12
 
 
 @dataclass
@@ -126,6 +126,7 @@ class RunStats:
     deaths: int = 0
     singular_drops: int = 0
     nonfinite_rows: int = 0  # feature rows dropped at ingress
+    capped_rows: int = 0  # finite rows of a camera past MAX_ROWS_PER_CAMERA, dropped
     unknown_camera_rows: int = 0  # finite rows of cameras outside the rig, dropped
     gap_drops: int = 0  # frames past the death horizon that no frame confirmed
     latencies: list = field(default_factory=list)
@@ -140,7 +141,7 @@ class RunStats:
     def summary(self) -> dict:
         out = {"frames": self.frames, "births": self.births,
                "deaths": self.deaths, "singular_drops": self.singular_drops,
-               "nonfinite_rows": self.nonfinite_rows,
+               "nonfinite_rows": self.nonfinite_rows, "capped_rows": self.capped_rows,
                "unknown_camera_rows": self.unknown_camera_rows, "gap_drops": self.gap_drops}
         out.update({f"likelihood_{k}": v for k, v in asdict(self.likelihood).items()})
         out.update({f"spawn_{k}": v for k, v in asdict(self.spawn).items()})
@@ -242,7 +243,9 @@ def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameF
     cameras. Rows holding a NaN or an infinity are dropped and counted,
     those of cameras outside the rig included: no gate rejects them
     reliably, and they break the birth search's triangulation. The finite
-    rows of cameras outside the rig are dropped and counted apart."""
+    rows of cameras outside the rig are dropped and counted apart. A camera
+    keeps its :data:`MAX_ROWS_PER_CAMERA` finite rows of largest peak, in
+    their order; the rest are counted (``capped_rows``)."""
     feats = aframe.features_by_camera
     blocks = [np.asarray(feats.get(cam_id, _NO_ROWS), dtype=float).reshape(-1, 6)
               for cam_id in rig.ids]
@@ -254,11 +257,18 @@ def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameF
     finite = np.isfinite(rows).all(axis=1)
     if len(rows) > n:
         stats.unknown_camera_rows += int(np.count_nonzero(finite[n:]))
-    if not finite.all():
+    keep = finite[:n]
+    if not finite.all() or max(counts, default=0) > MAX_ROWS_PER_CAMERA:
         stats.nonfinite_rows += int(np.count_nonzero(~finite))
-        kept = np.concatenate([[0], np.cumsum(finite[:n])])
-        counts = np.diff(kept[list(itertools.accumulate(counts, initial=0))]).tolist()
-        rows = rows[:n][finite[:n]]
+        cam = np.repeat(np.arange(len(counts)), counts)
+        # by camera, then peak, largest first (non-finite last), then row; a
+        # row's rank in its camera is its place less its camera's first place
+        order = np.lexsort((np.where(keep, -rows[:n, 3], np.inf), cam))
+        over = order[np.arange(n) - (np.cumsum(counts) - counts)[cam] >= MAX_ROWS_PER_CAMERA]
+        stats.capped_rows += int(np.count_nonzero(keep[over]))
+        keep[over] = False
+        counts = np.bincount(cam[keep], minlength=len(counts)).tolist()
+        rows = rows[:n][keep]
     return FrameFeatures.stack(rows[:n], counts, rig)
 
 

@@ -8,18 +8,19 @@ Packet layout (little endian):
     count x 6 float64 (u, v, area, peak, theta, ecc)
 
 so a packet occupies 24 + id-len + 48 * count bytes. On stream transports
-packets are length-delimited with a u32 prefix.
+packets are length-delimited with a u32 prefix. The hub's
+:class:`PacketListener` reads them on the hub's one thread.
 """
 
 from __future__ import annotations
 
+import functools
+import selectors
 import socket
 import struct
-import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from queue import Empty, Queue
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -321,24 +322,12 @@ def assemble(packets: Iterable[FramePacket], n_cameras: int,
 # --------------------------------------------------------------- TCP transport
 
 _LEN = struct.Struct("<I")
+_READ_BYTES = 1 << 16  # per read of one connection
 
 
 def write_packet(sock: socket.socket, packet: FramePacket) -> None:
     payload = encode(packet)
     sock.sendall(_LEN.pack(len(payload)) + payload)
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytearray | None:
-    """Exactly n bytes, or None when the peer closes first."""
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
-        k = sock.recv_into(view[got:])
-        if not k:
-            return None
-        got += k
-    return buf
 
 
 def send_packets(host: str, port: int, packets: Iterable[FramePacket]) -> None:
@@ -349,22 +338,24 @@ def send_packets(host: str, port: int, packets: Iterable[FramePacket]) -> None:
 
 
 class PacketListener:
-    """Hub-side TCP listener: accepts any number of camera connections and
-    funnels decoded packets into a bounded queue (providing back-pressure
-    to producers). Iterate :meth:`packets` to consume.
+    """Hub-side TCP listener for any number of cameras, with no thread:
+    :meth:`get` waits on one selector, accepts, reads a bounded chunk from
+    each readable connection and decodes its whole packets, on the one
+    thread that calls :meth:`get` and :meth:`stop`. A packet arrives when
+    the hub reads it; TCP's flow control holds back a camera that outruns
+    the hub. A packet that does not decode is dropped and counted
+    (``undecodable``). A length prefix above the largest legal packet
+    leaves no point to resync at, so the connection is closed and counted
+    (``closed_connections``). A failed read (a reset, say) closes its
+    connection as EOF does; a failed accept is skipped."""
 
-    A packet that does not decode is dropped and counted (``undecodable``).
-    A length prefix above the largest legal packet leaves the stream with
-    no point to resync at, so the connection is closed and counted
-    (``closed_connections``)."""
-
-    def __init__(self, host: str = "0.0.0.0", port: int = 0, maxsize: int = 1024):
+    def __init__(self, host: str = "0.0.0.0", port: int = 0):
         self._srv = socket.create_server((host, port))
-        self._queue: Queue = Queue(maxsize=maxsize)
-        self._stop = threading.Event()
-        self._accept_thread: threading.Thread | None = None
-        self._lock = threading.Lock()
-        self._open_connections = 0
+        self._srv.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._srv, selectors.EVENT_READ, self._accept)
+        self._ready: deque[tuple[float, FramePacket]] = deque()
+        self._stopped = False
         self._ever_connected = False
         self.undecodable = 0
         self.closed_connections = 0
@@ -374,64 +365,62 @@ class PacketListener:
         return self._srv.getsockname()[:2]
 
     def start(self) -> "PacketListener":
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
         return self
-
-    def _accept_loop(self):
-        self._srv.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._srv.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            # not kept: a reader thread ends when its connection closes
-            threading.Thread(target=self._reader, args=(conn,), daemon=True).start()
-
-    def _reader(self, conn: socket.socket):
-        with self._lock:
-            self._open_connections += 1
-            self._ever_connected = True
-        try:
-            with conn:
-                while not self._stop.is_set():
-                    head = _read_exact(conn, _LEN.size)
-                    if head is None:
-                        break
-                    (length,) = _LEN.unpack(head)
-                    if length > MAX_PACKET_BYTES:
-                        with self._lock:
-                            self.closed_connections += 1
-                        break
-                    payload = _read_exact(conn, length)
-                    if payload is None:
-                        break
-                    try:
-                        packet = decode(payload)
-                    except ProtocolError:
-                        with self._lock:
-                            self.undecodable += 1
-                        continue
-                    self._queue.put((time.monotonic(), packet))
-        finally:
-            with self._lock:
-                self._open_connections -= 1
 
     def get(self, timeout: float = 0.05) -> tuple[float, FramePacket] | None:
         """One (arrival time, packet), or None when momentarily idle.
         Raises EOFError once stopped, or once every producer has connected,
         disconnected and been drained."""
-        try:
-            return self._queue.get(timeout=timeout)
-        except Empty:
-            if self._stop.is_set():
+        deadline = time.monotonic() + timeout
+        while not self._ready:
+            if self._stopped:
                 raise EOFError("listener stopped")
-            with self._lock:
-                if self._ever_connected and self._open_connections == 0:
-                    raise EOFError("all producers disconnected")
-            return None
+            if self._ever_connected and len(self._selector.get_map()) == 1:
+                raise EOFError("all producers disconnected")
+            wait = deadline - time.monotonic()
+            for key, _ in self._selector.select(max(wait, 0.0)):
+                key.data()  # accept, or read one connection
+            if wait <= 0 and not self._ready:  # even if a flood keeps a connection readable
+                return None
+        return self._ready.popleft()
+
+    def _accept(self):
+        try:
+            conn, _ = self._srv.accept()
+        except OSError:  # the peer gave up first, or no descriptor is left
+            return
+        conn.setblocking(False)
+        self._selector.register(conn, selectors.EVENT_READ,
+                                functools.partial(self._read, conn, bytearray()))
+        self._ever_connected = True
+
+    def _read(self, conn: socket.socket, buf: bytearray):
+        try:
+            chunk = conn.recv(_READ_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:  # a reset, say: the connection ends as at EOF
+            chunk = b""
+        buf += chunk
+        arrived, start = time.monotonic(), 0
+        while len(buf) - start >= _LEN.size:
+            (length,) = _LEN.unpack_from(buf, start)
+            if length > MAX_PACKET_BYTES:
+                self.closed_connections += 1
+                chunk = b""  # closed as at EOF
+                break
+            end = start + _LEN.size + length
+            if end > len(buf):
+                break
+            try:
+                self._ready.append((arrived, decode(buf[start + _LEN.size:end])))
+            except ProtocolError:
+                self.undecodable += 1
+            start = end
+        if not chunk:
+            self._selector.unregister(conn)
+            conn.close()
+        del buf[:start]
 
     def packets(self, idle_timeout: float = 0.1) -> Iterator[tuple[float, FramePacket]]:
         """Yield (arrival time, packet) until the stream finishes."""
@@ -444,13 +433,12 @@ class PacketListener:
                 yield item
 
     def counters(self) -> dict[str, int]:
-        with self._lock:
-            return {"undecodable": self.undecodable,
-                    "closed_connections": self.closed_connections}
+        return {"undecodable": self.undecodable,
+                "closed_connections": self.closed_connections}
 
     def stop(self):
-        self._stop.set()
-        try:
-            self._srv.close()
-        except OSError:
-            pass
+        if not self._stopped:
+            self._stopped = True
+            for key in self._selector.get_map().values():
+                key.fileobj.close()
+            self._selector.close()

@@ -277,9 +277,10 @@ def test_track_over_tcp_reports_transport_counters(tmp_path, capsys):
 
 
 def test_live_frames_feed_the_packets_received_before_the_stop():
-    # the listener already holds four of five cameras' packets of frame 7
-    # when the stop is seen, and a fifth arrives after it: the four are fed
-    # and their partial frame is flushed, the fifth is not fed
+    # when the stop is seen the listener can still read four of five
+    # cameras' packets of frame 7, and the fifth only after it has once
+    # had nothing to read: the four are fed and their partial frame is
+    # flushed, the fifth is not fed
     from camtrack3d.cli import _live_frames
     from camtrack3d.netproto import FrameAssembler
     from camtrack3d.simharness import simulate_truth, synthesize_observations
@@ -294,10 +295,10 @@ def test_live_frames_feed_the_packets_received_before_the_stop():
             self.items = list(items)
 
         def get(self, timeout=0.05):
-            return self.items.pop(0) if self.items else None
+            item = self.items.pop(0)
+            return None if item is None else (time.monotonic(), item)
 
-    now = time.monotonic()
-    listener = QueuedListener([(now - 1.0, p) for p in packets[:4]] + [(now + 60.0, packets[4])])
+    listener = QueuedListener([*packets[:4], None, packets[4]])
     asm = FrameAssembler(camera_ids=[c.cam_id for c in cams], wait_budget=600.0)
     stop = threading.Event()
     stop.set()
@@ -305,7 +306,31 @@ def test_live_frames_feed_the_packets_received_before_the_stop():
     assert [f.frame for f in frames] == [7]
     assert not frames[0].complete
     assert sorted(frames[0].features_by_camera) == sorted(p.cam_id for p in packets[:4])
-    assert listener.items == []
+    assert listener.items == [packets[4]]
+
+
+def test_live_frames_end_after_the_stop_while_packets_keep_coming():
+    # a camera that keeps the listener busy after the stop cannot hold
+    # the run open: the drain ends at the first packet read more than the
+    # wait budget after the stop
+    from camtrack3d.cli import _live_frames
+    from camtrack3d.netproto import FrameAssembler, FramePacket
+
+    class BusyListener:
+        fed = 0
+
+        def get(self, timeout=0.05):
+            self.fed += 1
+            assert self.fed < 5_000, "the drain did not end"
+            time.sleep(0.001)
+            return time.monotonic(), FramePacket("c0", self.fed, 0, np.zeros((0, 6)))
+
+    listener = BusyListener()
+    asm = FrameAssembler(camera_ids=["c0", "c1"], wait_budget=0.02)
+    stop = threading.Event()
+    stop.set()
+    frames = list(_live_frames(listener, asm, stop))
+    assert [f.frame for f in frames] == list(range(1, listener.fed))
 
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM])

@@ -450,6 +450,74 @@ def test_arbitrary_rows_never_raise(tracked_two_targets, rows):
         assert np.all(np.isfinite(t.mean)) and np.all(np.isfinite(t.cov))
 
 
+# ------------------------------------------------- rows per camera at ingress
+
+def hostile_rows(data, n, size):
+    """`n` finite rows of one hostile kind inside an image of `size`."""
+    draw, (w, h) = data.draw, size
+    kind = draw(st.sampled_from(["spread", "duplicated", "one pixel", "corners"]))
+    peaks = st.sampled_from([1.0, 2.0, 150.0, 255.0])  # few values: many ties
+    if kind == "duplicated":
+        return np.tile([w / 3, h / 2, 20.0, draw(peaks), 0.0, 1.0], (n, 1))
+    rows = np.empty((n, 6))
+    rows[:, 2:] = [20.0, 0.0, 0.0, 1.0]
+    rows[:, 3] = draw(st.lists(peaks, min_size=n, max_size=n))
+    if kind == "spread":
+        rows[:, 0] = draw(st.lists(st.floats(0.0, w - 1), min_size=n, max_size=n))
+        rows[:, 1] = draw(st.lists(st.floats(0.0, h - 1), min_size=n, max_size=n))
+    elif kind == "one pixel":
+        rows[:, :2] = [w / 2, h / 2]
+    else:
+        rows[:, :2] = np.array([[0.0, 0.0], [w - 1, 0.0], [0.0, h - 1], [w - 1, h - 1]])[
+            np.arange(n) % 4]
+    return rows
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_rows_past_the_cap_are_dropped_and_counted_once(tracked_two_targets, data):
+    # one camera sends up to a few rows more than the cap, of one hostile
+    # kind, with non-finite rows among them: the birth search sees at most
+    # the cap's rows of any camera, those of largest peak in their order
+    # (ties to the lower row), and every dropped row is counted once
+    import camtrack3d.hub as hub
+
+    base, (af, _) = tracked_two_targets
+    world = copy.deepcopy(base)
+    cams = world.observation.cameras
+    victim = data.draw(st.sampled_from(cams), label="camera")
+    n = data.draw(st.integers(hub.MAX_ROWS_PER_CAMERA - 2, hub.MAX_ROWS_PER_CAMERA + 5))
+    finite = hostile_rows(data, n, victim.image_size)
+    bad = data.draw(st.lists(st.integers(0, n), max_size=3), label="non-finite at")
+    sent = np.insert(finite, bad, np.nan, axis=0)
+    feats = dict(af.features_by_camera) | {victim.cam_id: sent}
+    seen = []
+
+    def spawn(frame, *args, **kwargs):
+        seen.append(frame)
+        return spawn_targets(frame, *args, **kwargs)
+
+    spawn_targets, hub.spawn_targets = hub.spawn_targets, spawn
+    try:
+        process_frame(world, dataclasses.replace(af, features_by_camera=feats))
+    finally:
+        hub.spawn_targets = spawn_targets
+    stats = world.stats
+    assert stats.capped_rows - base.stats.capped_rows == max(0, n - hub.MAX_ROWS_PER_CAMERA)
+    assert stats.nonfinite_rows - base.stats.nonfinite_rows == len(bad)
+    assert stats.summary()["capped_rows"] == stats.capped_rows
+    (frame,) = seen
+    assert max(np.bincount(frame.cam_of)) <= hub.MAX_ROWS_PER_CAMERA
+    order = sorted(range(n), key=lambda i: (-finite[i, 3], i))
+    kept = finite[sorted(order[:hub.MAX_ROWS_PER_CAMERA])]
+    assert frame.rows[frame.slices[victim.cam_id]].tobytes() == kept.tobytes()
+    for cam_id, block in af.features_by_camera.items():
+        if cam_id != victim.cam_id:
+            assert frame.rows[frame.slices[cam_id]].tobytes() == np.asarray(
+                block, dtype=float).reshape(-1, 6).tobytes()
+
+
 # ------------------------------------------------- prepared frames
 
 def counters(stats):

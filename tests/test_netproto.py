@@ -1,5 +1,7 @@
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -489,37 +491,158 @@ def test_listener_accepts_packet_of_largest_legal_size():
                       features=np.arange(6.0 * 0xFFFF).reshape(-1, 6))
     assert len(encode(big)) == MAX_PACKET_BYTES
     listener = PacketListener(host="127.0.0.1", port=0).start()
+    # the listener reads only inside get(): the 3 MB go from another thread
+    sender = threading.Thread(target=send_packets, args=(*listener.address, [big]))
+    sender.start()
     try:
-        send_packets(*listener.address, [big])
         received = [p for _, p in listener.packets(idle_timeout=0.2)]
     finally:
+        sender.join()
         listener.stop()
     assert received == [big]
     assert listener.counters() == {"undecodable": 0, "closed_connections": 0}
 
 
-def test_listener_forgets_finished_reader_threads():
-    # each connection gets a reader thread that ends when the connection
-    # closes; the listener keeps no reference to it, so three connections
-    # opened and closed one after another leave nothing behind
+def test_listener_starts_no_thread_and_holds_only_its_own_socket():
+    # the listener accepts and reads on the caller's thread, and closes
+    # each connection once its peer has: three connections opened, used
+    # and closed one after another leave it holding its server socket only
+    count = threading.active_count()
     listener = PacketListener(host="127.0.0.1", port=0).start()
     try:
-        before = set(threading.enumerate())
-        count = threading.active_count()
+        received = []
         for k in range(3):
             with socket.create_connection(listener.address) as conn:
                 write_packet(conn, packet(cam=f"c{k}", frame=k))
             deadline = time.monotonic() + 5.0
-            while set(threading.enumerate()) - before and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert not set(threading.enumerate()) - before
-        assert threading.active_count() <= count
-        held = [v for v in vars(listener).values()
-                if isinstance(v, threading.Thread)
-                or isinstance(v, (list, tuple, set, dict))
-                and any(isinstance(x, threading.Thread) for x in v)]
-        assert held == [listener._accept_thread]
-        received = [p.cam_id for _, p in listener.packets(idle_timeout=0.2)]
+            while len(received) <= k and time.monotonic() < deadline:
+                item = listener.get(timeout=0.05)
+                if item is not None:
+                    received.append(item[1].cam_id)
+            assert threading.active_count() == count
+        # ends once the last connection's close is read
+        received += [p.cam_id for _, p in listener.packets(idle_timeout=0.2)]
+        assert threading.active_count() == count
+        sockets = [k.fileobj for k in listener._selector.get_map().values()]
+        assert sockets == [listener._srv]
     finally:
         listener.stop()
+    assert threading.active_count() == count
     assert received == ["c0", "c1", "c2"]
+
+
+def test_listener_closes_a_connection_reset_mid_packet():
+    # a peer that resets its connection in the middle of a packet loses
+    # that connection only: the other's packets still arrive, get() never
+    # raises, and no thread dies of the reset
+    died = []
+    hook, threading.excepthook = threading.excepthook, died.append
+    listener = PacketListener(host="127.0.0.1", port=0).start()
+
+    def take(sock, p):
+        write_packet(sock, p)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            item = listener.get(timeout=0.05)
+            if item is not None:
+                return item[1]
+        pytest.fail("packet did not arrive")
+
+    try:
+        reset = socket.create_connection(listener.address)
+        wire = encode(packet(cam="r", frame=1, rows=3))
+        reset.sendall(struct.pack("<I", len(wire)) + wire[:30])
+        with socket.create_connection(listener.address) as other:
+            assert take(other, packet(cam="o", frame=1)).cam_id == "o"
+            reset.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            reset.close()
+            assert take(other, packet(cam="o", frame=2)).frame == 2
+        # ends once both connections are closed
+        assert list(listener.packets(idle_timeout=0.2)) == []
+    finally:
+        listener.stop()
+        threading.excepthook = hook
+    assert died == []
+    assert listener.counters() == {"undecodable": 0, "closed_connections": 0}
+
+
+FLOOD = """
+import socket, struct, sys, time
+sock = socket.create_connection(("127.0.0.1", int(sys.argv[1])))
+junk = struct.pack("<I", 1 << 20) + bytes(1 << 20)  # a packet that does not decode
+end = time.monotonic() + 3.0
+while time.monotonic() < end:
+    sock.sendall(junk)
+"""
+
+
+def test_listener_get_returns_at_its_deadline_under_a_flood():
+    # another process streams undecodable packets as fast as it can for
+    # 3 s, so its connection is readable every time it is polled: get()
+    # still returns None at its timeout, and the hub's loop goes on (wait
+    # budgets, other cameras) meanwhile
+    listener = PacketListener(host="127.0.0.1", port=0).start()
+    proc = subprocess.Popen([sys.executable, "-c", FLOOD, str(listener.address[1])])
+    try:
+        deadline = time.monotonic() + 2.0
+        while listener.undecodable == 0 and time.monotonic() < deadline:
+            assert listener.get(timeout=0.05) is None
+        assert listener.undecodable > 0  # the flood has started
+        t = time.monotonic()
+        assert [listener.get(timeout=0.05) for _ in range(10)] == [None] * 10
+        # 0.5 s and one pass per call, with room for the host's stalls; a
+        # listener that reads on while data is ready took 1.1-1.3 s here
+        assert time.monotonic() - t < 0.65
+    finally:
+        proc.kill()
+        proc.wait()
+        listener.stop()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_listener_reassembles_packets_split_across_reads(data):
+    # one connection delivers its stream in arbitrary pieces: valid
+    # packets, one that does not decode, then a length prefix above the
+    # largest packet. Every valid packet comes out once and in order
+    rows = data.draw(st.lists(st.sampled_from([0, 1, 3, 1400]), min_size=1, max_size=6))
+    sent = [packet(cam=f"c{i}", frame=i, rows=r, seed=i) for i, r in enumerate(rows)]
+    bad = bytearray(encode(packet(cam="bad", frame=99)))
+    bad[0] = 0
+    wire = [encode(p) for p in sent]
+    wire.insert(data.draw(st.integers(0, len(wire)), label="undecodable at"), bytes(bad))
+    stream = b"".join(struct.pack("<I", len(w)) + w for w in wire)
+    stream += struct.pack("<I", MAX_PACKET_BYTES + 1)
+    cuts = data.draw(st.lists(st.integers(1, len(stream) - 1), max_size=12, unique=True))
+    bounds = [0, *sorted(cuts), len(stream)]
+    listener = PacketListener(host="127.0.0.1", port=0).start()
+    sock = socket.create_connection(listener.address)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+    def send():
+        for a, b in zip(bounds, bounds[1:]):
+            sock.sendall(stream[a:b])
+            time.sleep(0.0005)
+
+    sender = threading.Thread(target=send)
+    sender.start()
+    received = []
+    try:
+        # ends once the listener has closed the connection and been drained
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            try:
+                item = listener.get(timeout=0.05)
+            except EOFError:
+                break
+            if item is not None:
+                received.append(item[1])
+        sender.join()
+        # the listener closed the connection: it reads EOF
+        sock.settimeout(5.0)
+        assert sock.recv(1) == b""
+    finally:
+        sock.close()
+        listener.stop()
+    assert received == sent
+    assert listener.counters() == {"undecodable": 1, "closed_connections": 1}
