@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import signal
 import sys
@@ -25,7 +26,7 @@ import numpy as np
 from . import config as cfgmod
 from . import geometry, hub, metrics, simharness
 from .features import read_features_jsonl, write_features_jsonl
-from .netproto import FrameAssembler, PacketListener
+from .netproto import FrameAssembler, PacketListener, assemble
 
 
 def _cmd_simulate(args) -> int:
@@ -46,14 +47,7 @@ def _cmd_simulate(args) -> int:
     simharness.write_truth_csv(out / "truth.csv", truths)
     packets = simharness.synthesize_observations(truths, cameras, spec,
                                                  n_frames=args.frames)
-    records = []
-    for per_cam in packets:
-        for pkt in per_cam:
-            records.append({"frame": pkt.frame, "cam": pkt.cam_id,
-                            "t": pkt.timestamp_us / 1e6,
-                            "features": [list(map(float, row))
-                                         for row in pkt.features]})
-    write_features_jsonl(out / "features.jsonl", records)
+    write_features_jsonl(out / "features.jsonl", itertools.chain.from_iterable(packets))
     cfg = dict(cfgmod.DEFAULTS)
     cfg["dt"] = spec.dt
     cfg["seed"] = spec.seed
@@ -119,12 +113,12 @@ def _cmd_track(args) -> int:
     cfg = cfgmod.load_config(args.config) if args.config else {}
     world = _tracking_world(cfg, cameras)
     wait_budget = float(cfg.get("wait_budget", cfgmod.DEFAULTS["wait_budget"]))
+    camera_ids = [c.cam_id for c in cameras]
     if args.features.isdigit():
         port = int(args.features)
         listener = PacketListener(host="0.0.0.0", port=port).start()
         print(f"listening on port {listener.address[1]}", file=sys.stderr)
-        asm = FrameAssembler(camera_ids=[c.cam_id for c in cameras],
-                             wait_budget=wait_budget)
+        asm = FrameAssembler(camera_ids=camera_ids, wait_budget=wait_budget)
         try:
             with _stop_on_signal() as stop:
                 stats = hub.run(_live_frames(listener, asm, stop), world,
@@ -132,15 +126,15 @@ def _cmd_track(args) -> int:
                                 dump_assignments_path=args.dump_assignments)
         finally:
             listener.stop()
-        transport = {**asm.counters(), **listener.counters()}
+        drops = listener.counters()
     else:
-        records = read_features_jsonl(args.features)
-        frames = hub.assembled_frames_from_records(records,
-                                                   complete_cameras=len(cameras))
-        stats = hub.run(frames, world, trajectory_path=args.out,
+        # a clock that never moves: a file's frames wait for their cameras, not for time
+        asm = FrameAssembler(camera_ids=camera_ids, clock=lambda: 0.0)
+        drops = {"undecodable": 0}
+        stats = hub.run(assemble(read_features_jsonl(args.features, drops), asm), world,
+                        trajectory_path=args.out,
                         dump_assignments_path=args.dump_assignments)
-        transport = {}
-    summary = {**stats.summary(), **transport}
+    summary = {**stats.summary(), **asm.counters(), **drops}
     if args.stats_out:
         payload = dict(summary)
         payload["latencies"] = list(stats.latencies)

@@ -38,11 +38,12 @@ import math
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .geometry import CameraModel, correct_distortion
+from .netproto import FramePacket, ProtocolError, decode, encode
 
 
 class DimensionMismatch(Exception):
@@ -433,21 +434,38 @@ def load_pgm_sequence(directory, cam_id: str, fps: float = 100.0) -> Iterator[Fr
 
 # ------------------------------------------------------------- feature JSONL IO
 
-def feature_record(frame_number: int, cam_id: str, timestamp: float,
-                   feats: Sequence[Feature]) -> dict:
-    return {"frame": int(frame_number), "cam": cam_id, "t": float(timestamp),
-            "features": [f.as_row() for f in feats]}
-
-
-def write_features_jsonl(path, records: Iterable[dict]) -> None:
+def write_features_jsonl(path, packets: Iterable[FramePacket]) -> None:
+    """One JSON line per packet:
+    ``{"frame": N, "cam": id, "t": seconds, "features": [[u, v, area, peak, theta, ecc], ...]}``."""
     with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+        for p in packets:
+            f.write(json.dumps({"frame": p.frame, "cam": p.cam_id, "t": p.timestamp_us / 1e6,
+                                "features": p.features.tolist()}) + "\n")
 
 
-def read_features_jsonl(path) -> Iterator[dict]:
-    with open(path) as f:
+# what a line that is not a record raises on its way through the codec
+_BAD_RECORD = (ValueError, TypeError, KeyError, AttributeError, OverflowError,
+               RecursionError, ProtocolError)
+
+
+def read_features_jsonl(path, drops: dict[str, int] | None = None) -> Iterator[FramePacket]:
+    """The packets of a feature JSONL file, in file order. Each record goes
+    through the wire codec, so the file obeys the wire's rules; a line that
+    is not such a record is skipped and counted in ``drops["undecodable"]``."""
+    with open(path, "rb") as f:
         for line in f:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                rows = np.array(rec.get("features", []), dtype="<f8")
+                if rows.size and (rows.ndim != 2 or rows.shape[1] != 6):
+                    raise ValueError(f"feature rows of shape {rows.shape}")
+                packet = decode(encode(FramePacket(
+                    cam_id=rec["cam"], frame=rec["frame"],
+                    timestamp_us=round(rec.get("t", 0.0) * 1e6), features=rows)))
+            except _BAD_RECORD:
+                if drops is not None:
+                    drops["undecodable"] = drops.get("undecodable", 0) + 1
+                continue
+            yield packet

@@ -30,12 +30,20 @@ cameras differ from the guess, a born or missed target, and a frame with
 nothing prepared compute them on demand with the same code, so the output
 bits do not depend on what was prepared.
 
+Every source of frames goes through
+:class:`~camtrack3d.netproto.FrameAssembler`: live packets, a feature
+file and the simulation harness's packet lists (:func:`packets_to_assembled`)
+alike. It emits frames in increasing order and drops a lone frame number
+far past its camera's last, so the hub predicts through every gap it is
+given.
+
 Processing is single-threaded and deterministic: identical assembled-frame
 sequences and configuration produce bit-identical trajectory output.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -64,7 +72,7 @@ from .association import (
 from .features import feature_from_row  # noqa: F401
 from .geometry import Rig
 from .metrics import latency_percentiles
-from .netproto import AssembledFrame
+from .netproto import AssembledFrame, FrameAssembler, FramePacket, assemble
 from .tracker import (
     Gains,
     ObservationModel,
@@ -128,7 +136,6 @@ class RunStats:
     nonfinite_rows: int = 0  # feature rows dropped at ingress
     capped_rows: int = 0  # finite rows of a camera past MAX_ROWS_PER_CAMERA, dropped
     unknown_camera_rows: int = 0  # finite rows of cameras outside the rig, dropped
-    gap_drops: int = 0  # frames past the death horizon that no frame confirmed
     latencies: list = field(default_factory=list)
     likelihood: LikelihoodCounters = field(default_factory=LikelihoodCounters)
     spawn: SpawnStats = field(default_factory=SpawnStats)
@@ -142,7 +149,7 @@ class RunStats:
         out = {"frames": self.frames, "births": self.births,
                "deaths": self.deaths, "singular_drops": self.singular_drops,
                "nonfinite_rows": self.nonfinite_rows, "capped_rows": self.capped_rows,
-               "unknown_camera_rows": self.unknown_camera_rows, "gap_drops": self.gap_drops}
+               "unknown_camera_rows": self.unknown_camera_rows}
         out.update({f"likelihood_{k}": v for k, v in asdict(self.likelihood).items()})
         out.update({f"spawn_{k}": v for k, v in asdict(self.spawn).items()})
         out.update({f"updates_{k}": v for k, v in asdict(self.updates).items()})
@@ -175,9 +182,6 @@ class TrackerWorld:
     next_target_id: int = 0
     frame_counter: int | None = None  # latched to first frame - 1
     stats: RunStats = field(default_factory=RunStats)
-    # a frame past the death horizon and its receipt time, waiting for the
-    # next frame (see process_frame)
-    held: tuple[AssembledFrame, float | None] | None = None
     prepared: Prepared | None = None  # made by prepare for the next frame
 
     @property
@@ -221,7 +225,7 @@ def prepare(world: TrackerWorld) -> None:
     gain step is made for the cameras that have the target's predicted
     position in front of them and inside their image, the cameras likely
     to see it. Timed into ``RunStats.stages.prepare``; nothing is redone
-    while the world is unchanged (a frame held past the death horizon)."""
+    while the world's targets and models are those it was made from."""
     if world.prepared is not None and world.prepared.fits(world):
         return
     t = time.perf_counter()
@@ -301,44 +305,19 @@ def process_frame(world: TrackerWorld, aframe: AssembledFrame,
 
     Frames skipped by assembly are processed as all-missing so the
     constant-dt process model stays valid; one FrameEvents per processed
-    frame is returned (gap frames included, the given frame last).
-
-    A gap of at least :func:`death_horizon` frames would end every target,
-    so a frame that far ahead waits for the next one. When the next frame
-    is further ahead still, it confirms the new numbering and the events
-    of both are returned; otherwise the waiting frame is taken for a
-    corrupt frame number, dropped and counted (``RunStats.gap_drops``).
-    Once a gap has emptied the world, the rest of it is skipped (no
-    FrameEvents) when at least the horizon is left, since nothing would
-    happen in it; no gap costs more than twice the horizon in frames. With
-    no process noise the horizon is infinite, and every gap is predicted
-    through frame by frame.
+    frame is returned (gap frames included, the given frame last). Once a
+    gap has emptied the world, the rest of it is skipped (no FrameEvents)
+    when at least :func:`death_horizon` frames are left, since nothing
+    would happen in it: no gap costs more than twice the horizon in
+    frames. With no process noise the horizon is infinite, and every gap
+    is predicted through frame by frame. A corrupt frame number far ahead
+    is the assembler's to drop (:class:`~camtrack3d.netproto.FrameAssembler`).
     """
     if world.frame_counter is None:
         world.frame_counter = aframe.frame - 1
     if aframe.frame <= world.frame_counter:
         raise ValueError(
             f"frame {aframe.frame} not ahead of counter {world.frame_counter}")
-    events = []
-    if world.held is not None:
-        (held, held_receipt), world.held = world.held, None
-        if held.frame < aframe.frame:
-            events = _advance(world, held, held_receipt)
-        else:
-            world.stats.gap_drops += 1
-            log.warning("frame %d: %d frames ahead of frame %d, and frame %d "
-                        "follows it; dropped", held.frame,
-                        held.frame - world.frame_counter, world.frame_counter,
-                        aframe.frame)
-    gap = aframe.frame - world.frame_counter - 1
-    if gap and gap >= death_horizon(world):
-        world.held = (aframe, receipt_time)
-        return events
-    return events + _advance(world, aframe, receipt_time)
-
-
-def _advance(world: TrackerWorld, aframe: AssembledFrame,
-             receipt_time: float | None) -> list[FrameEvents]:
     events = []
     while world.frame_counter + 1 < aframe.frame:
         left = aframe.frame - world.frame_counter - 1
@@ -463,9 +442,6 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
                                            "deaths": ev.deaths}) + "\n")
             world.stats.stages.lap("write", t)
             prepare(world)
-        if world.held is not None:  # nothing came after it to confirm it
-            world.held = None
-            world.stats.gap_drops += 1
     finally:
         if writer is not None:
             writer.close()
@@ -474,40 +450,9 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
     return world.stats
 
 
-def assembled_frames_from_records(records: Iterable[dict],
-                                  complete_cameras: int | None = None
-                                  ) -> list[AssembledFrame]:
-    """Group feature JSONL records (one per frame and camera) into
-    assembled frames, ordered by frame number."""
-    by_frame: dict[int, dict[str, np.ndarray]] = {}
-    ts: dict[int, int] = {}
-    for rec in records:
-        f = int(rec["frame"])
-        rows = np.asarray(rec.get("features", []), dtype=float).reshape(-1, 6)
-        by_frame.setdefault(f, {})[rec["cam"]] = rows
-        ts.setdefault(f, round(float(rec.get("t", 0.0)) * 1e6))
-    out = []
-    for f in sorted(by_frame):
-        cams = by_frame[f]
-        complete = (complete_cameras is None) or (len(cams) == complete_cameras)
-        out.append(AssembledFrame(frame=f, features_by_camera=cams,
-                                  complete=complete, latency=0.0,
-                                  timestamp_us=ts[f]))
-    return out
-
-
-def packets_to_assembled(packets_by_frame: Sequence[Sequence],
+def packets_to_assembled(packets_by_frame: Sequence[Sequence[FramePacket]],
                          n_cameras: int) -> list[AssembledFrame]:
-    """Offline deterministic assembly of the simulation harness's
-    per-frame packet lists (no clock involved)."""
-    out = []
-    for per_cam in packets_by_frame:
-        if not per_cam:
-            continue
-        feats = {p.cam_id: p.features for p in per_cam}
-        out.append(AssembledFrame(frame=per_cam[0].frame,
-                                  features_by_camera=feats,
-                                  complete=len(feats) == n_cameras,
-                                  latency=0.0,
-                                  timestamp_us=per_cam[0].timestamp_us))
-    return out
+    """The simulation harness's per-frame packet lists assembled offline,
+    under a clock that never moves."""
+    asm = FrameAssembler(n_cameras=n_cameras, clock=lambda: 0.0)
+    return list(assemble(itertools.chain.from_iterable(packets_by_frame), asm))

@@ -158,6 +158,12 @@ class _Pending:
     features: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+# A camera's packet more than this many frames past its own last frame
+# waits for that camera's next one: above the frames an ordinary drop
+# skips, below every preset's death horizon (6 on bigcyl)
+_MAX_SKIP = 4
+
+
 class FrameAssembler:
     """Groups per-camera packets into per-frame observations.
 
@@ -171,12 +177,14 @@ class FrameAssembler:
     pending frame is flushed (partial) first. Late and duplicate packets
     are counted and dropped.
 
-    A packet more than ``emitted_window`` frames past the newest pending or
-    emitted frame waits for a second packet to agree with it, one at or
-    past its frame or at most ``emitted_window`` frames before it: a
-    corrupt frame number would otherwise be emitted and make every later
-    packet late. When its own camera goes on below it instead, or the
-    stream ends, it is dropped and counted (``far_ahead``).
+    A packet more than ``_MAX_SKIP`` frames past its camera's last frame
+    waits for that camera's next packet: a corrupt frame number would
+    otherwise be emitted and make every later packet late. When the next
+    packet is at or past it, both are taken; when it is below, the waiting
+    packet is dropped and counted (``far_ahead``), as it is at the end of
+    the stream. A camera's first packet is measured from the newest
+    emitted frame; before any frame has been emitted it has no frame to
+    compare against and is taken.
 
     Given the rig's ``camera_ids`` (``n_cameras`` is then their number),
     a packet from any other id is dropped and counted (``unknown_camera``)
@@ -184,9 +192,10 @@ class FrameAssembler:
     the per-camera bookkeeping. Without them every id is taken.
     """
 
+    _EMITTED_KEPT = 1024  # emitted frames remembered to tell duplicates from late packets
+
     def __init__(self, n_cameras: int | None = None, wait_budget: float = 0.005,
                  clock: Callable[[], float] = time.monotonic,
-                 emitted_window: int = 1024,
                  camera_ids: Iterable[str] | None = None):
         self.camera_ids = None if camera_ids is None else frozenset(camera_ids)
         if self.camera_ids is not None:
@@ -203,32 +212,26 @@ class FrameAssembler:
         self.partial = 0
         self.far_ahead = 0
         self.unknown_camera = 0
-        self._ahead: FramePacket | None = None  # waiting for a second packet
+        self._ahead: dict[str, FramePacket] = {}  # by camera, waiting for its next packet
         self._pending: dict[int, _Pending] = {}
         self._last_seen: dict[str, int] = {}
         self._last_emitted: int | None = None
         self._emitted: OrderedDict[int, set] = OrderedDict()
-        self._window = emitted_window
 
     def feed(self, packet: FramePacket, now: float | None = None) -> list[AssembledFrame]:
         if self.camera_ids is not None and packet.cam_id not in self.camera_ids:
             self.unknown_camera += 1
             return []
         now = self.clock() if now is None else now
-        if (self._last_emitted is not None
-                and packet.frame - self._last_emitted > self._window
-                and packet.frame - max(self._pending, default=0) > self._window):
-            held, self._ahead = self._ahead, packet
-            if held is None:
-                return []
-            if packet.frame - held.frame < -self._window:
-                self.far_ahead += 1
-                return []
-            self._ahead = None
-            return self._accept(held, now) + self._accept(packet, now)
-        if self._ahead is not None and self._ahead.cam_id == packet.cam_id:
-            self._ahead = None
+        waiting = self._ahead.pop(packet.cam_id, None)
+        if waiting is not None:
+            if packet.frame >= waiting.frame:
+                return self._accept(waiting, now) + self._accept(packet, now)
             self.far_ahead += 1
+        last = self._last_seen.get(packet.cam_id, self._last_emitted)
+        if last is not None and packet.frame - last > _MAX_SKIP:
+            self._ahead[packet.cam_id] = packet
+            return []
         return self._accept(packet, now)
 
     def _accept(self, packet: FramePacket, now: float) -> list[AssembledFrame]:
@@ -278,9 +281,8 @@ class FrameAssembler:
 
     def finish(self) -> list[AssembledFrame]:
         """Flush everything still pending, in order (end of stream)."""
-        if self._ahead is not None:
-            self._ahead = None
-            self.far_ahead += 1
+        self.far_ahead += len(self._ahead)
+        self._ahead.clear()
         if not self._pending:
             return []
         return self._emit_through(max(self._pending), self.clock())
@@ -298,7 +300,7 @@ class FrameAssembler:
                                       timestamp_us=p.timestamp_us))
             self._last_emitted = f
             self._emitted[f] = set(p.features)
-            while len(self._emitted) > self._window:
+            while len(self._emitted) > self._EMITTED_KEPT:
                 self._emitted.popitem(last=False)
         return out
 
@@ -308,12 +310,9 @@ class FrameAssembler:
                 "unknown_camera": self.unknown_camera}
 
 
-def assemble(packets: Iterable[FramePacket], n_cameras: int,
-             wait_budget: float = 0.005,
-             clock: Callable[[], float] = time.monotonic) -> Iterator[AssembledFrame]:
-    """Drive a FrameAssembler over an in-order packet iterable, flushing
-    the remainder at end of stream."""
-    asm = FrameAssembler(n_cameras=n_cameras, wait_budget=wait_budget, clock=clock)
+def assemble(packets: Iterable[FramePacket], asm: FrameAssembler) -> Iterator[AssembledFrame]:
+    """Feed `asm` an in-order packet iterable and flush the remainder at
+    end of stream; `asm`'s counters then hold the stream's drops."""
     for packet in packets:
         yield from asm.feed(packet)
     yield from asm.finish()

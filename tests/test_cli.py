@@ -1,5 +1,8 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import signal
 import socket
 import subprocess
@@ -9,6 +12,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camtrack3d.cli import main
 from camtrack3d.geometry import BehindCamera, load_calibration, project
@@ -51,8 +56,8 @@ def test_simulate_then_track_then_report(tmp_path, capsys):
 
 def test_track_counts_rows_of_cameras_outside_the_calibration(tmp_path, capsys):
     # a features file naming a camera the calibration does not hold: its
-    # finite rows are dropped and counted once as unknown_camera_rows, its
-    # non-finite row only as non-finite, and the trajectory is as without it
+    # record is dropped and counted as unknown_camera before assembly, and
+    # the trajectory is as without it
     out = tmp_path / "scene"
     assert main(["simulate", "--preset", "smalltunnel", "--targets", "1",
                  "--frames", "20", "--seed", "5", "--out-dir", str(out)]) == 0
@@ -71,10 +76,93 @@ def test_track_counts_rows_of_cameras_outside_the_calibration(tmp_path, capsys):
         summaries.append((printed, json.loads(stats.read_text())))
         trajectories.append(traj.read_bytes())
     assert trajectories[0] == trajectories[1]
-    for (printed, saved), rows in zip(summaries, [(0, 0), (3, 1)]):
+    for (printed, saved), ghosts in zip(summaries, [0, 1]):
         for summary in (printed, saved):
-            assert (summary["unknown_camera_rows"], summary["nonfinite_rows"]) == rows
+            assert summary["unknown_camera"] == ghosts
+            assert (summary["unknown_camera_rows"], summary["nonfinite_rows"]) == (0, 0)
             assert summary["frames"] == 20
+
+
+@pytest.fixture(scope="module")
+def scene20(tmp_path_factory):
+    """A simulated 20-frame scene, and the trajectory and summary of its
+    features file."""
+    out = tmp_path_factory.mktemp("scene20")
+    assert main(["simulate", "--preset", "smalltunnel", "--targets", "1",
+                 "--frames", "20", "--seed", "5", "--out-dir", str(out)]) == 0
+    lines = (out / "features.jsonl").read_text().splitlines(keepends=True)
+    traj, summary = track_lines(out, lines)
+    assert not any(summary[k] for k in ("late", "duplicates", "partial", "far_ahead",
+                                        "unknown_camera", "undecodable"))
+    assert summary["frames"] == 20
+    return out, lines, traj
+
+
+def track_lines(scene, lines, name="features.jsonl"):
+    """The trajectory bytes and the printed summary of `track` over a
+    features file of `lines`."""
+    features, traj = scene / f"in-{name}", scene / f"out-{name}.csv"
+    features.write_text("".join(lines))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["track", "--config", str(scene / "run.cfg"), "--features", str(features),
+                     "--calibration", str(scene / "calibration.cal"), "--out", str(traj)]) == 0
+    return traj.read_bytes(), json.loads(out.getvalue().splitlines()[-1])
+
+
+def test_track_drops_one_corrupt_frame_number_and_keeps_tracking(scene20):
+    # a record of camera cam00 numbered 502 after frame 2: it waits for
+    # cam00's next record, frame 3, and is dropped; every frame comes out
+    scene, lines, clean = scene20
+    first3 = next(i for i, line in enumerate(lines) if json.loads(line)["frame"] == 3)
+    corrupt = json.loads(lines[first3])
+    assert corrupt["cam"] == "cam00"
+    corrupt["frame"] = 502
+    traj, summary = track_lines(scene, lines[:first3] + [json.dumps(corrupt) + "\n"]
+                                + lines[first3:], "corrupt.jsonl")
+    assert (summary["frames"], summary["far_ahead"], summary["late"]) == (20, 1, 0)
+    assert summary["partial"] == 0
+    assert traj == clean
+
+
+def test_track_keeps_the_first_of_two_records_for_one_camera_and_frame(scene20):
+    scene, lines, clean = scene20
+    i = next(i for i, line in enumerate(lines) if json.loads(line)["frame"] == 5)
+    second = json.loads(lines[i])
+    second["features"] = [[u + 7.0 for u in row] for row in second["features"]] or [[1.0] * 6]
+    traj, summary = track_lines(scene, lines[:i + 1] + [json.dumps(second) + "\n"]
+                                + lines[i + 1:], "duplicate.jsonl")
+    assert (summary["duplicates"], summary["late"], summary["frames"]) == (1, 0, 20)
+    assert traj == clean
+
+
+def bad_feature_lines():
+    """Lines that are not records a camera could send: each one of the
+    kinds a corrupt or hand-edited file holds."""
+    record = st.fixed_dictionaries({
+        "frame": st.integers(0, 30), "cam": st.sampled_from(["cam00", "cam01", "ghost"]),
+        "t": st.floats(0, 1), "features": st.lists(
+            st.lists(st.floats(0, 500), min_size=6, max_size=6), max_size=3)})
+    return st.one_of(
+        record.map(lambda r: {**r, "t": math.nan}),
+        record.flatmap(lambda r: st.lists(st.lists(st.floats(0, 500), min_size=5, max_size=5),
+                                          min_size=1, max_size=6).map(
+            lambda rows: {**r, "features": rows})),
+        record.map(lambda r: {k: v for k, v in r.items() if k != "frame"}),
+        record.flatmap(lambda r: st.text(max_size=20).map(lambda s: {**r, "frame": s})),
+    ).map(json.dumps) | record.flatmap(
+        lambda r: st.integers(1, len(json.dumps(r)) - 1).map(lambda n: json.dumps(r)[:n]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(bad=st.lists(bad_feature_lines(), min_size=1, max_size=4))
+def test_track_counts_bad_lines_and_writes_the_same_trajectory(scene20, bad):
+    scene, lines, clean = scene20
+    traj, summary = track_lines(scene, lines + [line + "\n" for line in bad], "bad.jsonl")
+    assert traj == clean
+    assert summary["undecodable"] == len(bad)
+    assert not any(summary[k] for k in ("late", "duplicates", "partial", "far_ahead",
+                                        "unknown_camera"))
 
 
 def test_simulate_render_writes_pgm(tmp_path):

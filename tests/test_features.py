@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -21,7 +22,6 @@ from camtrack3d.features import (
     _region_moments,
     extract_features,
     feature_from_row,
-    feature_record,
     load_pgm_sequence,
     read_features_jsonl,
     read_pgm,
@@ -30,6 +30,7 @@ from camtrack3d.features import (
     write_pgm,
 )
 from camtrack3d.geometry import CameraModel, Rig
+from camtrack3d.netproto import FramePacket
 from camtrack3d.simharness import (
     generate_rig,
     preset,
@@ -733,15 +734,46 @@ def test_pgm_rejects_bad_magic(tmp_path):
 
 def test_feature_jsonl_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    recs = []
-    for frame in range(3):
-        rows = rng.uniform(0, 100, size=(2, 6))
-        feats = [feature_from_row(r) for r in rows]
-        recs.append(feature_record(frame, "cam0", frame / 100.0, feats))
+    packets = [FramePacket(cam_id="cam0", frame=frame, timestamp_us=frame * 10_000,
+                           features=[feature_from_row(r).as_row()
+                                     for r in rng.uniform(0, 100, size=(2, 6))])
+               for frame in range(3)]
     path = tmp_path / "features.jsonl"
-    write_features_jsonl(path, recs)
-    loaded = list(read_features_jsonl(path))
-    assert loaded == recs
+    write_features_jsonl(path, packets)
+    assert list(read_features_jsonl(path)) == packets
+    assert json.loads(path.read_text().splitlines()[1]) == {
+        "frame": 1, "cam": "cam0", "t": 0.01, "features": packets[1].features.tolist()}
+
+
+GOOD_RECORD = {"frame": 3, "cam": "cam0", "t": 0.03, "features": [[1.0, 2.0, 3.0, 4.0, 0.5, 2.0]]}
+BAD_LINES = {
+    "nan time": json.dumps({**GOOD_RECORD, "t": float("nan")}),
+    "infinite time": json.dumps({**GOOD_RECORD, "t": float("inf")}),
+    "5-column row": json.dumps({**GOOD_RECORD, "features": [[1.0, 2.0, 3.0, 4.0, 0.5]] * 6}),
+    "no frame": json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "frame"}),
+    "not json": json.dumps(GOOD_RECORD)[:-1],
+    "text frame": json.dumps({**GOOD_RECORD, "frame": "x"}),
+    "negative frame": json.dumps({**GOOD_RECORD, "frame": -1}),
+    "fractional frame": json.dumps({**GOOD_RECORD, "frame": 3.5}),
+    "numeric camera": json.dumps({**GOOD_RECORD, "cam": 7}),
+    "long camera id": json.dumps({**GOOD_RECORD, "cam": "c" * 33}),
+    "text rows": json.dumps({**GOOD_RECORD, "features": "rows"}),
+    "ragged rows": json.dumps({**GOOD_RECORD, "features": [[1.0] * 6, [1.0] * 5]}),
+    "a list": json.dumps([GOOD_RECORD]),
+    "deep nesting": "[" * 100_000 + "]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("bad", BAD_LINES.values(), ids=BAD_LINES.keys())
+def test_feature_jsonl_counts_a_line_that_is_no_record(tmp_path, bad):
+    path = tmp_path / "features.jsonl"
+    path.write_bytes(json.dumps(GOOD_RECORD).encode() + b"\n" + bad.encode() + b"\n\n"
+                     + b"\xff\xfe{}\n" + b"\x80\n")
+    drops = {"undecodable": 0}
+    packets = list(read_features_jsonl(path, drops))
+    assert drops == {"undecodable": 3}
+    assert packets == [FramePacket(cam_id="cam0", frame=3, timestamp_us=30_000,
+                                   features=GOOD_RECORD["features"])]
 
 
 def test_load_pgm_sequence_round_trip(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import math
 import sys
@@ -20,14 +21,14 @@ from hypothesis import strategies as st
 from camtrack3d.association import GateConfig, cull_targets
 from camtrack3d.hub import (
     TrackerWorld,
-    assembled_frames_from_records,
     death_horizon,
     packets_to_assembled,
     prepare,
     process_frame,
     run,
 )
-from camtrack3d.netproto import AssembledFrame
+from camtrack3d.features import read_features_jsonl, write_features_jsonl
+from camtrack3d.netproto import AssembledFrame, FrameAssembler, assemble
 from camtrack3d.simharness import (
     generate_rig,
     preset,
@@ -101,7 +102,10 @@ def test_gap_frames_processed_as_missing():
     assert world.targets[0].frames_since_observation == 0
 
 
-def test_corrupt_frame_number_is_dropped_counted_and_tracking_continues():
+def test_a_jump_of_2_to_the_62_frames_returns_quickly():
+    # the hub predicts through at most the death horizon, then skips the
+    # rest of the gap; dropping a corrupt frame number is the assembler's
+    # (test_netproto's reproduction, test_cli's corrupt record)
     spec, cams, truths, frames = noiseless_scene(n_frames=10)
     world = make_world(cams, spec.fps)
     process_frame(world, frames[0])
@@ -109,19 +113,28 @@ def test_corrupt_frame_number_is_dropped_counted_and_tracking_continues():
                              features_by_camera=frames[1].features_by_camera,
                              complete=True, latency=0.0)
     t0 = time.perf_counter()
-    assert process_frame(world, corrupt) == []
+    events = process_frame(world, corrupt)
     assert time.perf_counter() - t0 < 0.1
-    # the next in-order frame shows the waiting frame was not a new numbering
-    events = process_frame(world, frames[1])
-    assert [ev.frame for ev in events] == [frames[1].frame]
-    assert world.stats.gap_drops == 1
-    assert world.stats.summary()["gap_drops"] == 1
-    assert world.stats.frames == 2
-    assert len(world.targets) == 1
-    assert world.targets[0].frames_since_observation == 0
-    # a waiting frame that nothing follows is dropped at the end of the run
-    stats = run([frames[0], corrupt], make_world(cams, spec.fps))
-    assert (stats.frames, stats.gap_drops) == (1, 1)
+    assert len(events) <= death_horizon(world) + 1
+    assert events[-1].frame == corrupt.frame and world.frame_counter == corrupt.frame
+    assert "gap_drops" not in world.stats.summary()
+
+
+def test_rows_of_cameras_outside_the_rig_are_dropped_and_counted_at_ingress():
+    # an assembler without the rig's ids passes a ghost camera's packet on:
+    # its finite rows count once as unknown_camera_rows, its non-finite row
+    # only as non-finite, and the frame is as without it
+    spec, cams, truths, frames = noiseless_scene(n_frames=3)
+    ghost = np.array([[100.0, 100.0, 20.0, 150.0, 0.0, 2.0]] * 3
+                     + [[np.nan, 100.0, 20.0, 150.0, 0.0, 2.0]])
+    haunted = [dataclasses.replace(af, features_by_camera={**af.features_by_camera,
+                                                           "ghost": ghost})
+               for af in frames]
+    plain, world = make_world(cams, spec.fps), make_world(cams, spec.fps)
+    for af, bf in zip(frames, haunted):
+        assert frame_result(plain, af) == frame_result(world, bf)
+    assert (world.stats.unknown_camera_rows, world.stats.nonfinite_rows) == (9, 3)
+    assert (plain.stats.unknown_camera_rows, plain.stats.nonfinite_rows) == (0, 0)
 
 
 def test_jump_past_the_death_horizon_resumes_as_if_predicted_through():
@@ -131,10 +144,11 @@ def test_jump_past_the_death_horizon_resumes_as_if_predicted_through():
     got = []
     for af in frames[:5]:
         got += process_frame(world, af)
-    assert process_frame(world, frames[101]) == []  # waits for the next frame
+    jump = process_frame(world, frames[101])  # its events come back as it arrives
+    assert jump[-1].frame == 101
+    got += jump
     for af in frames[102:]:
         got += process_frame(world, af)
-    assert world.stats.gap_drops == 0
     # oracle: every frame of the gap given as an empty frame
     oracle = make_world(cams, spec.fps)
     want = []
@@ -284,8 +298,8 @@ def test_run_deterministic_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("kept", [[*range(5), 8, 9], [*range(5), *range(101, 112)]])
 def test_gap_frames_write_their_own_rows(tmp_path, kept):
-    # each frame predicted through a gap, or held past the death horizon,
-    # writes the targets it left, as a run given every missing frame empty
+    # each frame predicted through a gap, or through a jump past the death
+    # horizon, writes the targets it left, as a run given every missing frame empty
     spec, cams, truths, frames = noiseless_scene(n_frames=112)
     empty = [f if f.frame in kept else
              AssembledFrame(frame=f.frame, features_by_camera={}, complete=False,
@@ -304,13 +318,10 @@ def test_offline_records_match_packet_source(tmp_path):
     # JSONL-file source and direct packet assembly produce bit-identical output
     spec, cams, truths, frames = noiseless_scene(n_frames=60)
     packets = synthesize_observations(truths, cams, spec)
-    records = []
-    for per_cam in packets:
-        for pkt in per_cam:
-            records.append({"frame": pkt.frame, "cam": pkt.cam_id,
-                            "t": pkt.timestamp_us / 1e6,
-                            "features": pkt.features.tolist()})
-    frames_b = assembled_frames_from_records(records, complete_cameras=len(cams))
+    write_features_jsonl(tmp_path / "features.jsonl", itertools.chain.from_iterable(packets))
+    asm = FrameAssembler(camera_ids=[c.cam_id for c in cams], clock=lambda: 0.0)
+    frames_b = list(assemble(read_features_jsonl(tmp_path / "features.jsonl"), asm))
+    assert not any(asm.counters().values())
     pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
     run(frames, make_world(cams, spec.fps), trajectory_path=pa)
     run(frames_b, make_world(cams, spec.fps), trajectory_path=pb)
@@ -583,8 +594,8 @@ def with_gaps(kept):
 @pytest.mark.parametrize("scene", [
     cluttered_smalltunnel, tunnel_scene, bigcyl_seed_21,
     with_gaps([*range(5), 8, 9]),  # a gap predicted through
-    with_gaps([*range(5), *range(101, 112)]),  # held past the death horizon
-], ids=["smalltunnel-clutter", "tunnel", "bigcyl-21", "gap", "held"])
+    with_gaps([*range(5), *range(101, 112)]),  # a jump past the death horizon
+], ids=["smalltunnel-clutter", "tunnel", "bigcyl-21", "gap", "jump"])
 def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits, tmp_path):
     cams, fps, frames = scene()
     prepared = io.StringIO()
@@ -605,7 +616,7 @@ def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits
                            "assignments": {str(tid): list(col) for tid, col
                                            in ev.assignments.columns.items()}})
     assert memo_hits == served  # nothing prepared, nothing looked up
-    assert world.held is None and world.stats.stages.prepare == 0
+    assert world.stats.stages.prepare == 0
     assert world.stats.updates.prepared == 0
     assert prepared.getvalue() == bare.getvalue()
     assert [json.loads(line) for line in dump.read_text().splitlines()] == events
@@ -674,8 +685,8 @@ def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, memo
 @pytest.mark.parametrize("skip", [3, 20])
 def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, memo_hits):
     # the prepared priors are for the next processed frame, whatever its
-    # number: the first frame predicted through the gap (or, past the
-    # death horizon, the held frame's successor) uses them
+    # number: the first frame predicted through the gap uses them, whether
+    # or not the gap passes the death horizon
     spec, cams, truths, frames = noiseless_scene(n_frames=40)
     world = make_world(cams, spec.fps)
     for af in frames[:5]:
@@ -685,8 +696,8 @@ def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, memo_hits):
     later = frames[4 + skip:4 + skip + 2]
     first, second = frame_result(world, later[0]), frame_result(world, later[1])
     assert (first, second) == (frame_result(fresh, later[0]), frame_result(fresh, later[1]))
-    assert (first == []) == (skip > death_horizon(world))  # held for the next frame
-    assert (first + second)[0][0] == 5
+    assert (skip > death_horizon(world)) == (skip == 20)
+    assert first[0][0] == 5 and first[-1][0] == later[0].frame
     # looked up once, by frame 5, which observes nothing
     assert memo_hits == {"hits": 0, "updates": 0, "calls": 1}
 

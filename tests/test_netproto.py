@@ -1,9 +1,11 @@
+import ast
 import socket
 import struct
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+import camtrack3d
 from camtrack3d.netproto import (
+    _MAX_SKIP,
     MAGIC,
     MAX_PACKET_BYTES,
     VERSION,
@@ -270,7 +274,7 @@ def test_assembler_ordering_under_arrival_shuffles():
             c = rng.choice(avail)
             shuffled.append(by_cam[c][idx[c]])
             idx[c] += 1
-        frames = list(assemble(shuffled, n_cameras=3, clock=FakeClock()))
+        frames = list(assemble(shuffled, FrameAssembler(n_cameras=3, clock=FakeClock())))
         numbers = [af.frame for af in frames]
         assert numbers == sorted(numbers)
         assert len(numbers) == len(set(numbers))
@@ -280,29 +284,63 @@ def test_assembler_ordering_under_arrival_shuffles():
 def test_assemble_generator_flushes_tail():
     stream = [packet(cam="a", frame=0), packet(cam="b", frame=0),
               packet(cam="a", frame=1)]  # b never reports frame 1
-    frames = list(assemble(stream, n_cameras=2, clock=FakeClock()))
+    asm = FrameAssembler(n_cameras=2, clock=FakeClock())
+    frames = list(assemble(stream, asm))
     assert [af.frame for af in frames] == [0, 1]
     assert frames[1].complete is False
+    assert asm.partial == 1
 
 
 def test_assembler_drops_a_lone_frame_number_far_ahead():
-    # one corrupt frame number must not make every later packet late
+    # one corrupt frame number must not make every later packet late: two
+    # cameras send frames 0-2, camera a then a far frame, and both go on
+    # with frames 3-7, on the live wait budget; every frame comes out whole
+    for far in (502, 2 + 2**62):
+        clock = FakeClock()
+        asm = FrameAssembler(camera_ids=("a", "b"), wait_budget=0.005, clock=clock)
+        stream = [packet(cam=c, frame=f) for f in range(3) for c in ("a", "b")]
+        stream += [packet(cam="a", frame=far)]
+        stream += [packet(cam=c, frame=f) for f in range(3, 8) for c in ("b", "a")]
+        out = []
+        for p in stream:
+            out += asm.feed(p)
+            clock.t += 1.0 if p.frame == far else 0.001  # the clock emits no waiting packet
+            out += asm.flush_due()
+        out += asm.finish()
+        assert [af.frame for af in out] == list(range(8))
+        assert all(af.complete for af in out)
+        assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 1,
+                                  "unknown_camera": 0}
+
+
+def test_assembler_takes_a_packet_up_to_max_skip_frames_past_its_camera_at_once():
+    # one frame further waits for the camera's next packet
+    for ahead, emitted in ((_MAX_SKIP, [0, _MAX_SKIP]), (_MAX_SKIP + 1, [0])):
+        asm = FrameAssembler(n_cameras=1, clock=FakeClock())
+        out = asm.feed(packet(frame=0)) + asm.feed(packet(frame=ahead))
+        assert [af.frame for af in out] == emitted
+        assert len(asm._ahead) == 2 - len(emitted)
+
+
+def test_assembler_measures_each_packet_from_its_cameras_last_frame():
+    # a camera's first packet from the newest emitted frame, and the packet
+    # after a dropped one from the camera's last frame, so that it may wait
     clock = FakeClock()
-    asm = FrameAssembler(n_cameras=2, wait_budget=0.005, clock=clock)
-    out = []
-    for f in range(3):
-        for cam in ("a", "b"):
-            out += asm.feed(packet(cam=cam, frame=f))
-    assert asm.feed(packet(cam="a", frame=2 + 2**62)) == []
+    asm = FrameAssembler(camera_ids=("a", "b"), wait_budget=0.005, clock=clock)
+    out = asm.feed(packet(cam="a", frame=0))
     clock.t = 1.0
-    out += asm.flush_due()
-    for f in range(3, 8):
-        for cam in ("b", "a"):
-            out += asm.feed(packet(cam=cam, frame=f))
+    out += asm.flush_due()  # frame 0, partial: b is silent
+    stream = [packet(cam="b", frame=500), packet(cam="a", frame=502),
+              packet(cam="a", frame=300)]
+    stream += [packet(cam=c, frame=f) for f in range(1, 4) for c in ("a", "b")]
+    for p in stream:
+        out += asm.feed(p)
+        clock.t += 0.001
+        out += asm.flush_due()
     out += asm.finish()
-    assert [af.frame for af in out] == list(range(8))
-    assert all(af.complete for af in out)
-    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 1,
+    assert [(af.frame, af.complete) for af in out] == [(0, False), (1, True), (2, True),
+                                                       (3, True)]
+    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 1, "far_ahead": 3,
                               "unknown_camera": 0}
 
 
@@ -340,7 +378,7 @@ def test_assembler_drops_unknown_camera_ids_before_any_state():
         (0, True, ["c00", "c01"])]
     for i in range(1000):
         assert asm.feed(packet(cam=f"ghost{i}", frame=1 + i % 3 + (2**62 if i % 2 else 0))) == []
-    assert len(asm._last_seen) == 2 and not asm._pending and asm._ahead is None
+    assert len(asm._last_seen) == 2 and not asm._pending and not asm._ahead
     assert asm.finish() == []
     assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 0,
                               "unknown_camera": 1001}
@@ -353,20 +391,45 @@ def test_assembler_camera_ids_must_match_their_number():
             FrameAssembler(**kw)
 
 
+def test_frames_are_assembled_by_frame_assembler_alone():
+    # every source of frames, live or offline, goes through FrameAssembler;
+    # the hub makes only the empty frames of a gap it predicts through
+    sites = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "AssembledFrame" in (
+                    getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                sites.add((module, scope))
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, scope or (child.name if named else None))
+
+    for path in Path(camtrack3d.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert sites == {("netproto", "FrameAssembler"), ("hub", "process_frame")}
+
+
+class ShortMemoryAssembler(FrameAssembler):
+    """Remembers 6 emitted frames, so that a short stream tells duplicates
+    of forgotten frames from late packets as a long one does."""
+
+    _EMITTED_KEPT = 6
+
+
 class AssemblerStreams(RuleBasedStateMachine):
     """Per-camera packet streams with skipped, reordered and duplicate
-    frames, corrupt frame numbers far ahead and unknown camera ids, fed
-    to one FrameAssembler on a fake clock."""
+    frames, frame numbers far past their camera's last (corrupt ones, and
+    renumberings the camera goes on from) and unknown camera ids, fed to
+    one FrameAssembler on a fake clock."""
 
     CAMERAS = ("c0", "c1", "c2")
-    WINDOW = 6
     BUDGET = 1.0
 
     def __init__(self):
         super().__init__()
         self.clock = FakeClock()
-        self.asm = FrameAssembler(camera_ids=self.CAMERAS, wait_budget=self.BUDGET,
-                                  clock=self.clock, emitted_window=self.WINDOW)
+        self.asm = ShortMemoryAssembler(camera_ids=self.CAMERAS, wait_budget=self.BUDGET,
+                                        clock=self.clock)
         self.sent = {c: [] for c in self.CAMERAS}  # frames each camera sent
         self.fed = 0
         self.emitted_packets = 0
@@ -395,12 +458,16 @@ class AssemblerStreams(RuleBasedStateMachine):
         top = max(self.sent[cam])
         self._feed(cam, data.draw(st.integers(max(0, top - 4), top)))
 
-    @rule(cam=st.sampled_from(CAMERAS), ahead=st.integers(1, 3 * WINDOW))
-    def corrupt_frame_number(self, cam, ahead):
-        top = max((f for frames in self.sent.values() for f in frames), default=0)
-        self.fed += 1
-        self._take(self.asm.feed(packet(cam=cam, frame=top + self.WINDOW + ahead),
-                                 now=self.clock.t))
+    @rule(cam=st.sampled_from(CAMERAS), ahead=st.integers(1, 20), renumber=st.booleans())
+    def far_frame_number(self, cam, ahead, renumber):
+        # past the camera's own last frame, or the newest emitted one
+        last = max(self.sent[cam], default=-1 if self.last_frame is None else self.last_frame)
+        frame = last + _MAX_SKIP + ahead
+        if renumber:  # the camera goes on from here
+            self._feed(cam, frame)
+        else:
+            self.fed += 1
+            self._take(self.asm.feed(packet(cam=cam, frame=frame), now=self.clock.t))
 
     @rule(cam=st.sampled_from(["zz", "c3"]), frame=st.integers(0, 40))
     def unknown_camera(self, cam, frame):
@@ -418,7 +485,10 @@ class AssemblerStreams(RuleBasedStateMachine):
     def state_is_bounded(self):
         asm = self.asm
         assert set(asm._last_seen) <= set(self.CAMERAS)
-        assert len(asm._emitted) <= self.WINDOW
+        assert len(asm._emitted) <= ShortMemoryAssembler._EMITTED_KEPT
+        # at most one packet waits per camera
+        assert all(p.cam_id == cam for cam, p in asm._ahead.items())
+        assert set(asm._ahead) <= set(self.CAMERAS)
         if asm._pending:
             assert max(asm._pending) <= max(asm._last_seen.values())
             if len(asm._last_seen) == len(self.CAMERAS):
@@ -428,7 +498,7 @@ class AssemblerStreams(RuleBasedStateMachine):
     def teardown(self):
         self._take(self.asm.finish())
         counts = self.asm.counters()
-        assert not self.asm._pending and self.asm._ahead is None
+        assert not self.asm._pending and not self.asm._ahead
         # every packet fed is in exactly one emitted frame or one drop counter
         assert self.emitted_packets + counts["late"] + counts["duplicates"] \
             + counts["far_ahead"] + counts["unknown_camera"] == self.fed
