@@ -17,18 +17,20 @@ resolution and the gate-claim test read, and the update's Jacobians reuse
 the projection. ``RunStats.stages`` sums the time of each stage.
 
 Most of a frame's work reads no feature: the priors, their projection,
-the pair table's per-target terms and, for each target, the EKF gain step
-(Jacobians, predicted pixels, gain and posterior covariance), then the
-trajectory-row text of that posterior covariance. :func:`run` makes them
-with :func:`prepare` in the idle gap after a frame's rows are written and
-flushed and before it asks for the next frame. The gain step is made for
-a guess of the target's cameras: those that have its predicted position
-in front of them and inside their image. The next frame uses the steps
-while the world's targets and models are the objects they were made
-from, and finds the text by the covariance's bytes; any target whose
-cameras differ from the guess, a born or missed target, and a frame with
-nothing prepared compute them on demand with the same code, so the output
-bits do not depend on what was prepared.
+the pair table's per-target terms and the EKF update's terms for every
+camera that projects each prior (predicted pixels, Jacobian rows and their
+information ``C^T C / r_px``). :func:`run` makes them with :func:`prepare`
+in the idle gap after a frame's rows are written and flushed and before it
+asks for the next frame, together with the update's covariance half for a
+guess of each target's cameras (those that have its predicted position in
+front of them and inside their image) and the trajectory-row text of each
+of its posterior covariances. The next frame uses them while the world's
+targets and models are the objects they were made from: its update takes
+the guessed covariance half whole when every target's cameras are those
+guessed, and otherwise makes its own from the prepared terms, and its rows
+find the text by the covariance's bytes. A born or missed target and a
+frame with nothing prepared compute them in the frame with the same code,
+so the output bits do not depend on what was prepared.
 
 Every source of frames goes through
 :class:`~camtrack3d.netproto.FrameAssembler`: live packets, a feature
@@ -74,15 +76,16 @@ from .geometry import Rig
 from .metrics import latency_percentiles
 from .netproto import AssembledFrame, FrameAssembler, FramePacket, assemble
 from .tracker import (
-    Gains,
+    Information,
     ObservationModel,
+    Posterior,
     ProcessModel,
     Targets,
     TargetState,
     TrajectoryWriter,
-    UpdateCounters,
     cov_keys,
     covariance_text,
+    posterior,
     predict,
     update,
 )
@@ -125,9 +128,7 @@ class RunStats:
     from receipt (or the start of its processing) to its last stage; it
     and the frame stages exclude ``stages.write`` and ``stages.prepare``,
     the work done between frames, so ``stages.prepare`` plus the frame
-    stages plus ``stages.write`` is the hub's CPU time per frame.
-    ``updates`` counts the updates whose gain step was prepared, and those
-    made on demand."""
+    stages plus ``stages.write`` is the hub's CPU time per frame."""
 
     frames: int = 0
     births: int = 0
@@ -139,7 +140,6 @@ class RunStats:
     latencies: list = field(default_factory=list)
     likelihood: LikelihoodCounters = field(default_factory=LikelihoodCounters)
     spawn: SpawnStats = field(default_factory=SpawnStats)
-    updates: UpdateCounters = field(default_factory=UpdateCounters)
     stages: StageTimes = field(default_factory=StageTimes)
 
     def latency_percentiles(self) -> dict[str, float]:
@@ -152,7 +152,6 @@ class RunStats:
                "unknown_camera_rows": self.unknown_camera_rows}
         out.update({f"likelihood_{k}": v for k, v in asdict(self.likelihood).items()})
         out.update({f"spawn_{k}": v for k, v in asdict(self.spawn).items()})
-        out.update({f"updates_{k}": v for k, v in asdict(self.updates).items()})
         out.update({f"stage_{k}_s": v for k, v in asdict(self.stages).items()})
         out.update({f"latency_{k}": v for k, v in self.latency_percentiles().items()})
         return out
@@ -197,48 +196,48 @@ class TrackerWorld:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """What the next frame computes before reading its features, made from
-    `live` under `process` and the observation model of `gains`: the EKF
-    gain steps for the guessed cameras, which hold the priors and that
-    model, the priors' projection through the rig, the pair table's
-    per-target terms and, by the bytes of each step's posterior covariance
-    (:func:`~camtrack3d.tracker.cov_keys`), its
+    `live` under `process` and the observation model of `guess`: the
+    priors' projection through the rig, the pair table's per-target terms,
+    the EKF update's covariance half for the guessed cameras
+    (:class:`~camtrack3d.tracker.Posterior`, which holds the update's
+    :class:`~camtrack3d.tracker.Information` for every camera, and with it
+    the priors and that model) and, by the bytes of each of its posterior
+    covariances (:func:`~camtrack3d.tracker.cov_keys`), its
     :func:`~camtrack3d.tracker.covariance_text`."""
 
     live: Targets
     process: ProcessModel
     projected: tuple[np.ndarray, np.ndarray]
     terms: tuple[np.ndarray, np.ndarray]
-    gains: Gains
+    guess: Posterior
     cov_text: dict[bytes, str]
 
     def fits(self, world: TrackerWorld) -> bool:
         """Whether these are still the world's targets and models."""
         return (self.live is world.live and self.process is world.process
-                and self.gains.om is world.observation)
+                and self.guess.info.om is world.observation)
 
 
 def prepare(world: TrackerWorld) -> None:
     """Make the next frame's priors, their projection, the pair table's
-    per-target terms and each target's EKF gain step from the world's
-    live targets alone, then the trajectory row's covariance text of each
-    step's posterior covariance, and keep them in ``world.prepared``. The
-    gain step is made for the cameras that have the target's predicted
-    position in front of them and inside their image, the cameras likely
-    to see it. Timed into ``RunStats.stages.prepare``; nothing is redone
-    while the world's targets and models are those it was made from."""
+    per-target terms and the measurement update's terms for every camera
+    that projects each prior, from the world's live targets alone, and keep
+    them in ``world.prepared``. Then make the update's covariance half for
+    the cameras that have each target's predicted position in front of them
+    and inside their image, the cameras likely to see it, and the trajectory
+    row's covariance text of each posterior covariance. Timed into
+    ``RunStats.stages.prepare``; nothing is redone while the world's targets
+    and models are those it was made from."""
     if world.prepared is not None and world.prepared.fits(world):
         return
     t = time.perf_counter()
     live, om = world.live, world.observation
     priors = predict(live, world.process)
     projected = om.rig.project(priors.means[:, :3])
-    gains = Gains.of(priors, om.rig.viewing(projected), om, projected)
-    cov_text = {}
-    if gains.steps:
-        covs = np.concatenate([step.cov for step in gains.steps])
-        cov_text = dict(zip(cov_keys(covs), covariance_text(covs)))
-    world.prepared = Prepared(live, world.process, projected, position_terms(priors),
-                              gains, cov_text)
+    guess = posterior(Information.of(priors, om, projected), om.rig.viewing(projected))
+    covs = guess.covs[guess.kept]
+    world.prepared = Prepared(live, world.process, projected, position_terms(priors), guess,
+                              dict(zip(cov_keys(covs), covariance_text(covs))))
     world.stats.stages.lap("prepare", t)
 
 
@@ -344,14 +343,14 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     # 1: predict, unless prepared from these very targets and models
     prep, world.prepared = world.prepared, None
     if prep is not None and prep.fits(world):
-        gains, projected, terms, cov_text = prep.gains, prep.projected, prep.terms, prep.cov_text
-        priors = gains.priors
+        guess, projected, terms, cov_text = prep.guess, prep.projected, prep.terms, prep.cov_text
+        priors = guess.info.priors
     else:
         priors = predict(world.live, world.process)
         # the priors through every camera, once, for the pair table and
         # the update's Jacobians
         projected = rig.project(priors.means[:, :3])
-        terms, gains, cov_text = None, None, {}
+        terms, guess, cov_text = None, None, {}
     t = lap("predict", t)
     # every (target, camera, feature) pair is scored once for steps 2, 3 and 5
     table = pair_table(frame, priors, rig, projected, terms)
@@ -364,8 +363,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     t = lap("resolve", t)
     # 4: update
     seen, px, assigned = _observations(frame, assignments)
-    posteriors, dropped = update(priors, (seen, px), world.observation, projected, gains,
-                                 stats.updates)
+    posteriors, dropped = update(priors, (seen, px), world.observation, projected, guess)
     stats.singular_drops += len(dropped)
     for tid in dropped:
         log.warning("frame %d target %d: singular innovation, update dropped",

@@ -180,11 +180,18 @@ class FrameAssembler:
     A packet more than ``_MAX_SKIP`` frames past its camera's last frame
     waits for that camera's next packet: a corrupt frame number would
     otherwise be emitted and make every later packet late. When the next
-    packet is at or past it, both are taken; when it is below, the waiting
-    packet is dropped and counted (``far_ahead``), as it is at the end of
-    the stream. A camera's first packet is measured from the newest
-    emitted frame; before any frame has been emitted it has no frame to
-    compare against and is taken.
+    packet is at or past it, it is taken and the next one is measured from
+    it; when it is below, the waiting packet is dropped and counted
+    (``far_ahead``), as it is at the end of the stream. A camera's first
+    packet is measured from the newest emitted frame; before any frame has
+    been emitted, from the newest frame taken; before any packet has been
+    taken, from the lowest frame waiting.
+    So the stream's first packet, which has nothing to be measured from,
+    waits: a corrupt frame number in it would otherwise be taken. The first
+    packet taken, the next one of the same camera or a packet of another,
+    takes the packets waiting up to ``_MAX_SKIP`` frames past it. At the
+    end of a stream in which nothing was taken, the lowest packet waiting
+    is taken.
 
     Given the rig's ``camera_ids`` (``n_cameras`` is then their number),
     a packet from any other id is dropped and counted (``unknown_camera``)
@@ -225,14 +232,23 @@ class FrameAssembler:
         now = self.clock() if now is None else now
         waiting = self._ahead.pop(packet.cam_id, None)
         if waiting is not None:
-            if packet.frame >= waiting.frame:
-                return self._accept(waiting, now) + self._accept(packet, now)
+            if packet.frame >= waiting.frame:  # confirmed: this one is measured from it
+                return self._accept(waiting, now) + self.feed(packet, now)
             self.far_ahead += 1
+        opening = not self._last_seen and self._last_emitted is None
         last = self._last_seen.get(packet.cam_id, self._last_emitted)
-        if last is not None and packet.frame - last > _MAX_SKIP:
+        if last is None:  # nothing emitted: the newest frame taken, else the lowest waiting
+            last = max(self._last_seen.values(),
+                       default=min((p.frame for p in self._ahead.values()), default=None))
+        if last is None or packet.frame - last > _MAX_SKIP:
             self._ahead[packet.cam_id] = packet
             return []
-        return self._accept(packet, now)
+        out = self._accept(packet, now)
+        if opening:  # the first packet taken: the others waiting are measured from it
+            for p in [p for p in self._ahead.values() if p.frame - packet.frame <= _MAX_SKIP]:
+                del self._ahead[p.cam_id]
+                out += self._accept(p, now)
+        return out
 
     def _accept(self, packet: FramePacket, now: float) -> list[AssembledFrame]:
         frame = packet.frame
@@ -281,11 +297,16 @@ class FrameAssembler:
 
     def finish(self) -> list[AssembledFrame]:
         """Flush everything still pending, in order (end of stream)."""
+        now, out = self.clock(), []
+        if not self._last_seen and self._last_emitted is None and self._ahead:
+            # nothing came to measure the stream's first packet against
+            out = self._accept(self._ahead.pop(min(self._ahead.values(),
+                                                   key=lambda p: p.frame).cam_id), now)
         self.far_ahead += len(self._ahead)
         self._ahead.clear()
         if not self._pending:
-            return []
-        return self._emit_through(max(self._pending), self.clock())
+            return out
+        return out + self._emit_through(max(self._pending), now)
 
     def _emit_through(self, frame: int, now: float) -> list[AssembledFrame]:
         out = []

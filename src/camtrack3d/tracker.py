@@ -1,6 +1,6 @@
 """Extended Kalman filters with constant-velocity dynamics and a
 multi-camera projective observation model, stepped a frame at a time over
-every target at once.
+every target at once, on numpy alone.
 
 State is (x, y, z, vx, vy, vz) in SI units. The observation for a frame is
 the stacked distortion-corrected pixel pair from each reporting camera, in
@@ -8,18 +8,22 @@ camera-id order; the filter linearizes the projection analytically.
 
 :func:`predict` and :func:`update` step a :class:`Targets` stack (a list
 of :class:`TargetState` is stacked, stepped and returned as states) with
-the same bits as one filter step per target: each product is a stacked
-``matmul``, which calls the same BLAS routine per target that the 2D
-product calls, and each factorization is the same LAPACK call.
+the same bits for a target whether it is stepped alone or in a stack: each
+product is a stacked ``matmul``, which calls the same BLAS routine per
+target that the 2D product calls, and each eigendecomposition the same
+LAPACK call.
 
-The update is split at the measurement. Its gain step (Jacobians,
-predicted pixels, the keep or drop decision, gain and posterior
-covariance) depends only on the prior and the target's camera set, so it
-can be made before the frame arrives (:class:`Gains`, :func:`gain_steps`);
-:func:`update` then adds ``K (y - h)`` to each prior mean and makes only
-the gain steps it was not given. What a posterior covariance alone decides,
-such as its trajectory-row text (:func:`covariance_text`), can be made
-ahead too and found again by the covariance's bytes (:func:`by_value`).
+The measurement update is in information form: with pixel noise
+``r_px I``, each camera adds ``A = C^T C / r_px`` to the information, so
+every matrix is 6x6 whatever the number of cameras. The terms that read
+no measurement (:class:`Information`: predicted pixels, Jacobian rows and
+``A`` for every camera that projects a prior, and the root of each prior
+covariance) and the covariance half of the update for a set of cameras
+(:func:`posterior`) can be made before the frame arrives; :func:`update`
+then sums the information vectors of the cameras that matched. What a
+posterior covariance alone decides, such as its trajectory-row text
+(:func:`covariance_text`), can be made ahead too and found again by the
+covariance's bytes (:func:`by_value`).
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .geometry import BehindCamera, CameraModel, Rig, project_points
 
@@ -229,120 +232,107 @@ def observation_jacobian(mean, cams: Sequence[CameraModel]) -> np.ndarray:
     return _observe(mean, cams)[1]
 
 
-def _gain(P, C, r_px):
-    """The half of one EKF measurement update that reads no measurement,
-    of each of G targets with n stacked pixel observations: covariances P
-    (G, 6, 6) and Jacobians C (G, n, 6). Returns the (G,) mask of the
-    updates kept and their gains (g, 6, n) and posterior covariances
-    (g, 6, 6); an update is dropped when the innovation covariance S is
-    not finite, its condition number exceeds 1e12, or it is not positive
-    definite."""
-    R = np.eye(C.shape[1]) * r_px
-    CP = C @ P
-    S = CP @ C.transpose(0, 2, 1) + R
-    good = np.isfinite(S).all(axis=(1, 2))
-    if good.any():
-        good[good] = well_conditioned(S[good])
-    S = symmetrize(S)
-    K = np.empty((len(C), 6, C.shape[1]))
-    for g in np.flatnonzero(good):
-        # what scipy's cho_factor and cho_solve call, without their finite
-        # checks: S is finite here, so C P is
-        c, info = lapack.dpotrf(S[g], lower=0, clean=0)
-        if info:
-            good[g] = False
-        else:
-            K[g] = lapack.dpotrs(c, CP[g], lower=0)[0].T  # P C^T S^-1
-    if not good.all():
-        K, C, P = K[good], C[good], P[good]
-    IKC = np.eye(6) - K @ C
-    cov = clamp_psd(IKC @ P @ IKC.transpose(0, 2, 1) + K @ R @ K.transpose(0, 2, 1))
-    return good, K, cov
-
-
 @dataclass(frozen=True, eq=False)
-class GainStep:
-    """The measurement-free half of the update of G targets that use m
-    cameras each: their rows (G,) in the priors, camera columns (G, m)
-    and predicted pixels (G, 2m), which updates are kept (G,), and the
-    gains (g, 6, 2m) and posterior covariances (g, 6, 6) of the g kept
-    ones."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    h: np.ndarray
-    kept: np.ndarray
-    K: np.ndarray
-    cov: np.ndarray
-
-    def take(self, mask) -> GainStep:
-        """The step of the targets the (G,) `mask` selects."""
-        k = mask[self.kept]
-        return GainStep(self.rows[mask], self.cols[mask], self.h[mask], self.kept[mask],
-                        self.K[k], self.cov[k])
-
-
-def gain_steps(priors: Targets, use, om: ObservationModel, x) -> list[GainStep]:
-    """The gain steps of the targets of `priors` through the cameras of
-    the (T, C) mask `use` of ``om.cameras``, where `x` (T, C, 3) is the
-    priors' projection. Targets are grouped by their number of cameras, so
-    that each group's innovation covariances stack; a target with no
-    camera has no step."""
-    counts = np.count_nonzero(use, axis=1)
-    steps = []
-    for m in sorted(set(counts.tolist()) - {0}):
-        rows = np.flatnonzero(counts == m)
-        cols = np.nonzero(use[rows])[1].reshape(len(rows), m)
-        pred, C = _linearize(x[rows[:, None], cols], om.rig.P[cols])
-        kept, K, cov = _gain(priors.covs[rows], C.reshape(len(rows), 2 * m, 6), om.r_px)
-        steps.append(GainStep(rows, cols, pred.reshape(len(rows), 2 * m), kept, K, cov))
-    return steps
-
-
-@dataclass(frozen=True, eq=False)
-class Gains:
-    """Gain steps made before the measurements arrive: for each target of
-    `priors`, the step through the cameras of its row of `use` (T, C).
-    :func:`update` looks a target up by its row and camera mask, and only
-    for these very `priors` and `om`."""
+class Information:
+    """The terms of the measurement update of `priors` under `om` that read
+    no measurement. For each target and each camera that projects its prior
+    position (`ok`, (T, C)): the predicted pixels `h` (T, C, 2), the two
+    Jacobian rows `C` (T, C, 2, 6) and the information
+    ``A = C^T C / r_px`` (T, C, 6, 6), all zero where the camera does not
+    project it. `root` (T, 6, 6) is the symmetric square root of each prior
+    covariance (its negative eigenvalues, roundoff, taken as zero), NaN
+    where the covariance is not finite. :func:`update` uses them only for
+    these very `priors` and `om`."""
 
     priors: Targets
     om: ObservationModel
-    use: np.ndarray
-    steps: list[GainStep]
+    ok: np.ndarray
+    h: np.ndarray
+    C: np.ndarray
+    A: np.ndarray
+    root: np.ndarray
 
     @classmethod
-    def of(cls, priors: Targets, cameras, om: ObservationModel, projected) -> Gains:
-        """The gain steps of `priors` through the cameras of the (T, C)
-        guess `cameras` that project them (``projected`` is
-        ``om.rig.project`` of the prior positions)."""
-        x, ok = projected
-        use = cameras & ok
-        return cls(priors, om, use, gain_steps(priors, use, om, x))
-
-    def lookup(self, use) -> tuple[np.ndarray, list[GainStep]]:
-        """The (T,) mask of the targets whose step is for their row of
-        `use`, and those steps."""
-        hit = (self.use == use).all(axis=1)
-        if hit.all():
-            return hit, self.steps
-        return hit, [step.take(hit[step.rows]) for step in self.steps]
-
-
-@dataclass
-class UpdateCounters:
-    """Instrumentation: the updates whose gain step was prepared before the
-    frame (:class:`Gains`), and those whose step was made on demand."""
-
-    prepared: int = 0
-    on_demand: int = 0
+    def of(cls, priors: Targets, om: ObservationModel, projected=None) -> Information:
+        """The terms of `priors` through every camera of `om`; `projected`
+        is ``om.rig.project`` of the prior positions, if the caller has it."""
+        x, ok = om.rig.project(priors.means[:, :3]) if projected is None else projected
+        h, C = _linearize(x, om.rig.P)
+        h = np.where(ok[..., None], h, 0.0)
+        C = np.where(ok[..., None, None], C, 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            A = C.swapaxes(-1, -2) @ C / om.r_px
+        finite = np.isfinite(priors.covs).all(axis=(1, 2))
+        root = np.full(priors.covs.shape, np.nan)
+        w, V = np.linalg.eigh(priors.covs[finite])
+        root[finite] = (V * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ V.swapaxes(1, 2)
+        return cls(priors, om, ok, h, C, A, root)
 
 
-def update(priors, observations, om: ObservationModel, projected=None, gains=None,
-           counters: UpdateCounters | None = None):
+@dataclass(frozen=True, eq=False)
+class Posterior:
+    """The covariance half of the updates of the targets of `info` through
+    the cameras of the (T, C) mask `use`: which are kept (T,), the
+    covariances after them (T, 6, 6; a target's prior where its update is
+    not kept) and the matrices (T, 6, 6) that turn each kept target's
+    information vector ``b = sum_c C_c^T (y_c - h_c) / r_px`` into its
+    mean step."""
+
+    info: Information
+    use: np.ndarray
+    kept: np.ndarray
+    covs: np.ndarray
+    step: np.ndarray
+
+
+def posterior(info: Information, use) -> Posterior:
+    """The updates of the targets of `info` through the cameras of `use`,
+    up to the measurement.
+
+    The update is in information form. With pixel noise ``r_px I`` the
+    cameras used add ``J = sum_c A_c``, and the posterior covariance is
+    ``(I + P J)^-1 P = R (I + M)^-1 R`` with R the root of the prior P and
+    ``M = R J R``. So one symmetric 6x6 eigendecomposition per target,
+    ``M = V diag(mu) V^T``, gives the posterior ``(R V) diag(1 / (1 + mu))
+    (R V)^T`` (symmetrized and clamped), and P is never inverted (it may
+    be singular). ``C P C^T`` has rank ``min(2k, 3)`` at most for k
+    cameras (C has zero velocity columns), so the other eigenvalues of M
+    are zero, and they are set to zero: roundoff of the size of the largest
+    one must not reach them. The mean step ``P+ b`` is made from the other
+    directions alone, since b has no component along these.
+
+    An update is dropped, as the gain form drops it, when the innovation
+    covariance ``S = C P C^T + r_px I`` is not finite or its condition
+    number exceeds 1e12. The eigenvalues of S are ``r_px (1 + mu)`` with
+    zeros for ``2k - min(2k, 3)`` of the mu, so cond(S) is
+    ``(1 + mu_max) / (1 + mu_min)``: mu_min is the second largest
+    eigenvalue of M for one camera, and 0 for more."""
+    P, k = info.priors.covs, np.count_nonzero(use, axis=1)
+    J = np.where(use[:, :, None, None], info.A, 0.0).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = info.root @ J @ info.root
+    kept = (k > 0) & np.isfinite(M).all(axis=(1, 2))
+    mu, V = np.linalg.eigh(M[kept])
+    k = k[kept]
+    zero = np.arange(6) < 6 - np.minimum(2 * k, 3)[:, None]
+    mu[zero] = 0.0
+    low = 1.0 + np.where(k == 1, mu[:, -2], 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        good = (low > 0) & ((1.0 + mu[:, -1]) / low <= _COND_LIMIT)
+    kept[kept] = good
+    RV = info.root[kept] @ V[good]
+    d = 1.0 / (1.0 + mu[good])
+    covs, step = P.copy(), np.zeros_like(P)
+    covs[kept] = clamp_psd((RV * d[:, None, :]) @ RV.swapaxes(1, 2))
+    step[kept] = (RV * np.where(zero[good], 0.0, d)[:, None, :]) @ RV.swapaxes(1, 2)
+    return Posterior(info, use, kept, covs, step)
+
+
+def update(priors, observations, om: ObservationModel, projected=None,
+           guess: Posterior | None = None):
     """Measurement update of every target of a frame. Returns the
     posteriors and the ids of the targets whose update was dropped because
-    the innovation covariance is singular (see :func:`_gain`).
+    the innovation covariance is singular (see :func:`posterior`).
 
     For a :class:`Targets` stack, `observations` is the (T, C) mask of the
     ``om.cameras`` that observed each target and the (T, C, 2) pixels, and
@@ -351,20 +341,16 @@ def update(priors, observations, om: ObservationModel, projected=None, gains=Non
     ``(camera, (u, v))``, each camera one of ``om.cameras`` (the same
     object, at most once; else ValueError).
 
-    Each update is split at the measurement: a gain step (:func:`_gain`:
-    Jacobians, predicted pixels, the keep or drop decision, the gain K and
-    the posterior covariance) that reads no measurement, then
-    ``mean = prior + K (y - h)``. `gains`, a :class:`Gains` of these
-    `priors` and `om` made before the frame, supplies the gain step of
-    every target it holds for the target's camera mask; the others are
-    computed here, stacked by group, with the same bits, and nothing is
-    computed when every step was supplied. `counters` counts the updates
-    of each kind.
+    `guess`, a :func:`posterior` made before the frame for a guess of each
+    target's cameras, is used whole when every target's cameras are those
+    guessed, and its :class:`Information` is used whenever it is of these
+    very `priors` and `om`; what is not given is made here, with the same
+    bits. Each kept update then moves its mean by
+    ``P+ sum_c C_c^T (y_c - h_c) / r_px``.
 
     A target with no observation, one whose prior position no observing
     camera can project (behind it), and a dropped one keep the prior and
-    count a missed frame. Covariance is updated in Joseph form to preserve
-    positive semidefiniteness.
+    count a missed frame.
     """
     if not isinstance(priors, Targets):
         if len(observations) != len(priors):
@@ -382,30 +368,22 @@ def update(priors, observations, om: ObservationModel, projected=None, gains=Non
         posteriors, dropped = update(Targets.of(priors), (seen, px), om)
         return posteriors.states(), dropped
     seen, px = observations
-    x, ok = om.rig.project(priors.means[:, :3]) if projected is None else projected
-    use = seen & ok
-    need = use.any(axis=1)
-    if gains is not None and gains.priors is priors and gains.om is om:
-        hit, steps = gains.lookup(use)
-        if counters is not None:
-            counters.prepared += int(np.count_nonzero(need & hit))
-        need &= ~hit
+    if guess is not None and guess.info.priors is priors and guess.info.om is om:
+        info = guess.info
     else:
-        steps = []
-    if need.any():
-        steps = steps + gain_steps(priors, use & need[:, None], om, x)
-        if counters is not None:
-            counters.on_demand += int(np.count_nonzero(need))
-    means, covs, missed = priors.means.copy(), priors.covs.copy(), priors.missed + 1
-    dropped = []
-    for step in steps:
-        rows, h = step.rows[step.kept], step.h[step.kept]
-        innovation = px[rows[:, None], step.cols[step.kept]].reshape(h.shape) - h
-        means[rows] = priors.means[rows] + (step.K @ innovation[:, :, None])[:, :, 0]
-        covs[rows], missed[rows] = step.cov, 0
-        dropped += step.rows[~step.kept].tolist()
-    return (Targets(priors.ids, means, covs, missed, priors.born_at),
-            priors.ids[sorted(dropped)].tolist())
+        info, guess = Information.of(priors, om, projected), None
+    use = seen & info.ok
+    post = guess if guess is not None and (guess.use == use).all() else posterior(info, use)
+    kept = post.kept
+    e = np.where(use[..., None], px - info.h, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = np.where(use[..., None], (info.C.swapaxes(-1, -2) @ e[..., None])[..., 0],
+                     0.0).sum(axis=1) / om.r_px
+    means = priors.means.copy()
+    means[kept] += (post.step[kept] @ b[kept, :, None])[:, :, 0]
+    missed = np.where(kept, 0, priors.missed + 1)
+    return (Targets(priors.ids, means, post.covs, missed, priors.born_at),
+            priors.ids[use.any(axis=1) & ~kept].tolist())
 
 
 def extrapolate(state: TargetState, horizon: float) -> np.ndarray:

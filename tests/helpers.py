@@ -425,6 +425,67 @@ def update_oracle(prior, observations, om):
     return replace(prior, mean=mean, cov=cov, frames_since_observation=0)
 
 
+def gain_form_update(priors, observations, om, projected=None):
+    """The measurement update in gain form, as tracker.update made it
+    before the information form, with the same signature: for a Targets
+    stack, `observations` is the (T, C) mask of the cameras that observed
+    each target and their (T, C, 2) pixels. Targets are grouped by their
+    number of cameras, and each group's innovation covariances S = C P C^T
+    + r_px I (n x n, n = 2 per camera) are stacked: an update is dropped
+    when S is not finite, its SVD condition number exceeds 1e12 or LAPACK's
+    Cholesky factor fails; the gain solves S, and the posterior covariance
+    is the Joseph form, clamped. Bit-identical to update_oracle per target,
+    and a drop-in for hub.update."""
+    from scipy.linalg import lapack
+
+    from camtrack3d.tracker import Targets, _linearize, clamp_psd, symmetrize, well_conditioned
+
+    if not isinstance(priors, Targets):
+        seen = np.zeros((len(priors), len(om.cameras)), dtype=bool)
+        px = np.zeros(seen.shape + (2,))
+        for i, obs in enumerate(observations):
+            for cam, uv in obs:
+                seen[i, om.rig.column[cam.cam_id]] = True
+                px[i, om.rig.column[cam.cam_id]] = uv
+        posteriors, dropped = gain_form_update(Targets.of(priors), (seen, px), om)
+        return posteriors.states(), dropped
+    seen, px = observations
+    x, ok = om.rig.project(priors.means[:, :3]) if projected is None else projected
+    use = seen & ok
+    counts = np.count_nonzero(use, axis=1)
+    means, covs, missed = priors.means.copy(), priors.covs.copy(), priors.missed + 1
+    dropped = []
+    for m in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == m)
+        cols = np.nonzero(use[rows])[1].reshape(len(rows), m)
+        pred, C = _linearize(x[rows[:, None], cols], om.rig.P[cols])
+        C, h = C.reshape(len(rows), 2 * m, 6), pred.reshape(len(rows), 2 * m)
+        P = priors.covs[rows]
+        R = np.eye(2 * m) * om.r_px
+        CP = C @ P
+        S = CP @ C.transpose(0, 2, 1) + R
+        good = np.isfinite(S).all(axis=(1, 2))
+        if good.any():
+            good[good] = well_conditioned(S[good])
+        S = symmetrize(S)
+        K = np.empty((len(rows), 6, 2 * m))
+        for g in np.flatnonzero(good):
+            c, info = lapack.dpotrf(S[g], lower=0, clean=0)
+            if info:
+                good[g] = False
+            else:
+                K[g] = lapack.dpotrs(c, CP[g], lower=0)[0].T  # P C^T S^-1
+        K, C, P, h, kept = K[good], C[good], P[good], h[good], rows[good]
+        IKC = np.eye(6) - K @ C
+        covs[kept] = clamp_psd(IKC @ P @ IKC.transpose(0, 2, 1) + K @ R @ K.transpose(0, 2, 1))
+        innovation = px[kept[:, None], cols[good]].reshape(h.shape) - h
+        means[kept] = priors.means[kept] + (K @ innovation[:, :, None])[:, :, 0]
+        missed[kept] = 0
+        dropped += rows[~good].tolist()
+    return (Targets(priors.ids, means, covs, missed, priors.born_at),
+            priors.ids[sorted(dropped)].tolist())
+
+
 def cull_targets_oracle(targets, gate):
     """The one-target-at-a-time death test that cull_targets batches."""
     kept, removed = [], []

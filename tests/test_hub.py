@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from camtrack3d import hub, tracker
 from camtrack3d.association import GateConfig, cull_targets
 from camtrack3d.hub import (
     TrackerWorld,
@@ -36,11 +37,11 @@ from camtrack3d.simharness import (
     synthesize_observations,
 )
 from camtrack3d.tracker import (
-    Gains,
     ObservationModel,
     ProcessModel,
     TargetState,
     TrajectoryWriter,
+    cov_keys,
     predict,
 )
 from helpers import ring_of_cameras
@@ -492,8 +493,6 @@ def test_rows_past_the_cap_are_dropped_and_counted_once(tracked_two_targets, dat
     # kind, with non-finite rows among them: the birth search sees at most
     # the cap's rows of any camera, those of largest peak in their order
     # (ties to the lower row), and every dropped row is counted once
-    import camtrack3d.hub as hub
-
     base, (af, _) = tracked_two_targets
     world = copy.deepcopy(base)
     cams = world.observation.cameras
@@ -532,28 +531,32 @@ def test_rows_past_the_cap_are_dropped_and_counted_once(tracked_two_targets, dat
 # ------------------------------------------------- prepared frames
 
 def counters(stats):
-    """The summary's counters. Of the updates it keeps only the total: how
-    many had a prepared gain step depends on whether frames were prepared."""
-    out = {k: v for k, v in stats.summary().items()
-           if not k.startswith(("stage_", "latency_", "updates_"))}
-    return out | {"updates": stats.updates.prepared + stats.updates.on_demand}
+    """The summary's counters, without its times."""
+    return {k: v for k, v in stats.summary().items()
+            if not k.startswith(("stage_", "latency_"))}
 
 
 @pytest.fixture
 def memo_hits(monkeypatch):
-    """Counts the updates :meth:`Gains.lookup` serves, and those it is asked for."""
+    """Counts the frames whose update is given a prepared guess (`calls`)
+    and the targets those frames observed (`updates`), and the trajectory
+    rows whose covariance text is found among the prepared texts (`hits`)."""
     counts = {"hits": 0, "updates": 0, "calls": 0}
-    lookup = Gains.lookup
+    update, by_value = hub.update, tracker.by_value
 
-    def counted(self, use):
-        hit, steps = lookup(self, use)
-        counts["calls"] += 1
-        observed = use.any(axis=1)
-        counts["hits"] += int(np.count_nonzero(hit & observed))
-        counts["updates"] += int(np.count_nonzero(observed))
-        return hit, steps
+    def counted_update(priors, observations, om, projected=None, guess=None):
+        if guess is not None:
+            counts["calls"] += 1
+            counts["updates"] += int(np.count_nonzero(observations[0].any(axis=1)))
+        return update(priors, observations, om, projected, guess)
 
-    monkeypatch.setattr(Gains, "lookup", counted)
+    def counted_by_value(covs, known, compute):
+        if known:
+            counts["hits"] += sum(key in known for key in cov_keys(covs))
+        return by_value(covs, known, compute)
+
+    monkeypatch.setattr(hub, "update", counted_update)
+    monkeypatch.setattr(tracker, "by_value", counted_by_value)
     return counts
 
 
@@ -617,7 +620,7 @@ def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits
                                            in ev.assignments.columns.items()}})
     assert memo_hits == served  # nothing prepared, nothing looked up
     assert world.stats.stages.prepare == 0
-    assert world.stats.updates.prepared == 0
+    assert world.prepared is None
     assert prepared.getvalue() == bare.getvalue()
     assert [json.loads(line) for line in dump.read_text().splitlines()] == events
     assert counters(stats) == counters(world.stats)
@@ -629,16 +632,14 @@ def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits
 def test_camera_guess_serves_no_fewer_updates_than_the_last_frames_cameras(
         scene, served_before, memo_hits):
     # served_before: the updates a prepared gain step served when each
-    # target's cameras were guessed as those of its last update (counted
-    # with memo_hits); guessing the cameras that view the prior serves as
-    # many, and RunStats counts what memo_hits counts
+    # target's cameras were guessed as those of its last update; guessing
+    # the cameras that view the prior finds the prepared covariance text
+    # for at least as many rows, and every frame is given the guess
     cams, fps, frames = scene()
-    stats = run(frames, make_world(cams, fps))
-    assert stats.updates.prepared == memo_hits["hits"] >= served_before
-    assert stats.updates.prepared + stats.updates.on_demand == memo_hits["updates"]
-    summary = stats.summary()
-    assert (summary["updates_prepared"], summary["updates_on_demand"]) == (
-        stats.updates.prepared, stats.updates.on_demand)
+    stats = run(frames, make_world(cams, fps), trajectory_path=io.StringIO())
+    assert memo_hits["hits"] >= served_before
+    assert memo_hits["calls"] == stats.frames - 1
+    assert not any(k.startswith("updates_") for k in stats.summary())
 
 
 def frame_result(world, af):
@@ -676,7 +677,7 @@ def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, memo
     used = change.startswith("deepcopy")
     assert world.prepared.fits(world) == used
     got = frame_result(world, frames[10])
-    assert (memo_hits["hits"] > 0) == used
+    assert (memo_hits["calls"] > 0) == used
     assert got == frame_result(fresh, frames[10])
     assert world.prepared is None
     assert frame_result(world, frames[11]) == frame_result(fresh, frames[11])

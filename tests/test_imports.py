@@ -45,6 +45,30 @@ def test_synthesis_and_transport_load_no_scipy():
     assert loaded == []
 
 
+def test_hub_tracks_a_scene_without_loading_scipy():
+    # the hub's whole path, updates included, runs on numpy alone
+    out = _fresh("import io, json, sys\n"
+                 "import camtrack3d.cli\n"
+                 "from camtrack3d import hub, simharness\n"
+                 "from camtrack3d.association import GateConfig\n"
+                 "from camtrack3d.tracker import ObservationModel, ProcessModel\n"
+                 "spec = simharness.preset('smalltunnel', seed=5)\n"
+                 "cams = simharness.generate_rig(spec)\n"
+                 "truths = simharness.simulate_truth(spec, 2, 20)\n"
+                 "frames = hub.packets_to_assembled(\n"
+                 "    simharness.synthesize_observations(truths, cams, spec), spec.n_cameras)\n"
+                 "world = hub.TrackerWorld(ProcessModel(dt=1.0 / spec.fps),\n"
+                 "                         ObservationModel(cameras=cams), GateConfig())\n"
+                 "stats = hub.run(frames, world, trajectory_path=io.StringIO())\n"
+                 "print(json.dumps([stats.frames, stats.births,\n"
+                 "                  int((world.live.missed == 0).sum()),\n"
+                 "                  sorted(m for m in sys.modules\n"
+                 "                         if m == 'scipy' or m.startswith('scipy.'))]))")
+    frames, births, updated, loaded = out
+    assert (frames, births, updated) == (20, 2, 2)
+    assert loaded == []
+
+
 def test_cli_loads_no_ndimage():
     loaded = _fresh("import json, sys\n"
                     "import camtrack3d.cli\n"

@@ -217,6 +217,8 @@ def test_assembler_duplicate_of_emitted_frame_counted():
 def test_assembler_late_packet_counted():
     clock = FakeClock()
     asm = FrameAssembler(n_cameras=2, wait_budget=0.005, clock=clock)
+    # the stream opens with a whole frame: its first packet waits for a second
+    assert len(asm.feed(packet(cam="a", frame=2)) + asm.feed(packet(cam="b", frame=2))) == 1
     asm.feed(packet(cam="a", frame=3))
     clock.t = 1.0
     out = asm.flush_due()
@@ -313,6 +315,43 @@ def test_assembler_drops_a_lone_frame_number_far_ahead():
                                   "unknown_camera": 0}
 
 
+@pytest.mark.parametrize("order", ["ab", "ba"])
+def test_assembler_drops_a_corrupt_first_packet_of_the_stream(order):
+    # the stream opens with camera a's frame 2**40, then both cameras send
+    # frames 0-7 on the live wait budget: nothing is measured yet when the
+    # far packet arrives, so it waits, and camera a's next packet drops it
+    clock = FakeClock()
+    asm = FrameAssembler(camera_ids=("a", "b"), wait_budget=0.005, clock=clock)
+    stream = [packet(cam="a", frame=2**40)]
+    stream += [packet(cam=c, frame=f) for f in range(8) for c in order]
+    out = []
+    for p in stream:
+        clock.t += 0.001
+        out += asm.feed(p)
+        out += asm.flush_due()
+    out += asm.finish()
+    assert [af.frame for af in out] == list(range(8))
+    assert all(af.complete for af in out)
+    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 1,
+                              "unknown_camera": 0}
+
+
+@pytest.mark.parametrize("n_frames", [1, 2, 9])
+def test_assembler_keeps_every_frame_of_a_one_camera_stream(n_frames):
+    # the first packet waits for the camera's next one, or for the end
+    clock = FakeClock()
+    asm = FrameAssembler(camera_ids=("a",), wait_budget=0.005, clock=clock)
+    out = []
+    for f in range(n_frames):
+        clock.t += 0.01
+        out += asm.feed(packet(cam="a", frame=f)) + asm.flush_due()
+    out += asm.finish()
+    assert [af.frame for af in out] == list(range(n_frames))
+    assert all(af.complete for af in out)
+    assert asm.counters() == {"late": 0, "duplicates": 0, "partial": 0, "far_ahead": 0,
+                              "unknown_camera": 0}
+
+
 def test_assembler_takes_a_packet_up_to_max_skip_frames_past_its_camera_at_once():
     # one frame further waits for the camera's next packet
     for ahead, emitted in ((_MAX_SKIP, [0, _MAX_SKIP]), (_MAX_SKIP + 1, [0])):
@@ -358,8 +397,9 @@ def test_assembler_follows_a_jump_agreed_by_a_second_packet():
 
 def test_assembler_counts_a_far_packet_left_at_end_of_stream():
     asm = FrameAssembler(n_cameras=1, clock=FakeClock())
-    assert [af.frame for af in asm.feed(packet(frame=0))] == [0]
-    assert asm.feed(packet(frame=2**40)) == []
+    # the stream's first packet is taken on the camera's next one, which waits
+    assert asm.feed(packet(frame=0)) == []
+    assert [af.frame for af in asm.feed(packet(frame=2**40))] == [0]
     assert asm.finish() == []
     assert asm.far_ahead == 1
 
