@@ -465,23 +465,18 @@ def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
     return born, frame.ids(np.array(list(used), dtype=int))
 
 
-def cull_targets(targets, gate: GateConfig):
-    """Split targets into (kept, removed): removed when the largest
-    eigenvalue of the position covariance block exceeds the death
-    threshold. Takes a :class:`~camtrack3d.tracker.Targets` stack and
-    returns two, or a list of states and returns two lists of them."""
-    stack = targets if isinstance(targets, Targets) else Targets.of(targets)
-    covs, threshold = stack.covs[:, :3, :3], gate.death_covariance_threshold
+def cull_targets(targets: Targets, gate: GateConfig) -> tuple[Targets, Targets]:
+    """Split a :class:`~camtrack3d.tracker.Targets` stack into (kept,
+    removed): removed when the largest eigenvalue of the position
+    covariance block exceeds the death threshold."""
+    covs, threshold = targets.covs[:, :3, :3], gate.death_covariance_threshold
     # no eigenvalue of a 3x3 block exceeds 3 max|entry| (Gershgorin), so
     # only blocks within a rounding margin of the threshold, or with an
     # entry that is not finite, need their eigenvalues
     near = ~(3.0 * np.abs(covs).max(axis=(1, 2)) < threshold * (1.0 - 1e-9))
-    dead = np.zeros(len(stack), dtype=bool)
+    dead = np.zeros(len(targets), dtype=bool)
     if near.any():
         dead[near] = np.linalg.eigvalsh(covs[near])[:, -1] > threshold
-    if stack is not targets:
-        return ([t for t, d in zip(targets, dead) if not d],
-                [t for t, d in zip(targets, dead) if d])
     if not dead.any():  # most frames: no copies
         return targets, targets.take(slice(0, 0))
     return targets.take(~dead), targets.take(dead)

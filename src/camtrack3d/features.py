@@ -351,7 +351,10 @@ def extract_features(frame: Frame, model: BackgroundModel,
     if canvas.size == 0:
         return []
     labels, count = ndimage.label(canvas, structure=_EIGHT_CONNECTED)
-    found = []  # (first pixel's raster index, feature)
+    # labels follow the raster order of the regions' first pixels, and the
+    # canvas keeps the image's row and column order: the stable sort below
+    # breaks ties by the first pixel
+    out = []
     for i, (ry, rx) in enumerate(ndimage.find_objects(labels, count), 1):
         comp = labels[ry, rx] == i
         # the region's bounding box in image coordinates, as the moments
@@ -371,11 +374,8 @@ def extract_features(frame: Frame, model: BackgroundModel,
             u, v = correct_distortion(camera, (u_raw, v_raw))
         else:
             u, v = u_raw, v_raw
-        first = ys.start * pixels.shape[1] + xs.start + int(comp[0].argmax())
-        found.append((first, Feature(u=u, v=v, u_raw=u_raw, v_raw=v_raw,
-                                     area=area, peak=peak, theta=theta, ecc=ecc)))
-    found.sort(key=lambda item: item[0])
-    out = [f for _, f in found]
+        out.append(Feature(u=u, v=v, u_raw=u_raw, v_raw=v_raw,
+                           area=area, peak=peak, theta=theta, ecc=ecc))
     out.sort(key=lambda f: (-f.area, f.u_raw, f.v_raw))
     return out[:max_features]
 

@@ -37,7 +37,7 @@ Every source of frames goes through
 file and the simulation harness's packet lists (:func:`packets_to_assembled`)
 alike. It emits frames in increasing order and drops a lone frame number
 far past its camera's last, so the hub predicts through every gap it is
-given.
+given while targets live, and skips the rest of it once none do.
 
 Processing is single-threaded and deterministic: identical assembled-frame
 sequences and configuration produce bit-identical trajectory output.
@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
@@ -124,8 +123,10 @@ class StageTimes:
 
 @dataclass
 class RunStats:
-    """Counters and times of a run. ``latencies`` holds each frame's time
-    from receipt (or the start of its processing) to its last stage; it
+    """Counters and times of a run. ``frames`` counts the frames processed,
+    not the gap frames skipped once the world is empty (see
+    :func:`process_frame`). ``latencies`` holds each frame's time from
+    receipt (or the start of its processing) to its last stage; it
     and the frame stages exclude ``stages.write`` and ``stages.prepare``,
     the work done between frames, so ``stages.prepare`` plus the frame
     stages plus ``stages.write`` is the hub's CPU time per frame."""
@@ -275,42 +276,19 @@ def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameF
     return FrameFeatures.stack(rows[:n], counts, rig)
 
 
-def death_horizon(world: TrackerWorld) -> float:
-    """Number of frames without an update after which
-    :func:`~camtrack3d.association.cull_targets` has removed every target
-    of `world`, whatever its covariance: k predictions add
-    ``k q_pos + q_vel dt^2 (k-1) k (2k-1) / 6`` to each position variance
-    (the noise accumulated from a zero covariance). Infinite when that sum
-    never passes the death threshold."""
-    pm, threshold = world.process, world.gate.death_covariance_threshold
-
-    def grown(k: int) -> float:
-        return k * pm.q_pos + pm.q_vel * pm.dt * pm.dt * ((k - 1) * k * (2 * k - 1) // 6)
-
-    if not grown(2**62) > threshold:
-        return math.inf
-    lo, hi = 0, 1
-    while not grown(hi) > threshold:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if grown(mid) > threshold else (mid, hi)
-    return hi
-
-
 def process_frame(world: TrackerWorld, aframe: AssembledFrame,
                   receipt_time: float | None = None) -> list[FrameEvents]:
     """Advance the world through `aframe`.
 
-    Frames skipped by assembly are processed as all-missing so the
-    constant-dt process model stays valid; one FrameEvents per processed
-    frame is returned (gap frames included, the given frame last). Once a
-    gap has emptied the world, the rest of it is skipped (no FrameEvents)
-    when at least :func:`death_horizon` frames are left, since nothing
-    would happen in it: no gap costs more than twice the horizon in
-    frames. With no process noise the horizon is infinite, and every gap
-    is predicted through frame by frame. A corrupt frame number far ahead
-    is the assembler's to drop (:class:`~camtrack3d.netproto.FrameAssembler`).
+    Frames skipped by assembly are processed as all-missing while targets
+    live, so the constant-dt process model stays valid; one FrameEvents per
+    processed frame is returned (gap frames included, the given frame
+    last). Once the world is empty, the rest of the gap is skipped at once
+    (no FrameEvents, no ``frames`` count): an empty gap frame has no
+    features to spawn from and no targets to step. So a gap costs at most
+    the frames its targets survive without an update, whatever the process
+    noise. A corrupt frame number far ahead is the assembler's to drop
+    (:class:`~camtrack3d.netproto.FrameAssembler`).
     """
     if world.frame_counter is None:
         world.frame_counter = aframe.frame - 1
@@ -318,11 +296,7 @@ def process_frame(world: TrackerWorld, aframe: AssembledFrame,
         raise ValueError(
             f"frame {aframe.frame} not ahead of counter {world.frame_counter}")
     events = []
-    while world.frame_counter + 1 < aframe.frame:
-        left = aframe.frame - world.frame_counter - 1
-        if not len(world.live) and left >= death_horizon(world):
-            world.frame_counter = aframe.frame - 1
-            break
+    while len(world.live) and world.frame_counter + 1 < aframe.frame:
         gap = AssembledFrame(frame=world.frame_counter + 1, features_by_camera={},
                              complete=False, latency=0.0,
                              timestamp_us=aframe.timestamp_us)

@@ -160,7 +160,8 @@ class _Pending:
 
 # A camera's packet more than this many frames past its own last frame
 # waits for that camera's next one: above the frames an ordinary drop
-# skips, below every preset's death horizon (6 on bigcyl)
+# skips, below the missed frames a zero-covariance target survives at
+# every preset's default models (it dies on the 6th on bigcyl)
 _MAX_SKIP = 4
 
 
@@ -274,13 +275,11 @@ class FrameAssembler:
         return self._flush_impossible(now)
 
     def _flush_impossible(self, now: float) -> list[AssembledFrame]:
-        """Emit pending frames no camera can contribute to anymore."""
-        unseen = self.n_cameras - len(self._last_seen)
-        dead = [
-            f for f, p in self._pending.items()
-            if len(p.features) + unseen + sum(
-                1 for c, last in self._last_seen.items()
-                if c not in p.features and last <= f) < self.n_cameras]
+        """Emit pending frames no camera can contribute to anymore: those
+        that a camera which has not reported them has moved past."""
+        dead = [f for f, p in self._pending.items()
+                if any(last > f for c, last in self._last_seen.items()
+                       if c not in p.features)]
         if not dead:
             return []
         return self._emit_through(max(dead), now)

@@ -6,8 +6,7 @@ State is (x, y, z, vx, vy, vz) in SI units. The observation for a frame is
 the stacked distortion-corrected pixel pair from each reporting camera, in
 camera-id order; the filter linearizes the projection analytically.
 
-:func:`predict` and :func:`update` step a :class:`Targets` stack (a list
-of :class:`TargetState` is stacked, stepped and returned as states) with
+:func:`predict` and :func:`update` step a :class:`Targets` stack with
 the same bits for a target whether it is stepped alone or in a stack: each
 product is a stacked ``matmul``, which calls the same BLAS routine per
 target that the 2D product calls, and each eigendecomposition the same
@@ -183,11 +182,8 @@ def well_conditioned(M) -> np.ndarray:
         return s[..., 0] / s[..., -1] <= _COND_LIMIT
 
 
-def predict(targets, pm: ProcessModel):
-    """Time update of every target: mean <- A mean, cov <- A P A^T + Q.
-    Takes and returns a :class:`Targets` stack, or a list of states."""
-    if not isinstance(targets, Targets):
-        return predict(Targets.of(targets), pm).states()
+def predict(targets: Targets, pm: ProcessModel) -> Targets:
+    """Time update of every target: mean <- A mean, cov <- A P A^T + Q."""
     # A broadcast over (T, 6, 1) is one gemv per target, as A @ mean is; a
     # stacked (T, 6) @ A^T is a gemm and rounds differently
     means = (pm.A @ targets.means[:, :, None])[:, :, 0]
@@ -328,18 +324,15 @@ def posterior(info: Information, use) -> Posterior:
     return Posterior(info, use, kept, covs, step)
 
 
-def update(priors, observations, om: ObservationModel, projected=None,
-           guess: Posterior | None = None):
+def update(priors: Targets, observations, om: ObservationModel, projected=None,
+           guess: Posterior | None = None) -> tuple[Targets, list[int]]:
     """Measurement update of every target of a frame. Returns the
     posteriors and the ids of the targets whose update was dropped because
     the innovation covariance is singular (see :func:`posterior`).
 
-    For a :class:`Targets` stack, `observations` is the (T, C) mask of the
-    ``om.cameras`` that observed each target and the (T, C, 2) pixels, and
-    `projected` is ``om.rig.project`` of the prior positions if the caller
-    has it. For a list of states, ``observations[i]`` lists target i's
-    ``(camera, (u, v))``, each camera one of ``om.cameras`` (the same
-    object, at most once; else ValueError).
+    `observations` is the (T, C) mask of the ``om.cameras`` that observed
+    each target and the (T, C, 2) pixels, and `projected` is
+    ``om.rig.project`` of the prior positions if the caller has it.
 
     `guess`, a :func:`posterior` made before the frame for a guess of each
     target's cameras, is used whole when every target's cameras are those
@@ -352,21 +345,6 @@ def update(priors, observations, om: ObservationModel, projected=None,
     camera can project (behind it), and a dropped one keep the prior and
     count a missed frame.
     """
-    if not isinstance(priors, Targets):
-        if len(observations) != len(priors):
-            raise ValueError(
-                f"{len(observations)} observation lists for {len(priors)} targets")
-        seen = np.zeros((len(priors), len(om.cameras)), dtype=bool)
-        px = np.zeros(seen.shape + (2,))
-        for i, obs in enumerate(observations):
-            for cam, uv in obs:
-                k = om.rig.column.get(cam.cam_id)
-                if k is None or om.cameras[k] is not cam or seen[i, k]:
-                    raise ValueError(f"camera {cam.cam_id!r} is not a camera of the "
-                                     f"observation model, or observes target {i} twice")
-                seen[i, k], px[i, k] = True, uv
-        posteriors, dropped = update(Targets.of(priors), (seen, px), om)
-        return posteriors.states(), dropped
     seen, px = observations
     if guess is not None and guess.info.priors is priors and guess.info.om is om:
         info = guess.info

@@ -343,17 +343,36 @@ class SingularInnovation(Exception):
 
 def predict_one(state, pm):
     """tracker.predict of a single target."""
-    from camtrack3d.tracker import predict
+    from camtrack3d.tracker import Targets, predict
 
-    return predict([state], pm)[0]
+    return predict(Targets.of([state]), pm).states()[0]
+
+
+def observation_arrays(observations, om):
+    """The (T, C) mask of the cameras of ``om`` that observed each target
+    and the (T, C, 2) pixels, from per-target ``(camera, (u, v))`` lists."""
+    seen = np.zeros((len(observations), len(om.cameras)), dtype=bool)
+    px = np.zeros(seen.shape + (2,))
+    for i, obs in enumerate(observations):
+        for cam, uv in obs:
+            k = om.rig.column[cam.cam_id]
+            seen[i, k], px[i, k] = True, uv
+    return seen, px
+
+
+def update_states(priors, observations, om):
+    """tracker.update of a list of states, each with its list of
+    ``(camera, (u, v))``: the posteriors as states and the dropped ids."""
+    from camtrack3d.tracker import Targets, update
+
+    posteriors, dropped = update(Targets.of(priors), observation_arrays(observations, om), om)
+    return posteriors.states(), dropped
 
 
 def update_one(prior, observations, om):
     """tracker.update of a single target; raises SingularInnovation when
     its update is dropped, as the one-target filter step did."""
-    from camtrack3d.tracker import update
-
-    posteriors, dropped = update([prior], [observations], om)
+    posteriors, dropped = update_states([prior], [observations], om)
     if dropped:
         raise SingularInnovation("innovation covariance is singular")
     return posteriors[0]

@@ -656,9 +656,9 @@ def test_spawn_matches_repeated_search_oracle(frame):
 
 def test_cull_keeps_fresh_birth():
     gate = GateConfig()
-    t = target_at([0, 0, 0.3], sigma=gate.sigma_birth)
-    kept, removed = cull_targets([t], gate)
-    assert kept == [t] and removed == []
+    t = Targets.of([target_at([0, 0, 0.3], sigma=gate.sigma_birth)])
+    kept, removed = cull_targets(t, gate)
+    assert kept is t and len(removed) == 0
 
 
 def test_cull_crossing_frame_matches_recursion_oracle():
@@ -679,18 +679,15 @@ def test_cull_crossing_frame_matches_recursion_oracle():
     s = t
     for k in range(1, k_oracle + 1):
         s = predict_one(s, pm)
-        kept, removed = cull_targets([s], gate)
-        if k < k_oracle:
-            assert removed == []
-        else:
-            assert removed == [s]
+        kept, removed = cull_targets(Targets.of([s]), gate)
+        assert removed.ids.tolist() == ([s.target_id] if k == k_oracle else [])
 
 
 def test_cull_infinite_threshold_removes_nothing():
     gate = GateConfig(death_covariance_threshold=math.inf)
     t = target_at([0, 0, 0.3], sigma=100.0)
-    kept, removed = cull_targets([t], gate)
-    assert removed == []
+    kept, removed = cull_targets(Targets.of([t]), gate)
+    assert len(removed) == 0
 
 
 @st.composite
@@ -711,11 +708,9 @@ def targets_near_death(draw):
 def test_cull_matches_the_one_target_death_test(targets):
     # the eigenvalues are computed only for the targets whose entries do
     # not bound them below the threshold, and the split is the one-target
-    # death test's, on a stack and on a list
+    # death test's
     gate = GateConfig()
     want_kept, want_removed = cull_targets_oracle(targets, gate)
     want = ([t.target_id for t in want_kept], [t.target_id for t in want_removed])
     kept, removed = cull_targets(Targets.of(targets), gate)
     assert (kept.ids.tolist(), removed.ids.tolist()) == want
-    kept, removed = cull_targets(targets, gate)
-    assert ([t.target_id for t in kept], [t.target_id for t in removed]) == want

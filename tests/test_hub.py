@@ -22,7 +22,6 @@ from camtrack3d import hub, tracker
 from camtrack3d.association import GateConfig, cull_targets
 from camtrack3d.hub import (
     TrackerWorld,
-    death_horizon,
     packets_to_assembled,
     prepare,
     process_frame,
@@ -39,6 +38,7 @@ from camtrack3d.simharness import (
 from camtrack3d.tracker import (
     ObservationModel,
     ProcessModel,
+    Targets,
     TargetState,
     TrajectoryWriter,
     cov_keys,
@@ -104,9 +104,9 @@ def test_gap_frames_processed_as_missing():
 
 
 def test_a_jump_of_2_to_the_62_frames_returns_quickly():
-    # the hub predicts through at most the death horizon, then skips the
-    # rest of the gap; dropping a corrupt frame number is the assembler's
-    # (test_netproto's reproduction, test_cli's corrupt record)
+    # the hub predicts through the gap until its last target dies, then
+    # skips the rest of it; dropping a corrupt frame number is the
+    # assembler's (test_netproto's reproduction, test_cli's corrupt record)
     spec, cams, truths, frames = noiseless_scene(n_frames=10)
     world = make_world(cams, spec.fps)
     process_frame(world, frames[0])
@@ -116,7 +116,8 @@ def test_a_jump_of_2_to_the_62_frames_returns_quickly():
     t0 = time.perf_counter()
     events = process_frame(world, corrupt)
     assert time.perf_counter() - t0 < 0.1
-    assert len(events) <= death_horizon(world) + 1
+    assert [e.frame for e in events[:-1]] == list(range(1, len(events)))
+    assert events[-2].deaths == [0]
     assert events[-1].frame == corrupt.frame and world.frame_counter == corrupt.frame
     assert "gap_drops" not in world.stats.summary()
 
@@ -138,10 +139,38 @@ def test_rows_of_cameras_outside_the_rig_are_dropped_and_counted_at_ingress():
     assert (plain.stats.unknown_camera_rows, plain.stats.nonfinite_rows) == (0, 0)
 
 
+@pytest.mark.parametrize("noise", [{"q_pos": 0.0, "q_vel": 0.0}, {}],
+                         ids=["zero-noise", "defaults"])
+def test_a_confirmed_jump_returns_as_many_events_whatever_its_length(noise):
+    # the gap is predicted through while its target lives, and the rest of
+    # it is skipped at once, whatever the process noise: without any, a
+    # zero-covariance target never dies, but one born and updated does
+    spec, cams, truths, _ = noiseless_scene(n_frames=7)
+    packets = synthesize_observations(truths, cams, spec)
+
+    def jump(length):
+        ahead = [[dataclasses.replace(p, frame=p.frame + length) for p in frame]
+                 for frame in packets[5:]]
+        frames = packets_to_assembled(packets[:5] + ahead, spec.n_cameras)
+        assert [af.frame for af in frames] == [*range(5), 5 + length, 6 + length]
+        world = make_world(cams, spec.fps)
+        world.process = ProcessModel(dt=spec.dt, **noise)
+        for af in frames[:5]:
+            process_frame(world, af)
+        return process_frame(world, frames[5])
+
+    short = jump(2000)  # first, as predicting every frame of it returns 2,001 events
+    assert len(short) < 100 and short[-2].deaths == [0]
+    assert [e.frame for e in short[:-1]] == list(range(5, 4 + len(short)))
+    far = jump(2**62)
+    assert [(e.frame, e.births, e.deaths) for e in far[:-1]] == [
+        (e.frame, e.births, e.deaths) for e in short[:-1]]
+    assert len(far) == len(short) and far[-1].frame == 5 + 2**62
+
+
 def test_jump_past_the_death_horizon_resumes_as_if_predicted_through():
     spec, cams, truths, frames = noiseless_scene(n_frames=112)
     world = make_world(cams, spec.fps)
-    assert 1 < death_horizon(world) < 50
     got = []
     for af in frames[:5]:
         got += process_frame(world, af)
@@ -157,10 +186,10 @@ def test_jump_past_the_death_horizon_resumes_as_if_predicted_through():
         af = frames[f] if f < 5 or f > 100 else AssembledFrame(
             frame=f, features_by_camera={}, complete=False, latency=0.0)
         want += process_frame(oracle, af)
-    # only frames after every target died are skipped
+    # exactly the gap's frames after every target died are skipped
     skipped = {e.frame for e in want} - {e.frame for e in got}
     assert skipped and all(e.births == e.deaths == [] for e in want if e.frame in skipped)
-    assert min(skipped) > max(e.frame for e in want if e.deaths)
+    assert skipped == set(range(max(e.frame for e in want if e.deaths) + 1, 101))
     assert [(e.frame, e.births, e.deaths) for e in got] == [
         (e.frame, e.births, e.deaths) for e in want if e.frame not in skipped]
     assert len(world.targets) == len(oracle.targets) == 1
@@ -175,22 +204,21 @@ def test_jump_past_the_death_horizon_resumes_as_if_predicted_through():
     (0.005, 0.0, 0.25, 0.004), (0.01, 1.1e-3, 0.0, 0.004),
 ])
 def test_death_horizon_is_when_a_zero_covariance_target_dies(dt, q_pos, q_vel, threshold):
+    # a gap is predicted through frame by frame until its last target
+    # dies, and no further
     world = TrackerWorld(process=ProcessModel(dt=dt, q_pos=q_pos, q_vel=q_vel),
                          observation=ObservationModel(cameras=ring_of_cameras(2)),
                          gate=GateConfig(death_covariance_threshold=threshold))
-    horizon = death_horizon(world)
-    targets = [TargetState(target_id=0, mean=np.zeros(6), cov=np.zeros((6, 6)))]
-    for k in range(1, horizon + 1):
-        targets = predict(targets, world.process)
-        assert bool(cull_targets(targets, world.gate)[1]) == (k == horizon)
-
-
-def test_death_horizon_infinite_without_process_noise():
-    for pm, gate in [(ProcessModel(dt=0.01, q_pos=0.0, q_vel=0.0), GateConfig()),
-                     (ProcessModel(dt=0.01), GateConfig(death_covariance_threshold=math.inf))]:
-        world = TrackerWorld(process=pm, observation=ObservationModel(
-            cameras=ring_of_cameras(2)), gate=gate)
-        assert death_horizon(world) == math.inf
+    world.live = Targets.of([TargetState(target_id=0, mean=np.zeros(6), cov=np.zeros((6, 6)))])
+    world.frame_counter = 0
+    targets, horizon = world.live, 0
+    while not len(cull_targets(targets, world.gate)[1]):
+        targets, horizon = predict(targets, world.process), horizon + 1
+    events = process_frame(world, AssembledFrame(frame=10**6, features_by_camera={},
+                                                 complete=False, latency=0.0))
+    assert [e.frame for e in events] == [*range(1, horizon + 1), 10**6]
+    assert [e.deaths for e in events[:-1]] == [[]] * (horizon - 1) + [[0]]
+    assert world.stats.frames == horizon + 1
 
 
 def test_summary_reports_likelihood_and_spawn_counters():
@@ -299,8 +327,8 @@ def test_run_deterministic_bit_identical(tmp_path):
 
 @pytest.mark.parametrize("kept", [[*range(5), 8, 9], [*range(5), *range(101, 112)]])
 def test_gap_frames_write_their_own_rows(tmp_path, kept):
-    # each frame predicted through a gap, or through a jump past the death
-    # horizon, writes the targets it left, as a run given every missing frame empty
+    # each frame predicted through a gap, or through a jump until its target
+    # dies, writes the targets it left, as a run given every missing frame empty
     spec, cams, truths, frames = noiseless_scene(n_frames=112)
     empty = [f if f.frame in kept else
              AssembledFrame(frame=f.frame, features_by_camera={}, complete=False,
@@ -597,7 +625,7 @@ def with_gaps(kept):
 @pytest.mark.parametrize("scene", [
     cluttered_smalltunnel, tunnel_scene, bigcyl_seed_21,
     with_gaps([*range(5), 8, 9]),  # a gap predicted through
-    with_gaps([*range(5), *range(101, 112)]),  # a jump past the death horizon
+    with_gaps([*range(5), *range(101, 112)]),  # a jump the target dies in
 ], ids=["smalltunnel-clutter", "tunnel", "bigcyl-21", "gap", "jump"])
 def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits, tmp_path):
     cams, fps, frames = scene()
@@ -687,7 +715,7 @@ def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, memo
 def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, memo_hits):
     # the prepared priors are for the next processed frame, whatever its
     # number: the first frame predicted through the gap uses them, whether
-    # or not the gap passes the death horizon
+    # or not the target dies in the gap and the rest of it is skipped
     spec, cams, truths, frames = noiseless_scene(n_frames=40)
     world = make_world(cams, spec.fps)
     for af in frames[:5]:
@@ -697,7 +725,7 @@ def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, memo_hits):
     later = frames[4 + skip:4 + skip + 2]
     first, second = frame_result(world, later[0]), frame_result(world, later[1])
     assert (first, second) == (frame_result(fresh, later[0]), frame_result(fresh, later[1]))
-    assert (skip > death_horizon(world)) == (skip == 20)
+    assert (len(first) < skip) == (skip == 20)
     assert first[0][0] == 5 and first[-1][0] == later[0].frame
     # looked up once, by frame 5, which observes nothing
     assert memo_hits == {"hits": 0, "updates": 0, "calls": 1}

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 import camtrack3d
+from camtrack3d.association import GateConfig, cull_targets
 from camtrack3d.netproto import (
     _MAX_SKIP,
     MAGIC,
@@ -36,6 +37,8 @@ from camtrack3d.netproto import (
     send_packets,
     write_packet,
 )
+from camtrack3d.simharness import PRESETS
+from camtrack3d.tracker import ProcessModel, Targets, TargetState, predict
 
 
 class FakeClock:
@@ -359,6 +362,17 @@ def test_assembler_takes_a_packet_up_to_max_skip_frames_past_its_camera_at_once(
         out = asm.feed(packet(frame=0)) + asm.feed(packet(frame=ahead))
         assert [af.frame for af in out] == emitted
         assert len(asm._ahead) == 2 - len(emitted)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_max_skip_is_below_the_missed_frames_a_zero_covariance_target_survives(name):
+    # a jump the assembler takes at once never kills a target on its own,
+    # at each preset's default models (bigcyl's dies on the 6th missed frame)
+    pm, gate = ProcessModel(dt=PRESETS[name].dt), GateConfig()
+    targets = Targets.of([TargetState(target_id=0, mean=np.zeros(6), cov=np.zeros((6, 6)))])
+    for _ in range(_MAX_SKIP):
+        targets = predict(targets, pm)
+        assert len(cull_targets(targets, gate)[1]) == 0
 
 
 def test_assembler_measures_each_packet_from_its_cameras_last_frame():

@@ -31,12 +31,14 @@ from helpers import (
     SingularInnovation,
     cull_targets_oracle,
     look_at_camera,
+    observation_arrays,
     predict_oracle,
     predict_one,
     ring_of_cameras,
     trajectory_rows_oracle,
     update_one,
     update_oracle,
+    update_states,
 )
 
 
@@ -557,11 +559,11 @@ def test_frame_ekf_matches_per_target_oracle_within_tolerance(frame):
     # information form drops what the gain form drops and otherwise agrees
     # with it to the rounding both forms allow
     pm, om, states, observations = frame
-    priors = predict(states, pm)
+    priors = predict(Targets.of(states), pm).states()
     assert len(priors) == len(states)
     for got, s in zip(priors, states):
         assert_same_state(got, predict_oracle(s, pm))
-    posteriors, dropped = update(priors, observations, om)
+    posteriors, dropped = update_states(priors, observations, om)
     want, want_dropped = oracle_update(priors, observations, om)
     assert dropped == reference_drops(priors, observations, om, want_dropped)
     for got, w, prior, obs in zip(posteriors, want, priors, observations):
@@ -569,22 +571,10 @@ def test_frame_ekf_matches_per_target_oracle_within_tolerance(frame):
             assert_within_oracle_rounding(got, w, prior, obs, om)
     gate = GateConfig(death_covariance_threshold=10.0 ** np.random.default_rng(
         len(states)).uniform(-10, 2))
-    kept, removed = cull_targets(posteriors, gate)
+    kept, removed = cull_targets(Targets.of(posteriors), gate)
     want_kept, want_removed = cull_targets_oracle(posteriors, gate)
-    assert [t.target_id for t in kept] == [t.target_id for t in want_kept]
-    assert [t.target_id for t in removed] == [t.target_id for t in want_removed]
-
-
-def observation_arrays(observations, om):
-    """The (T, C) mask of the cameras of ``om`` that observed each target
-    and the (T, C, 2) pixels, from per-target ``(camera, (u, v))`` lists."""
-    seen = np.zeros((len(observations), len(om.cameras)), dtype=bool)
-    px = np.zeros(seen.shape + (2,))
-    for i, obs in enumerate(observations):
-        for cam, uv in obs:
-            k = om.rig.column[cam.cam_id]
-            seen[i, k], px[i, k] = True, uv
-    return seen, px
+    assert kept.ids.tolist() == [t.target_id for t in want_kept]
+    assert removed.ids.tolist() == [t.target_id for t in want_removed]
 
 
 def assert_same_stack(got, want):
@@ -692,7 +682,7 @@ def test_update_of_a_singular_prior_without_process_noise_matches_oracle(n_cams,
            for s in priors]
     for r_px in (1.0, 1e-12):
         om = ObservationModel(cameras=cams, r_px=r_px)
-        got, dropped = update(priors, obs, om)
+        got, dropped = update_states(priors, obs, om)
         want, want_dropped = oracle_update(priors, obs, om)
         assert dropped == want_dropped
         for g, w, p, o in zip(got, want, priors, obs):
@@ -714,24 +704,10 @@ def test_update_singular_rule_at_condition_limit_matches_oracle():
     for factor in (0.999, 1.001):
         om = ObservationModel(cameras=cams, r_px=r_limit * factor)
         frame = ([prior, far, prior], [obs, obs[:1], []])
-        got = update(*frame, om)
+        got = update_states(*frame, om)
         want = oracle_update(*frame, om)
         assert got[1] == want[1]
         for g, w, p, o in zip(got[0], want[0], *frame):
             assert_within_oracle_rounding(g, w, p, o, om)
         decisions.append(got[1])
     assert decisions == [[prior.target_id], []]
-
-
-def test_update_rejects_camera_outside_model():
-    cams = ring_of_cameras(3)
-    om = ObservationModel(cameras=cams[:2])
-    s = state([0.0, 0.0, 0.3, 0, 0, 0], np.eye(6) * 1e-3)
-    with pytest.raises(ValueError, match=cams[2].cam_id):
-        update([s], [[(cams[2], (320.0, 240.0))]], om)
-    # a camera with a model camera's id is not that camera (say recalibrated)
-    moved = look_at_camera((2.0, 0.1, 0.6), (0.0, 0.0, 0.3), cam_id=cams[0].cam_id)
-    with pytest.raises(ValueError, match=cams[0].cam_id):
-        update([s], [[(moved, (320.0, 240.0))]], om)
-    with pytest.raises(ValueError):
-        update([s], [], om)
