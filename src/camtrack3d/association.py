@@ -10,9 +10,10 @@ The hub keeps a frame's features as one :class:`FrameFeatures` table of
 (n, 6) float rows (u, v, area, peak, theta, ecc), camera by camera, with
 each row's unit ray, back-projected once when the table is stacked, and
 its targets as one :class:`~camtrack3d.tracker.Targets` stack.
-:func:`pair_table` takes the targets' projection through every camera
-(made once per frame and shared with the EKF update) and the table's
-rays and computes the image distance and the ray distance of every
+:func:`pair_table` takes the priors' :class:`~camtrack3d.tracker.Information`
+(their predicted pixels through every camera and inverse position
+covariances, made once per frame and shared with the EKF update) and the
+table's rays and computes the image distance and the ray distance of every
 (target, camera, feature) pair in a fixed number of array operations.
 Assignment (:func:`assign`), merge prevention (:func:`resolve_shared`)
 and the birth search's claim test (:func:`gate_claimed_features`) take
@@ -53,7 +54,7 @@ from .geometry import (
     triangulate,  # not called here; the traced benchmark wraps it by name
     triangulate_sets,
 )
-from .tracker import _COND_LIMIT, Targets, TargetState, well_conditioned
+from .tracker import _COND_LIMIT, Information, Targets, TargetState
 
 _NO_ROWS = np.empty((0, 6))  # a camera that reported no features
 
@@ -82,10 +83,12 @@ class GateConfig:
         for name in ("dist2d_threshold", "area_threshold", "mahalanobis_gate",
                      "birth_reprojection_threshold", "death_covariance_threshold",
                      "sigma_birth", "sigma_vbirth", "birth_pair_distance"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
-        if self.birth_miss_tolerance < 0:
+        if not self.birth_miss_tolerance >= 0:
             raise ValueError("birth_miss_tolerance must be nonnegative")
+        if math.isnan(self.min_birth_cameras):
+            raise ValueError("min_birth_cameras must not be NaN")
 
 
 @dataclass
@@ -220,8 +223,8 @@ class FrameFeatures:
 class PairTable:
     """Geometry of every (target, camera, feature) pairing of one frame.
 
-    Rows follow the targets in the order given to :func:`pair_table`, whose
-    ids are ``target_ids``. Columns are the rows of `features`, camera by
+    Rows follow the priors given to :func:`pair_table`, whose ids are
+    ``target_ids``. Columns are the rows of `features`, camera by
     camera in camera-id order; ``slices[cam_id]`` selects one camera's
     columns, in its row order. The table holds no thresholds: each
     consumer applies its own gates.
@@ -238,25 +241,11 @@ class PairTable:
         return self.features.slices
 
 
-def position_terms(targets: Targets) -> tuple[np.ndarray, np.ndarray]:
-    """The pair table's per-target terms, which read no feature: the (T,)
-    mask of the position covariances that are finite with condition at
-    most 1e12, and their inverses (T, 3, 3), zero where not."""
-    cov = targets.covs[:, :3, :3]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cov_ok = np.isfinite(cov).all(axis=(1, 2))
-        cov_ok[cov_ok] = well_conditioned(cov[cov_ok])
-        s_inv = np.zeros_like(cov)
-        s_inv[cov_ok] = np.linalg.inv(cov[cov_ok])
-    return cov_ok, s_inv
-
-
-def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
-               terms=None) -> PairTable:
-    """Score every pair of a feature of `frame` (a table over `rig`) and a
-    target of `targets`, whose positions `projected` is ``rig.project``
-    of, in one pass over the frame and its rays. `terms` is
-    :func:`position_terms` of `targets` if the caller has it.
+def pair_table(frame: FrameFeatures, info: Information) -> PairTable:
+    """Score every pair of a feature of `frame` (a table over the rig of
+    ``info.om``) and a target of ``info.priors``, in one pass over the
+    frame and its rays, from the priors' predicted pixels and position
+    terms in `info`.
 
     Per pair this is what :func:`project`, :func:`pixel_ray` and
     :func:`mahalanobis_closest_point` compute one call at a time, with the
@@ -272,21 +261,14 @@ def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
     cancel.
     """
     uv, cam_of = frame.rows[:, :2], frame.cam_of
-    pos = targets.means[:, :3]
-    cov_ok, s_inv = position_terms(targets) if terms is None else terms
-    # targets through every camera: (T, C, 3) homogeneous image points
-    x, seen = projected
-    visible = seen[:, cam_of]
+    pos, s_inv = info.priors.means[:, :3], info.s_inv
+    visible, h = info.ok[:, cam_of], info.h[:, cam_of]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        depth = x[..., 2]
-        dist2d = np.where(visible,
-                          np.hypot(uv[:, 0] - (x[..., 0] / depth)[:, cam_of],
-                                   uv[:, 1] - (x[..., 1] / depth)[:, cam_of]),
-                          np.inf)
+        dist2d = np.where(visible, np.hypot(uv[:, 0] - h[..., 0], uv[:, 1] - h[..., 1]), np.inf)
 
         # every pair: w (T, N, 3) with its along-ray part removed
         d = frame.rays
-        w = pos[:, None, :] - rig.centers[cam_of]
+        w = pos[:, None, :] - info.om.rig.centers[cam_of]
         w -= np.einsum("tni,ni->tn", w, d)[..., None] * d
         sd = np.einsum("tij,nj->tni", s_inv, d)
         dsd = np.einsum("tni,ni->tn", sd, d)
@@ -294,8 +276,8 @@ def pair_table(frame: FrameFeatures, targets: Targets, rig: Rig, projected,
         resid = (dsw / dsd)[..., None] * d - w
         d2 = np.einsum("tni,tij,tnj->tn", resid, s_inv, resid)
         ray_dist = np.sqrt(np.maximum(d2, 0.0))
-        ok = cov_ok[:, None] & frame.ray_ok & ~(dsd <= 0) & np.isfinite(ray_dist)
-    return PairTable(target_ids=tuple(targets.ids.tolist()), features=frame,
+        ok = info.cov_ok[:, None] & frame.ray_ok & ~(dsd <= 0) & np.isfinite(ray_dist)
+    return PairTable(target_ids=tuple(info.priors.ids.tolist()), features=frame,
                      visible=visible, dist2d=dist2d, ray_dist=np.where(ok, ray_dist, np.inf))
 
 
@@ -451,8 +433,9 @@ def spawn_targets(frame: FrameFeatures, claimed: np.ndarray, rig: Rig,
         return [], set()
     born: list[TargetState] = []
     used: set[int] = set()  # table rows
-    viewing = np.count_nonzero(rig.viewing(rig.project([point for _, point in hypotheses])),
-                               axis=1)
+    x, ok = rig.project([point for _, point in hypotheses])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        viewing = np.count_nonzero(rig.viewing(x[..., :2] / x[..., 2:], ok), axis=1)
     cov = np.diag([gate.sigma_birth**2] * 3 + [gate.sigma_vbirth**2] * 3)
     for (key, point), n in sorted(zip(hypotheses, viewing.tolist()),
                                   key=lambda hyp: hyp[0][0]):

@@ -222,13 +222,11 @@ class Rig:
         """:func:`project_points` of `points` through the rig's cameras."""
         return _project(self.P, self.front, points)
 
-    def viewing(self, projected) -> np.ndarray:
-        """The (T, C) mask of the cameras that have each point of
-        `projected`, a :meth:`project` result, in front of them and inside
-        their image (a point on the image border counts as inside)."""
-        x, ok = projected
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pixels = x[..., :2] / x[..., 2:]
+    def viewing(self, pixels, ok) -> np.ndarray:
+        """The (T, C) mask of the cameras that have each point in front of
+        them and inside their image (a point on the image border counts as
+        inside), from its (T, C, 2) `pixels` through every camera and the
+        (T, C) mask `ok` that :meth:`project` gives."""
         return ok & ((0 <= pixels) & (pixels <= self.size)).all(axis=-1)
 
 

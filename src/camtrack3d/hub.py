@@ -10,27 +10,28 @@ not finite, rows of cameras outside the rig and rows past the per-camera
 cap dropped and counted, and each row is back-projected once, for the pair
 table and the birth search alike. The world keeps its targets as one
 :class:`~camtrack3d.tracker.Targets` stack in id order, which predict,
-update and cull read and replace. The priors are projected through the rig
-once; every (target, camera, feature) pair is scored once into an
+update and cull read and replace. The priors' terms that read no feature
+are one record, an :class:`~camtrack3d.tracker.Information`: their
+predicted pixels through every camera, the EKF update's Jacobian rows and
+information ``C^T C / r_px``, and the inverse position covariances. Every
+(target, camera, feature) pair is scored once from it into a
 :class:`~camtrack3d.association.PairTable`, which assignment, merge
-resolution and the gate-claim test read, and the update's Jacobians reuse
-the projection. ``RunStats.stages`` sums the time of each stage.
+resolution and the gate-claim test read, and the update reads the same
+record. ``RunStats.stages`` sums the time of each stage.
 
-Most of a frame's work reads no feature: the priors, their projection,
-the pair table's per-target terms and the EKF update's terms for every
-camera that projects each prior (predicted pixels, Jacobian rows and their
-information ``C^T C / r_px``). :func:`run` makes them with :func:`prepare`
-in the idle gap after a frame's rows are written and flushed and before it
-asks for the next frame, together with the update's covariance half for a
-guess of each target's cameras (those that have its predicted position in
-front of them and inside their image) and the trajectory-row text of each
-of its posterior covariances. The next frame uses them while the world's
-targets and models are the objects they were made from: its update takes
-the guessed covariance half whole when every target's cameras are those
-guessed, and otherwise makes its own from the prepared terms, and its rows
-find the text by the covariance's bytes. A born or missed target and a
-frame with nothing prepared compute them in the frame with the same code,
-so the output bits do not depend on what was prepared.
+Most of a frame's work reads no feature: the priors and their
+:class:`~camtrack3d.tracker.Information`. :func:`run` makes them with
+:func:`prepare` in the idle gap after a frame's rows are written and
+flushed and before it asks for the next frame, together with the update's
+covariance half for a guess of each target's cameras (those that have its
+predicted position in front of them and inside their image) and the
+trajectory-row text of each of its posterior covariances. The next frame
+uses them while the world's targets and models are the objects they were
+made from: its update keeps the guessed covariance half of each target
+whose cameras are those guessed and makes the others' from the prepared
+record, and its rows find the text by the covariance's bytes. A born or
+missed target and a frame with nothing prepared compute them in the frame
+with the same code, so the output bits do not depend on what was prepared.
 
 Every source of frames goes through
 :class:`~camtrack3d.netproto.FrameAssembler`: live packets, a feature
@@ -65,7 +66,6 @@ from .association import (
     cull_targets,
     gate_claimed_features,
     pair_table,
-    position_terms,
     resolve_shared,
     spawn_targets,
 )
@@ -96,11 +96,12 @@ MAX_ROWS_PER_CAMERA = 32  # cameras send 10 by default; no recorded scene has ov
 @dataclass
 class StageTimes:
     """Seconds spent in each stage of the frame loop, summed over frames:
-    ingress (the feature table), predict, score (projection and pair
-    table), assign, resolve, update, claim (the claimed features), spawn
-    and cull, then, between frames, write (:func:`run`'s trajectory rows)
-    and prepare (:func:`prepare`). Predict, score and update are mostly
-    lookups when the frame was prepared."""
+    ingress (the feature table), predict (the priors and their
+    :class:`~camtrack3d.tracker.Information`), score (the pair table),
+    assign, resolve, update, claim (the claimed features), spawn and cull,
+    then, between frames, write (:func:`run`'s trajectory rows) and prepare
+    (:func:`prepare`). Predict and update are mostly lookups when the frame
+    was prepared."""
 
     ingress: float = 0.0
     predict: float = 0.0
@@ -126,7 +127,7 @@ class RunStats:
     """Counters and times of a run. ``frames`` counts the frames processed,
     not the gap frames skipped once the world is empty (see
     :func:`process_frame`). ``latencies`` holds each frame's time from
-    receipt (or the start of its processing) to its last stage; it
+    the start of its processing to its last stage; it
     and the frame stages exclude ``stages.write`` and ``stages.prepare``,
     the work done between frames, so ``stages.prepare`` plus the frame
     stages plus ``stages.write`` is the hub's CPU time per frame."""
@@ -197,19 +198,17 @@ class TrackerWorld:
 @dataclass(frozen=True, eq=False)
 class Prepared:
     """What the next frame computes before reading its features, made from
-    `live` under `process` and the observation model of `guess`: the
-    priors' projection through the rig, the pair table's per-target terms,
-    the EKF update's covariance half for the guessed cameras
-    (:class:`~camtrack3d.tracker.Posterior`, which holds the update's
-    :class:`~camtrack3d.tracker.Information` for every camera, and with it
-    the priors and that model) and, by the bytes of each of its posterior
-    covariances (:func:`~camtrack3d.tracker.cov_keys`), its
+    `live` under `process` and the observation model of `guess`: the EKF
+    update's covariance half for the guessed cameras
+    (:class:`~camtrack3d.tracker.Posterior`, which holds the priors'
+    :class:`~camtrack3d.tracker.Information`, the terms the pair table and
+    the update read, and with it the priors and that model) and, by the
+    bytes of each of its posterior covariances
+    (:func:`~camtrack3d.tracker.cov_keys`), its
     :func:`~camtrack3d.tracker.covariance_text`."""
 
     live: Targets
     process: ProcessModel
-    projected: tuple[np.ndarray, np.ndarray]
-    terms: tuple[np.ndarray, np.ndarray]
     guess: Posterior
     cov_text: dict[bytes, str]
 
@@ -220,9 +219,10 @@ class Prepared:
 
 
 def prepare(world: TrackerWorld) -> None:
-    """Make the next frame's priors, their projection, the pair table's
-    per-target terms and the measurement update's terms for every camera
-    that projects each prior, from the world's live targets alone, and keep
+    """Make the next frame's priors and their
+    :class:`~camtrack3d.tracker.Information` (the pair table's per-target
+    terms and the measurement update's terms for every camera that
+    projects each prior), from the world's live targets alone, and keep
     them in ``world.prepared``. Then make the update's covariance half for
     the cameras that have each target's predicted position in front of them
     and inside their image, the cameras likely to see it, and the trajectory
@@ -233,11 +233,10 @@ def prepare(world: TrackerWorld) -> None:
         return
     t = time.perf_counter()
     live, om = world.live, world.observation
-    priors = predict(live, world.process)
-    projected = om.rig.project(priors.means[:, :3])
-    guess = posterior(Information.of(priors, om, projected), om.rig.viewing(projected))
+    info = Information.of(predict(live, world.process), om)
+    guess = posterior(info, om.rig.viewing(info.h, info.ok))
     covs = guess.covs[guess.kept]
-    world.prepared = Prepared(live, world.process, projected, position_terms(priors), guess,
+    world.prepared = Prepared(live, world.process, guess,
                               dict(zip(cov_keys(covs), covariance_text(covs))))
     world.stats.stages.lap("prepare", t)
 
@@ -276,8 +275,7 @@ def _frame_features(aframe: AssembledFrame, rig: Rig, stats: RunStats) -> FrameF
     return FrameFeatures.stack(rows[:n], counts, rig)
 
 
-def process_frame(world: TrackerWorld, aframe: AssembledFrame,
-                  receipt_time: float | None = None) -> list[FrameEvents]:
+def process_frame(world: TrackerWorld, aframe: AssembledFrame) -> list[FrameEvents]:
     """Advance the world through `aframe`.
 
     Frames skipped by assembly are processed as all-missing while targets
@@ -300,15 +298,13 @@ def process_frame(world: TrackerWorld, aframe: AssembledFrame,
         gap = AssembledFrame(frame=world.frame_counter + 1, features_by_camera={},
                              complete=False, latency=0.0,
                              timestamp_us=aframe.timestamp_us)
-        events.append(_process_one(world, gap, None))
-    events.append(_process_one(world, aframe, receipt_time))
+        events.append(_process_one(world, gap))
+    events.append(_process_one(world, aframe))
     return events
 
 
-def _process_one(world: TrackerWorld, aframe: AssembledFrame,
-                 receipt_time: float | None) -> FrameEvents:
-    t = time.perf_counter()
-    t0 = t if receipt_time is None else receipt_time
+def _process_one(world: TrackerWorld, aframe: AssembledFrame) -> FrameEvents:
+    t0 = t = time.perf_counter()
     stats, rig, gate = world.stats, world.observation.rig, world.gate
     lap = stats.stages.lap
     frame = _frame_features(aframe, rig, stats)
@@ -317,17 +313,13 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     # 1: predict, unless prepared from these very targets and models
     prep, world.prepared = world.prepared, None
     if prep is not None and prep.fits(world):
-        guess, projected, terms, cov_text = prep.guess, prep.projected, prep.terms, prep.cov_text
-        priors = guess.info.priors
+        info, guess, cov_text = prep.guess.info, prep.guess, prep.cov_text
     else:
-        priors = predict(world.live, world.process)
-        # the priors through every camera, once, for the pair table and
-        # the update's Jacobians
-        projected = rig.project(priors.means[:, :3])
-        terms, guess, cov_text = None, None, {}
+        info = Information.of(predict(world.live, world.process), world.observation)
+        guess, cov_text = None, {}
     t = lap("predict", t)
     # every (target, camera, feature) pair is scored once for steps 2, 3 and 5
-    table = pair_table(frame, priors, rig, projected, terms)
+    table = pair_table(frame, info)
     t = lap("score", t)
     # 2: associate
     assignments = assign(table, gate, stats.likelihood)
@@ -337,7 +329,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame,
     t = lap("resolve", t)
     # 4: update
     seen, px, assigned = _observations(frame, assignments)
-    posteriors, dropped = update(priors, (seen, px), world.observation, projected, guess)
+    posteriors, dropped = update(info, (seen, px), guess)
     stats.singular_drops += len(dropped)
     for tid in dropped:
         log.warning("frame %d target %d: singular innovation, update dropped",

@@ -16,8 +16,9 @@ The measurement update is in information form: with pixel noise
 ``r_px I``, each camera adds ``A = C^T C / r_px`` to the information, so
 every matrix is 6x6 whatever the number of cameras. The terms that read
 no measurement (:class:`Information`: predicted pixels, Jacobian rows and
-``A`` for every camera that projects a prior, and the root of each prior
-covariance) and the covariance half of the update for a set of cameras
+``A`` for every camera that projects a prior, the root of each prior
+covariance, and the inverse position covariances the pair table reads)
+and the covariance half of the update for a set of cameras
 (:func:`posterior`) can be made before the frame arrives; :func:`update`
 then sums the information vectors of the cameras that matched. What a
 posterior covariance alone decides, such as its trajectory-row text
@@ -230,15 +231,17 @@ def observation_jacobian(mean, cams: Sequence[CameraModel]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Information:
-    """The terms of the measurement update of `priors` under `om` that read
-    no measurement. For each target and each camera that projects its prior
+    """The terms of a frame's priors that read no measurement: those of
+    the measurement update of `priors` under `om` and those of the pair
+    table. For each target and each camera that projects its prior
     position (`ok`, (T, C)): the predicted pixels `h` (T, C, 2), the two
     Jacobian rows `C` (T, C, 2, 6) and the information
     ``A = C^T C / r_px`` (T, C, 6, 6), all zero where the camera does not
     project it. `root` (T, 6, 6) is the symmetric square root of each prior
     covariance (its negative eigenvalues, roundoff, taken as zero), NaN
-    where the covariance is not finite. :func:`update` uses them only for
-    these very `priors` and `om`."""
+    where the covariance is not finite. `cov_ok` (T,) marks the position
+    covariances that are finite with condition at most 1e12, and `s_inv`
+    (T, 3, 3) holds their inverses, zero where not."""
 
     priors: Targets
     om: ObservationModel
@@ -247,12 +250,13 @@ class Information:
     C: np.ndarray
     A: np.ndarray
     root: np.ndarray
+    cov_ok: np.ndarray
+    s_inv: np.ndarray
 
     @classmethod
-    def of(cls, priors: Targets, om: ObservationModel, projected=None) -> Information:
-        """The terms of `priors` through every camera of `om`; `projected`
-        is ``om.rig.project`` of the prior positions, if the caller has it."""
-        x, ok = om.rig.project(priors.means[:, :3]) if projected is None else projected
+    def of(cls, priors: Targets, om: ObservationModel) -> Information:
+        """The terms of `priors` through every camera of `om`."""
+        x, ok = om.rig.project(priors.means[:, :3])
         h, C = _linearize(x, om.rig.P)
         h = np.where(ok[..., None], h, 0.0)
         C = np.where(ok[..., None, None], C, 0.0)
@@ -262,7 +266,12 @@ class Information:
         root = np.full(priors.covs.shape, np.nan)
         w, V = np.linalg.eigh(priors.covs[finite])
         root[finite] = (V * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ V.swapaxes(1, 2)
-        return cls(priors, om, ok, h, C, A, root)
+        cov = priors.covs[:, :3, :3]
+        cov_ok = np.isfinite(cov).all(axis=(1, 2))
+        cov_ok[cov_ok] = well_conditioned(cov[cov_ok])
+        s_inv = np.zeros_like(cov)
+        s_inv[cov_ok] = np.linalg.inv(cov[cov_ok])
+        return cls(priors, om, ok, h, C, A, root, cov_ok, s_inv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,9 +290,12 @@ class Posterior:
     step: np.ndarray
 
 
-def posterior(info: Information, use) -> Posterior:
+def posterior(info: Information, use, guess: Posterior | None = None) -> Posterior:
     """The updates of the targets of `info` through the cameras of `use`,
-    up to the measurement.
+    up to the measurement. With `guess`, a posterior of `info` for other
+    cameras, a target whose cameras are those guessed keeps the guess's
+    row, and only the others are made: a target's update has the same bits
+    whatever the stack it is made in.
 
     The update is in information form. With pixel noise ``r_px I`` the
     cameras used add ``J = sum_c A_c``, and the posterior covariance is
@@ -303,42 +315,50 @@ def posterior(info: Information, use) -> Posterior:
     zeros for ``2k - min(2k, 3)`` of the mu, so cond(S) is
     ``(1 + mu_max) / (1 + mu_min)``: mu_min is the second largest
     eigenvalue of M for one camera, and 0 for more."""
-    P, k = info.priors.covs, np.count_nonzero(use, axis=1)
-    J = np.where(use[:, :, None, None], info.A, 0.0).sum(axis=1)
+    P = info.priors.covs
+    make, kept = slice(None), np.zeros(len(P), dtype=bool)  # the rows made here
+    covs, step = P.copy(), np.zeros_like(P)
+    if guess is not None:
+        same = (guess.use == use).all(axis=1)
+        make, kept = np.flatnonzero(~same), guess.kept & same
+        covs[same], step[same] = guess.covs[same], guess.step[same]
+    root, k = info.root[make], np.count_nonzero(use[make], axis=1)
+    J = np.where(use[make, :, None, None], info.A[make], 0.0).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = info.root @ J @ info.root
-    kept = (k > 0) & np.isfinite(M).all(axis=(1, 2))
-    mu, V = np.linalg.eigh(M[kept])
-    k = k[kept]
+        M = root @ J @ root
+    ok = (k > 0) & np.isfinite(M).all(axis=(1, 2))
+    mu, V = np.linalg.eigh(M[ok])
+    k = k[ok]
     zero = np.arange(6) < 6 - np.minimum(2 * k, 3)[:, None]
     mu[zero] = 0.0
     low = 1.0 + np.where(k == 1, mu[:, -2], 0.0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         good = (low > 0) & ((1.0 + mu[:, -1]) / low <= _COND_LIMIT)
-    kept[kept] = good
-    RV = info.root[kept] @ V[good]
+    ok[ok] = good
+    RV = root[ok] @ V[good]
     d = 1.0 / (1.0 + mu[good])
-    covs, step = P.copy(), np.zeros_like(P)
-    covs[kept] = clamp_psd((RV * d[:, None, :]) @ RV.swapaxes(1, 2))
-    step[kept] = (RV * np.where(zero[good], 0.0, d)[:, None, :]) @ RV.swapaxes(1, 2)
+    rows = np.arange(len(P))[make][ok]
+    kept[rows] = True
+    covs[rows] = clamp_psd((RV * d[:, None, :]) @ RV.swapaxes(1, 2))
+    step[rows] = (RV * np.where(zero[good], 0.0, d)[:, None, :]) @ RV.swapaxes(1, 2)
     return Posterior(info, use, kept, covs, step)
 
 
-def update(priors: Targets, observations, om: ObservationModel, projected=None,
-           guess: Posterior | None = None) -> tuple[Targets, list[int]]:
-    """Measurement update of every target of a frame. Returns the
-    posteriors and the ids of the targets whose update was dropped because
-    the innovation covariance is singular (see :func:`posterior`).
+def update(info: Information, observations, guess: Posterior | None = None
+           ) -> tuple[Targets, list[int]]:
+    """Measurement update of every target of a frame, from the terms
+    `info` of its priors. Returns the posteriors and the ids of the targets
+    whose update was dropped because the innovation covariance is singular
+    (see :func:`posterior`).
 
-    `observations` is the (T, C) mask of the ``om.cameras`` that observed
-    each target and the (T, C, 2) pixels, and `projected` is
-    ``om.rig.project`` of the prior positions if the caller has it.
+    `observations` is the (T, C) mask of the ``info.om.cameras`` that
+    observed each target and the (T, C, 2) pixels.
 
     `guess`, a :func:`posterior` made before the frame for a guess of each
-    target's cameras, is used whole when every target's cameras are those
-    guessed, and its :class:`Information` is used whenever it is of these
-    very `priors` and `om`; what is not given is made here, with the same
-    bits. Each kept update then moves its mean by
+    target's cameras, is used only when it is of this very `info`: whole
+    when every target's cameras are those guessed, and otherwise for the
+    rows of the targets whose cameras are; what is not given is made here,
+    with the same bits. Each kept update then moves its mean by
     ``P+ sum_c C_c^T (y_c - h_c) / r_px``.
 
     A target with no observation, one whose prior position no observing
@@ -346,17 +366,14 @@ def update(priors: Targets, observations, om: ObservationModel, projected=None,
     count a missed frame.
     """
     seen, px = observations
-    if guess is not None and guess.info.priors is priors and guess.info.om is om:
-        info = guess.info
-    else:
-        info, guess = Information.of(priors, om, projected), None
-    use = seen & info.ok
-    post = guess if guess is not None and (guess.use == use).all() else posterior(info, use)
+    priors, use = info.priors, seen & info.ok
+    guess = guess if guess is not None and guess.info is info else None
+    post = guess if guess is not None and (guess.use == use).all() else posterior(info, use, guess)
     kept = post.kept
     e = np.where(use[..., None], px - info.h, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         b = np.where(use[..., None], (info.C.swapaxes(-1, -2) @ e[..., None])[..., 0],
-                     0.0).sum(axis=1) / om.r_px
+                     0.0).sum(axis=1) / info.om.r_px
     means = priors.means.copy()
     means[kept] += (post.step[kept] @ b[kept, :, None])[:, :, 0]
     missed = np.where(kept, 0, priors.missed + 1)

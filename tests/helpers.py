@@ -86,11 +86,10 @@ def frame_table(rows_by_camera, cameras):
 def pair_table_of(rows_by_camera, targets, cameras):
     """association.pair_table of per-camera rows and a list of states."""
     from camtrack3d.association import pair_table
-    from camtrack3d.tracker import Targets
+    from camtrack3d.tracker import Information, ObservationModel, Targets
 
-    frame, rig = frame_table(rows_by_camera, cameras)
-    stack = Targets.of(targets)
-    return pair_table(frame, stack, rig, rig.project(stack.means[:, :3]))
+    frame, _ = frame_table(rows_by_camera, cameras)
+    return pair_table(frame, Information.of(Targets.of(targets), ObservationModel(cameras)))
 
 
 def table_of(features_by_camera, targets, cameras):
@@ -363,9 +362,10 @@ def observation_arrays(observations, om):
 def update_states(priors, observations, om):
     """tracker.update of a list of states, each with its list of
     ``(camera, (u, v))``: the posteriors as states and the dropped ids."""
-    from camtrack3d.tracker import Targets, update
+    from camtrack3d.tracker import Information, Targets, update
 
-    posteriors, dropped = update(Targets.of(priors), observation_arrays(observations, om), om)
+    posteriors, dropped = update(Information.of(Targets.of(priors), om),
+                                 observation_arrays(observations, om))
     return posteriors.states(), dropped
 
 
@@ -446,15 +446,15 @@ def update_oracle(prior, observations, om):
 
 def gain_form_update(priors, observations, om, projected=None):
     """The measurement update in gain form, as tracker.update made it
-    before the information form, with the same signature: for a Targets
+    before the information form, with the signature it had then: for a Targets
     stack, `observations` is the (T, C) mask of the cameras that observed
     each target and their (T, C, 2) pixels. Targets are grouped by their
     number of cameras, and each group's innovation covariances S = C P C^T
     + r_px I (n x n, n = 2 per camera) are stacked: an update is dropped
     when S is not finite, its SVD condition number exceeds 1e12 or LAPACK's
     Cholesky factor fails; the gain solves S, and the posterior covariance
-    is the Joseph form, clamped. Bit-identical to update_oracle per target,
-    and a drop-in for hub.update."""
+    is the Joseph form, clamped. Bit-identical to update_oracle per
+    target."""
     from scipy.linalg import lapack
 
     from camtrack3d.tracker import Targets, _linearize, clamp_psd, symmetrize, well_conditioned

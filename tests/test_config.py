@@ -1,5 +1,9 @@
+import math
+from dataclasses import fields
+
 import pytest
 
+from camtrack3d.association import GateConfig
 from camtrack3d.config import (
     DEFAULTS,
     gate_from_config,
@@ -66,3 +70,15 @@ def test_invalid_model_value_in_config_file_rejected(key, text):
     cfg = parse_config(f"{key} = {text}\n")
     with pytest.raises(ValueError, match=key):
         models_from_config(cfg, ring_of_cameras(3))
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(GateConfig)])
+def test_nan_gate_value_rejected(name):
+    # a NaN fails every comparison, so it must not pass as a threshold
+    # that is never crossed; a config file's "nan" parses to one
+    with pytest.raises(ValueError, match=name):
+        GateConfig(**{name: math.nan})
+    cfg = parse_config(f"{name} = nan\n")
+    assert math.isnan(cfg[name])
+    with pytest.raises(ValueError, match=name):
+        gate_from_config(cfg)

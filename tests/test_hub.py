@@ -572,11 +572,11 @@ def memo_hits(monkeypatch):
     counts = {"hits": 0, "updates": 0, "calls": 0}
     update, by_value = hub.update, tracker.by_value
 
-    def counted_update(priors, observations, om, projected=None, guess=None):
+    def counted_update(info, observations, guess=None):
         if guess is not None:
             counts["calls"] += 1
             counts["updates"] += int(np.count_nonzero(observations[0].any(axis=1)))
-        return update(priors, observations, om, projected, guess)
+        return update(info, observations, guess)
 
     def counted_by_value(covs, known, compute):
         if known:

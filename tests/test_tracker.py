@@ -13,6 +13,7 @@ from camtrack3d.geometry import BehindCamera, PointAtInfinity, project, triangul
 from camtrack3d.tracker import (
     Information,
     ObservationModel,
+    Posterior,
     ProcessModel,
     Targets,
     TargetState,
@@ -597,44 +598,92 @@ def written(targets, cov_text=None):
     return buf.getvalue()
 
 
+def marked(guess):
+    """`guess` with every row kept and NaN covariances and steps: a row of
+    it that an update uses shows."""
+    nan = np.full_like(guess.covs, np.nan)
+    return Posterior(guess.info, guess.use, np.ones_like(guess.kept), nan, nan)
+
+
 @settings(max_examples=300, deadline=None)
 @given(ekf_frames(), st.data())
 def test_update_with_a_prepared_guess_matches_update_without(frame, data):
-    # the update's terms and its covariance half made before the
-    # measurements, for any guess of each target's cameras, give the bits
-    # of the update made from nothing, and so does the row text made from
-    # the guess's posteriors; a guess of other priors (last frame's or a
-    # copy's) or of another observation model is not used
+    # the update's covariance half made before the measurements, for any
+    # guess of each target's cameras, gives the bits of the update made
+    # from nothing, and so does the row text made from the guess's
+    # posteriors; a guess of other terms (the same priors' made again,
+    # last frame's, a copy's or another observation model's) is not used
     pm, om, states, observations = frame
     priors = predict(Targets.of(states), pm)
     seen, px = observation_arrays(observations, om)
-    projected = om.rig.project(priors.means[:, :3])
-    want, want_dropped = update(priors, (seen, px), om, projected)
+    info = Information.of(priors, om)
+    want, want_dropped = update(info, (seen, px))
     want_text = written(want)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     kinds = data.draw(st.lists(st.sampled_from(GUESSES), min_size=len(states),
                                max_size=len(states)))
-    cameras = guessed_cameras(kinds, seen, rng.random(seen.shape) < 0.5) & projected[1]
-    stale_priors = predict(priors, pm)
-    guesses = [posterior(Information.of(priors, om, projected), cameras),
-               posterior(Information.of(priors, om), cameras),
-               posterior(Information.of(stale_priors, om), cameras),  # last frame's
-               posterior(Information.of(priors.take(slice(None)), om), cameras),  # a copy's
-               posterior(Information.of(priors, ObservationModel(om.cameras, om.r_px * 2)),
-                         cameras)]
-    for guess in guesses:
-        got, got_dropped = update(priors, (seen, px), om, projected, guess)
-        assert got_dropped == want_dropped
-        assert_same_stack(got, want)
-        covs = guess.covs[guess.kept]
-        assert written(got, dict(zip(cov_keys(covs), covariance_text(covs)))) == want_text
-    # a right guess is the update's covariance half: nothing is made again
-    right = posterior(Information.of(priors, om, projected), seen & projected[1])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tracker, "posterior", None)
-        got, got_dropped = update(priors, (seen, px), om, projected, right)
+    cameras = guessed_cameras(kinds, seen, rng.random(seen.shape) < 0.5) & info.ok
+    guess = posterior(info, cameras)
+    covs = guess.covs[guess.kept]
+    got, got_dropped = update(info, (seen, px), guess)
     assert got_dropped == want_dropped
     assert_same_stack(got, want)
+    assert written(got, dict(zip(cov_keys(covs), covariance_text(covs)))) == want_text
+    others = [Information.of(priors, om),
+              Information.of(predict(priors, pm), om),  # last frame's
+              Information.of(priors.take(slice(None)), om),  # a copy's
+              Information.of(priors, ObservationModel(om.cameras, om.r_px * 2))]
+    for other in others:
+        stale = marked(posterior(other, seen & other.ok))
+        got, got_dropped = update(info, (seen, px), stale)
+        assert got_dropped == want_dropped
+        assert_same_stack(got, want)
+    # a right guess is the update's covariance half: nothing is made again
+    right = posterior(info, seen & info.ok)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tracker, "posterior", None)
+        got, got_dropped = update(info, (seen, px), right)
+    assert got_dropped == want_dropped
+    assert_same_stack(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ekf_frames(), st.data())
+def test_update_keeps_the_guessed_row_of_each_target_whose_cameras_were_guessed(frame, data):
+    # a target whose cameras are those guessed takes the guess's row as it
+    # stands; only the other rows are made, with the bits of the update
+    # made from nothing
+    pm, om, states, observations = frame
+    info = Information.of(predict(Targets.of(states), pm), om)
+    seen, px = observation_arrays(observations, om)
+    want, _ = update(info, (seen, px))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    kinds = data.draw(st.lists(st.sampled_from(GUESSES), min_size=len(states),
+                               max_size=len(states)))
+    cameras = guessed_cameras(kinds, seen, rng.random(seen.shape) < 0.5) & info.ok
+    right = (cameras == (seen & info.ok)).all(axis=1)
+    got, _ = update(info, (seen, px), marked(posterior(info, cameras)))
+    assert np.isnan(got.covs[right]).all()
+    assert got.missed[right].tolist() == [0] * np.count_nonzero(right)
+    assert_same_stack(got.take(~right), want.take(~right))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ekf_frames(), st.sampled_from(["prior", "singular", "not finite"]))
+def test_information_position_terms_match_the_one_target_reference(frame, first):
+    # the pair table's per-target terms, made over the stack, have the
+    # bits of np.linalg.cond and np.linalg.inv of each position covariance
+    pm, om, states, _ = frame
+    priors = predict(Targets.of(states), pm)
+    covs = priors.covs.copy()
+    if len(covs) and first != "prior":
+        covs[0, 2, :] = covs[0, :, 2] = 0.0 if first == "singular" else np.nan
+    info = Information.of(Targets(priors.ids, priors.means, covs, priors.missed,
+                                  priors.born_at), om)
+    for ok, s_inv, c in zip(info.cov_ok.tolist(), info.s_inv, covs[:, :3, :3]):
+        want_ok = bool(np.isfinite(c).all()) and bool(np.linalg.cond(c) <= 1e12)
+        assert ok == want_ok
+        assert s_inv.tobytes() == (np.linalg.inv(c) if want_ok else np.zeros((3, 3))).tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -645,17 +694,16 @@ def test_update_of_a_target_alone_equals_the_same_target_in_a_stack(frame):
     seen, px = observation_arrays(observations, om)
     info = Information.of(priors, om)
     stacked = posterior(info, seen & info.ok)
-    posteriors, dropped = update(priors, (seen, px), om)
+    posteriors, dropped = update(info, (seen, px))
     for i in range(len(priors)):
-        alone = priors.take([i])
-        one_info = Information.of(alone, om)
-        for name in ("ok", "h", "C", "A", "root"):
+        one_info = Information.of(priors.take([i]), om)
+        for name in ("ok", "h", "C", "A", "root", "cov_ok", "s_inv"):
             assert getattr(one_info, name).tobytes() == getattr(info, name)[i:i + 1].tobytes()
         one = posterior(one_info, seen[i:i + 1] & one_info.ok)
         assert one.kept.tolist() == stacked.kept[i:i + 1].tolist()
         assert one.covs.tobytes() == stacked.covs[i:i + 1].tobytes()
         assert one.step.tobytes() == stacked.step[i:i + 1].tobytes()
-        got, got_dropped = update(alone, (seen[i:i + 1], px[i:i + 1]), om)
+        got, got_dropped = update(one_info, (seen[i:i + 1], px[i:i + 1]))
         assert_same_stack(got, posteriors.take([i]))
         assert got_dropped == [d for d in dropped if d == priors.ids[i]]
 
