@@ -25,17 +25,13 @@ DEFAULTS: dict[str, Any] = {
 }
 
 
-def parse_value(text: str):
+def parse_value(text: str) -> int | float:
+    """An int if `text` is one, else a float; every known key is numeric."""
     text = text.strip()
     try:
         return int(text)
     except ValueError:
-        pass
-    try:
         return float(text)
-    except ValueError:
-        pass
-    return text
 
 
 def parse_config(text: str) -> dict[str, Any]:
@@ -49,7 +45,10 @@ def parse_config(text: str) -> dict[str, Any]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in KNOWN_KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        out[key] = parse_value(value)
+        try:
+            out[key] = parse_value(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: {key} must be a number, got {value!r}") from None
     return out
 
 

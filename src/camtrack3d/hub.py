@@ -24,14 +24,13 @@ Most of a frame's work reads no feature: the priors and their
 :func:`prepare` in the idle gap after a frame's rows are written and
 flushed and before it asks for the next frame, together with the update's
 covariance half for a guess of each target's cameras (those that have its
-predicted position in front of them and inside their image) and the
-trajectory-row text of each of its posterior covariances. The next frame
-uses them while the world's targets and models are the objects they were
-made from: its update keeps the guessed covariance half of each target
-whose cameras are those guessed and makes the others' from the prepared
-record, and its rows find the text by the covariance's bytes. A born or
-missed target and a frame with nothing prepared compute them in the frame
-with the same code, so the output bits do not depend on what was prepared.
+predicted position in front of them and inside their image). The next
+frame uses them while the world's targets and models are the objects they
+were made from, and its update takes the guessed covariance half when
+every target's cameras are those guessed. Otherwise, and for a frame with
+nothing prepared, the frame computes them with the same code, so the
+output bits do not depend on what was prepared. Trajectory rows are
+formatted when they are written.
 
 Every source of frames goes through
 :class:`~camtrack3d.netproto.FrameAssembler`: live packets, a feature
@@ -82,8 +81,6 @@ from .tracker import (
     Targets,
     TargetState,
     TrajectoryWriter,
-    cov_keys,
-    covariance_text,
     posterior,
     predict,
     update,
@@ -100,8 +97,8 @@ class StageTimes:
     :class:`~camtrack3d.tracker.Information`), score (the pair table),
     assign, resolve, update, claim (the claimed features), spawn and cull,
     then, between frames, write (:func:`run`'s trajectory rows) and prepare
-    (:func:`prepare`). Predict and update are mostly lookups when the frame
-    was prepared."""
+    (:func:`prepare`). Predict is a lookup when the frame was prepared, and
+    update mostly one when every target's cameras were guessed."""
 
     ingress: float = 0.0
     predict: float = 0.0
@@ -168,8 +165,6 @@ class FrameEvents:
     targets: Targets  # the live targets this frame left, in id order
     assignments: AssignmentMatrix | None = None
     birth_features: set = field(default_factory=set)  # (cam_id, index) consumed
-    # covariance_text prepared for this frame, by cov_keys (see prepare)
-    cov_text: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -202,15 +197,11 @@ class Prepared:
     update's covariance half for the guessed cameras
     (:class:`~camtrack3d.tracker.Posterior`, which holds the priors'
     :class:`~camtrack3d.tracker.Information`, the terms the pair table and
-    the update read, and with it the priors and that model) and, by the
-    bytes of each of its posterior covariances
-    (:func:`~camtrack3d.tracker.cov_keys`), its
-    :func:`~camtrack3d.tracker.covariance_text`."""
+    the update read, and with it the priors and that model)."""
 
     live: Targets
     process: ProcessModel
     guess: Posterior
-    cov_text: dict[bytes, str]
 
     def fits(self, world: TrackerWorld) -> bool:
         """Whether these are still the world's targets and models."""
@@ -225,8 +216,7 @@ def prepare(world: TrackerWorld) -> None:
     projects each prior), from the world's live targets alone, and keep
     them in ``world.prepared``. Then make the update's covariance half for
     the cameras that have each target's predicted position in front of them
-    and inside their image, the cameras likely to see it, and the trajectory
-    row's covariance text of each posterior covariance. Timed into
+    and inside their image, the cameras likely to see it. Timed into
     ``RunStats.stages.prepare``; nothing is redone while the world's targets
     and models are those it was made from."""
     if world.prepared is not None and world.prepared.fits(world):
@@ -235,9 +225,7 @@ def prepare(world: TrackerWorld) -> None:
     live, om = world.live, world.observation
     info = Information.of(predict(live, world.process), om)
     guess = posterior(info, om.rig.viewing(info.h, info.ok))
-    covs = guess.covs[guess.kept]
-    world.prepared = Prepared(live, world.process, guess,
-                              dict(zip(cov_keys(covs), covariance_text(covs))))
+    world.prepared = Prepared(live, world.process, guess)
     world.stats.stages.lap("prepare", t)
 
 
@@ -313,10 +301,10 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame) -> FrameEvents:
     # 1: predict, unless prepared from these very targets and models
     prep, world.prepared = world.prepared, None
     if prep is not None and prep.fits(world):
-        info, guess, cov_text = prep.guess.info, prep.guess, prep.cov_text
+        info, guess = prep.guess.info, prep.guess
     else:
         info = Information.of(predict(world.live, world.process), world.observation)
-        guess, cov_text = None, {}
+        guess = None
     t = lap("predict", t)
     # every (target, camera, feature) pair is scored once for steps 2, 3 and 5
     table = pair_table(frame, info)
@@ -363,8 +351,7 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame) -> FrameEvents:
                        latency=latency,
                        targets=kept,
                        assignments=assignments,
-                       birth_features=birth_features,
-                       cov_text=cov_text)
+                       birth_features=birth_features)
 
 
 def _observations(frame: FrameFeatures, assignments: AssignmentMatrix
@@ -387,8 +374,7 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
     before the next frame is processed; timed into
     ``RunStats.stages.write``). After a frame's rows are flushed and
     before the next frame is asked for, :func:`prepare` makes what the
-    next frame needs that reads no feature, and that frame's rows are
-    written with the covariance text it made."""
+    next frame needs that reads no feature."""
     writer = TrajectoryWriter(trajectory_path) if trajectory_path is not None else None
     dump = open(dump_assignments_path, "w") if dump_assignments_path else None
     try:
@@ -397,7 +383,7 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
             t = time.perf_counter()
             for ev in events:
                 if writer is not None:
-                    writer.write_frame(ev.frame, ev.targets, ev.cov_text)
+                    writer.write_frame(ev.frame, ev.targets)
                 if dump is not None:
                     cols = {str(tid): [i for i in col]
                             for tid, col in ev.assignments.columns.items()}

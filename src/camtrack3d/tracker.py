@@ -20,10 +20,7 @@ no measurement (:class:`Information`: predicted pixels, Jacobian rows and
 covariance, and the inverse position covariances the pair table reads)
 and the covariance half of the update for a set of cameras
 (:func:`posterior`) can be made before the frame arrives; :func:`update`
-then sums the information vectors of the cameras that matched. What a
-posterior covariance alone decides, such as its trajectory-row text
-(:func:`covariance_text`), can be made ahead too and found again by the
-covariance's bytes (:func:`by_value`).
+then sums the information vectors of the cameras that matched.
 """
 
 from __future__ import annotations
@@ -290,12 +287,9 @@ class Posterior:
     step: np.ndarray
 
 
-def posterior(info: Information, use, guess: Posterior | None = None) -> Posterior:
+def posterior(info: Information, use) -> Posterior:
     """The updates of the targets of `info` through the cameras of `use`,
-    up to the measurement. With `guess`, a posterior of `info` for other
-    cameras, a target whose cameras are those guessed keeps the guess's
-    row, and only the others are made: a target's update has the same bits
-    whatever the stack it is made in.
+    up to the measurement.
 
     The update is in information form. With pixel noise ``r_px I`` the
     cameras used add ``J = sum_c A_c``, and the posterior covariance is
@@ -316,14 +310,9 @@ def posterior(info: Information, use, guess: Posterior | None = None) -> Posteri
     ``(1 + mu_max) / (1 + mu_min)``: mu_min is the second largest
     eigenvalue of M for one camera, and 0 for more."""
     P = info.priors.covs
-    make, kept = slice(None), np.zeros(len(P), dtype=bool)  # the rows made here
     covs, step = P.copy(), np.zeros_like(P)
-    if guess is not None:
-        same = (guess.use == use).all(axis=1)
-        make, kept = np.flatnonzero(~same), guess.kept & same
-        covs[same], step[same] = guess.covs[same], guess.step[same]
-    root, k = info.root[make], np.count_nonzero(use[make], axis=1)
-    J = np.where(use[make, :, None, None], info.A[make], 0.0).sum(axis=1)
+    root, k = info.root, np.count_nonzero(use, axis=1)
+    J = np.where(use[:, :, None, None], info.A, 0.0).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         M = root @ J @ root
     ok = (k > 0) & np.isfinite(M).all(axis=(1, 2))
@@ -337,11 +326,9 @@ def posterior(info: Information, use, guess: Posterior | None = None) -> Posteri
     ok[ok] = good
     RV = root[ok] @ V[good]
     d = 1.0 / (1.0 + mu[good])
-    rows = np.arange(len(P))[make][ok]
-    kept[rows] = True
-    covs[rows] = clamp_psd((RV * d[:, None, :]) @ RV.swapaxes(1, 2))
-    step[rows] = (RV * np.where(zero[good], 0.0, d)[:, None, :]) @ RV.swapaxes(1, 2)
-    return Posterior(info, use, kept, covs, step)
+    covs[ok] = clamp_psd((RV * d[:, None, :]) @ RV.swapaxes(1, 2))
+    step[ok] = (RV * np.where(zero[good], 0.0, d)[:, None, :]) @ RV.swapaxes(1, 2)
+    return Posterior(info, use, ok, covs, step)
 
 
 def update(info: Information, observations, guess: Posterior | None = None
@@ -355,10 +342,9 @@ def update(info: Information, observations, guess: Posterior | None = None
     observed each target and the (T, C, 2) pixels.
 
     `guess`, a :func:`posterior` made before the frame for a guess of each
-    target's cameras, is used only when it is of this very `info`: whole
-    when every target's cameras are those guessed, and otherwise for the
-    rows of the targets whose cameras are; what is not given is made here,
-    with the same bits. Each kept update then moves its mean by
+    target's cameras, is used only when it is of this very `info` and
+    every target's cameras are those guessed; otherwise the posterior is
+    made here, with the same bits. Each kept update then moves its mean by
     ``P+ sum_c C_c^T (y_c - h_c) / r_px``.
 
     A target with no observation, one whose prior position no observing
@@ -367,8 +353,8 @@ def update(info: Information, observations, guess: Posterior | None = None
     """
     seen, px = observations
     priors, use = info.priors, seen & info.ok
-    guess = guess if guess is not None and guess.info is info else None
-    post = guess if guess is not None and (guess.use == use).all() else posterior(info, use, guess)
+    fits = guess is not None and guess.info is info and (guess.use == use).all()
+    post = guess if fits else posterior(info, use)
     kept = post.kept
     e = np.where(use[..., None], px - info.h, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -400,31 +386,6 @@ _FROM_UPPER = operator.itemgetter(*(
     list(zip(*_UPPER)).index((min(i, j), max(i, j))) for i in range(6) for j in range(6)))
 
 
-_COV_BYTES = 36 * 8
-
-
-def cov_keys(covs) -> list[bytes]:
-    """The bytes of each covariance of the (T, 6, 6) stack `covs`, in C
-    order: the key under which a value made from it is found again."""
-    raw = covs.tobytes()
-    return [raw[i:i + _COV_BYTES] for i in range(0, len(raw), _COV_BYTES)]
-
-
-def by_value(covs, known, compute) -> list:
-    """``compute(covs)``, one value per covariance of the (T, 6, 6) stack
-    `covs`, each taken from `known` (a mapping from :func:`cov_keys` to
-    values `compute` made earlier) when it holds the covariance; `compute`
-    runs once, on the covariances it lacks."""
-    if not known:
-        return compute(covs)
-    values = list(map(known.get, cov_keys(covs)))
-    missing = [i for i, value in enumerate(values) if value is None]
-    if missing:
-        for i, value in zip(missing, compute(covs[missing])):
-            values[i] = value
-    return values
-
-
 def covariance_text(covs) -> list[str]:
     """The 36 covariance cells of each trajectory row, comma-joined, for
     each covariance of the (T, 6, 6) stack `covs`: ``repr`` of each entry
@@ -451,20 +412,17 @@ class TrajectoryWriter:
             self._own = True
         self._file.write(",".join(TRAJECTORY_FIELDS) + "\n")
 
-    def write_frame(self, frame_number: int, targets: Targets | Iterable[TargetState],
-                    cov_text=None):
+    def write_frame(self, frame_number: int, targets: Targets | Iterable[TargetState]):
         """One row per target of a stack in id order, or of states in any
         order. Numbers are ``repr`` of Python floats (the shortest exact
-        form); the covariance cells are :func:`covariance_text`, taken
-        from `cov_text` (its result by :func:`cov_keys`, made earlier) for
-        the covariances it holds."""
+        form); the covariance cells are :func:`covariance_text`."""
         if not isinstance(targets, Targets):
             targets = Targets.of(sorted(targets, key=lambda t: t.target_id))
         frame = str(frame_number)
         self._file.write("".join(
             f"{frame},{tid},{','.join(map(repr, mean))},{cells}\n"
             for tid, mean, cells in zip(targets.ids.tolist(), targets.means.tolist(),
-                                        by_value(targets.covs, cov_text, covariance_text))))
+                                        covariance_text(targets.covs))))
         self._file.flush()
 
     def close(self):

@@ -37,6 +37,13 @@ def test_missing_equals_rejected():
         parse_config("just some words")
 
 
+@pytest.mark.parametrize("text", ["mahalanobis_gate = abc", "seed = x"])
+def test_non_numeric_value_rejected_with_its_line_and_key(text):
+    key = text.split()[0]
+    with pytest.raises(ValueError, match=f"line 2: {key} must be a number"):
+        parse_config("# a comment\n" + text)
+
+
 def test_round_trip(tmp_path):
     cfg = dict(DEFAULTS)
     cfg["dist2d_threshold"] = 42.0

@@ -41,7 +41,6 @@ from camtrack3d.tracker import (
     Targets,
     TargetState,
     TrajectoryWriter,
-    cov_keys,
     predict,
 )
 from helpers import ring_of_cameras
@@ -565,26 +564,30 @@ def counters(stats):
 
 
 @pytest.fixture
-def memo_hits(monkeypatch):
-    """Counts the frames whose update is given a prepared guess (`calls`)
-    and the targets those frames observed (`updates`), and the trajectory
-    rows whose covariance text is found among the prepared texts (`hits`)."""
-    counts = {"hits": 0, "updates": 0, "calls": 0}
-    update, by_value = hub.update, tracker.by_value
+def guess_served(monkeypatch):
+    """Counts the frames whose update is given a prepared guess (`calls`),
+    those of them whose update takes it whole, making no posterior of its
+    own (`whole`), and the targets these observed (`served`)."""
+    counts = {"served": 0, "whole": 0, "calls": 0}
+    update, posterior = hub.update, tracker.posterior
+    made = []
+
+    def counted_posterior(info, use):
+        made.append(use)
+        return posterior(info, use)
 
     def counted_update(info, observations, guess=None):
+        made.clear()
+        result = update(info, observations, guess)
         if guess is not None:
             counts["calls"] += 1
-            counts["updates"] += int(np.count_nonzero(observations[0].any(axis=1)))
-        return update(info, observations, guess)
-
-    def counted_by_value(covs, known, compute):
-        if known:
-            counts["hits"] += sum(key in known for key in cov_keys(covs))
-        return by_value(covs, known, compute)
+            if not made:
+                counts["whole"] += 1
+                counts["served"] += int(np.count_nonzero(observations[0].any(axis=1)))
+        return result
 
     monkeypatch.setattr(hub, "update", counted_update)
-    monkeypatch.setattr(tracker, "by_value", counted_by_value)
+    monkeypatch.setattr(tracker, "posterior", counted_posterior)
     return counts
 
 
@@ -627,15 +630,15 @@ def with_gaps(kept):
     with_gaps([*range(5), 8, 9]),  # a gap predicted through
     with_gaps([*range(5), *range(101, 112)]),  # a jump the target dies in
 ], ids=["smalltunnel-clutter", "tunnel", "bigcyl-21", "gap", "jump"])
-def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits, tmp_path):
+def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, guess_served, tmp_path):
     cams, fps, frames = scene()
     prepared = io.StringIO()
     dump = tmp_path / "assignments.jsonl"
     stats = run(frames, make_world(cams, fps), trajectory_path=prepared,
                 dump_assignments_path=dump)
-    assert memo_hits["hits"] > 0
+    assert guess_served["served"] > 0
     assert stats.stages.prepare > 0
-    served = dict(memo_hits)
+    served = dict(guess_served)
     world = make_world(cams, fps)
     bare = io.StringIO()
     writer = TrajectoryWriter(bare)
@@ -646,7 +649,7 @@ def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits
             events.append({"frame": ev.frame, "births": ev.births, "deaths": ev.deaths,
                            "assignments": {str(tid): list(col) for tid, col
                                            in ev.assignments.columns.items()}})
-    assert memo_hits == served  # nothing prepared, nothing looked up
+    assert guess_served == served  # nothing prepared, no guess given
     assert world.stats.stages.prepare == 0
     assert world.prepared is None
     assert prepared.getvalue() == bare.getvalue()
@@ -654,19 +657,18 @@ def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, memo_hits
     assert counters(stats) == counters(world.stats)
 
 
-@pytest.mark.parametrize("scene, served_before", [
-    (cluttered_smalltunnel, 632), (tunnel_scene, 897),
+@pytest.mark.parametrize("scene, whole, served", [
+    (cluttered_smalltunnel, 135, 405), (tunnel_scene, 299, 897),
 ], ids=["smalltunnel-clutter", "tunnel"])
 def test_camera_guess_serves_no_fewer_updates_than_the_last_frames_cameras(
-        scene, served_before, memo_hits):
-    # served_before: the updates a prepared gain step served when each
-    # target's cameras were guessed as those of its last update; guessing
-    # the cameras that view the prior finds the prepared covariance text
-    # for at least as many rows, and every frame is given the guess
+        scene, whole, served, guess_served):
+    # every frame after the first is given the guess, and its update takes
+    # it whole when every target's cameras are those guessed, the cameras
+    # that view the prior: on the tunnel scene in every frame, serving each
+    # of its 897 target updates, and on the cluttered scene in 135 of 299
     cams, fps, frames = scene()
     stats = run(frames, make_world(cams, fps), trajectory_path=io.StringIO())
-    assert memo_hits["hits"] >= served_before
-    assert memo_hits["calls"] == stats.frames - 1
+    assert guess_served == {"served": served, "whole": whole, "calls": stats.frames - 1}
     assert not any(k.startswith("updates_") for k in stats.summary())
 
 
@@ -678,7 +680,7 @@ def frame_result(world, af):
 
 @pytest.mark.parametrize("change", ["replace live", "rescale live", "new observation model",
                                     "new process model", "deepcopy", "deepcopy shared"])
-def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, memo_hits):
+def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, guess_served):
     spec, cams, truths, frames = noiseless_scene(n_targets=2, n_frames=12)
     world = make_world(cams, spec.fps)
     for af in frames[:10]:
@@ -705,14 +707,14 @@ def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, memo
     used = change.startswith("deepcopy")
     assert world.prepared.fits(world) == used
     got = frame_result(world, frames[10])
-    assert (memo_hits["calls"] > 0) == used
+    assert (guess_served["calls"] > 0) == used
     assert got == frame_result(fresh, frames[10])
     assert world.prepared is None
     assert frame_result(world, frames[11]) == frame_result(fresh, frames[11])
 
 
 @pytest.mark.parametrize("skip", [3, 20])
-def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, memo_hits):
+def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, guess_served):
     # the prepared priors are for the next processed frame, whatever its
     # number: the first frame predicted through the gap uses them, whether
     # or not the target dies in the gap and the rest of it is skipped
@@ -727,8 +729,8 @@ def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, memo_hits):
     assert (first, second) == (frame_result(fresh, later[0]), frame_result(fresh, later[1]))
     assert (len(first) < skip) == (skip == 20)
     assert first[0][0] == 5 and first[-1][0] == later[0].frame
-    # looked up once, by frame 5, which observes nothing
-    assert memo_hits == {"hits": 0, "updates": 0, "calls": 1}
+    # given once, to frame 5, which observes nothing: not the cameras guessed
+    assert guess_served == {"served": 0, "whole": 0, "calls": 1}
 
 
 # ------------------------------------------------------------ determinism

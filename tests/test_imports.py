@@ -106,3 +106,35 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == set(UNUSED_IMPORTS)
+
+
+def _defined(top: ast.stmt) -> set[str]:
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return {top.name}
+    return {t.id for node in ast.walk(top) if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(t, ast.Name)}
+
+
+def _read(top: ast.stmt) -> set[str]:
+    names = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_every_private_module_name_is_used():
+    # a module-level _name is no public API, so one that no other statement
+    # of the package reads is dead, such as what a removed caller left
+    tops = [top for path in sorted(Path(camtrack3d.__file__).parent.glob("*.py"))
+            for top in ast.parse(path.read_text()).body]
+    read = [_read(top) for top in tops]
+    unused = {name for i, top in enumerate(tops) for name in _defined(top)
+              if name.startswith("_") and not name.startswith("__")
+              and not any(name in names for j, names in enumerate(read) if j != i)}
+    assert unused == set()
