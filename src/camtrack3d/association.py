@@ -85,6 +85,11 @@ class GateConfig:
                      "sigma_birth", "sigma_vbirth", "birth_pair_distance"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.death_covariance_threshold):  # else gaps never end
+            raise ValueError("death_covariance_threshold must be finite")
+        for name in ("sigma_birth", "sigma_vbirth"):
+            if not getattr(self, name) < 2.0 ** 512:  # else sigma**2 overflows
+                raise ValueError(f"{name} squared must be finite")
         if not self.birth_miss_tolerance >= 0:
             raise ValueError("birth_miss_tolerance must be nonnegative")
         if math.isnan(self.min_birth_cameras):

@@ -116,6 +116,9 @@ def _cmd_track(args) -> int:
     camera_ids = [c.cam_id for c in cameras]
     if args.features.isdigit():
         port = int(args.features)
+        if port > 65535:
+            print(f"track: port {port} is out of range 0-65535", file=sys.stderr)
+            return 2
         listener = PacketListener(host="0.0.0.0", port=port).start()
         print(f"listening on port {listener.address[1]}", file=sys.stderr)
         asm = FrameAssembler(camera_ids=camera_ids, wait_budget=wait_budget)

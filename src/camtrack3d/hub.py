@@ -24,13 +24,13 @@ Most of a frame's work reads no feature: the priors and their
 :func:`prepare` in the idle gap after a frame's rows are written and
 flushed and before it asks for the next frame, together with the update's
 covariance half for a guess of each target's cameras (those that have its
-predicted position in front of them and inside their image). The next
-frame uses them while the world's targets and models are the objects they
-were made from, and its update takes the guessed covariance half when
-every target's cameras are those guessed. Otherwise, and for a frame with
-nothing prepared, the frame computes them with the same code, so the
-output bits do not depend on what was prepared. Trajectory rows are
-formatted when they are written.
+predicted position in front of them and inside their image) and those
+covariances' trajectory cells. The next frame uses them while the world's
+targets and models are the objects they were made from: its update takes
+the guessed covariance half when every target's cameras are those guessed,
+and its rows take the cells when it left those very covariances.
+Otherwise, and for a frame with nothing prepared, the frame computes them
+with the same code, so the output bits do not depend on what was prepared.
 
 Every source of frames goes through
 :class:`~camtrack3d.netproto.FrameAssembler`: live packets, a feature
@@ -81,6 +81,7 @@ from .tracker import (
     Targets,
     TargetState,
     TrajectoryWriter,
+    covariance_text,
     posterior,
     predict,
     update,
@@ -196,12 +197,13 @@ class Prepared:
     `live` under `process` and the observation model of `guess`: the EKF
     update's covariance half for the guessed cameras
     (:class:`~camtrack3d.tracker.Posterior`, which holds the priors'
-    :class:`~camtrack3d.tracker.Information`, the terms the pair table and
-    the update read, and with it the priors and that model)."""
+    :class:`~camtrack3d.tracker.Information`, and with it the priors and
+    that model) and its covariances' trajectory cells (`cells`)."""
 
     live: Targets
     process: ProcessModel
     guess: Posterior
+    cells: list[str]
 
     def fits(self, world: TrackerWorld) -> bool:
         """Whether these are still the world's targets and models."""
@@ -216,16 +218,16 @@ def prepare(world: TrackerWorld) -> None:
     projects each prior), from the world's live targets alone, and keep
     them in ``world.prepared``. Then make the update's covariance half for
     the cameras that have each target's predicted position in front of them
-    and inside their image, the cameras likely to see it. Timed into
-    ``RunStats.stages.prepare``; nothing is redone while the world's targets
-    and models are those it was made from."""
+    and inside their image, the cameras likely to see it, and its rows'
+    covariance cells. Timed into ``RunStats.stages.prepare``; nothing is
+    redone while the world's targets and models are those it was made from."""
     if world.prepared is not None and world.prepared.fits(world):
         return
     t = time.perf_counter()
     live, om = world.live, world.observation
     info = Information.of(predict(live, world.process), om)
     guess = posterior(info, om.rig.viewing(info.h, info.ok))
-    world.prepared = Prepared(live, world.process, guess)
+    world.prepared = Prepared(live, world.process, guess, covariance_text(guess.covs))
     world.stats.stages.lap("prepare", t)
 
 
@@ -379,11 +381,13 @@ def run(source: Iterable[AssembledFrame], world: TrackerWorld,
     dump = open(dump_assignments_path, "w") if dump_assignments_path else None
     try:
         for aframe in source:
+            prep = world.prepared
             events = process_frame(world, aframe)
             t = time.perf_counter()
             for ev in events:
                 if writer is not None:
-                    writer.write_frame(ev.frame, ev.targets)
+                    ready = prep is not None and ev.targets.covs is prep.guess.covs
+                    writer.write_frame(ev.frame, ev.targets, prep.cells if ready else None)
                 if dump is not None:
                     cols = {str(tid): [i for i in col]
                             for tid, col in ev.assignments.columns.items()}

@@ -412,17 +412,17 @@ class TrajectoryWriter:
             self._own = True
         self._file.write(",".join(TRAJECTORY_FIELDS) + "\n")
 
-    def write_frame(self, frame_number: int, targets: Targets | Iterable[TargetState]):
+    def write_frame(self, frame_number: int, targets: Targets | Iterable[TargetState], cells=None):
         """One row per target of a stack in id order, or of states in any
         order. Numbers are ``repr`` of Python floats (the shortest exact
-        form); the covariance cells are :func:`covariance_text`."""
+        form); the covariance cells are `cells`, when given, or else
+        :func:`covariance_text` of the covariances, which `cells` must be."""
         if not isinstance(targets, Targets):
             targets = Targets.of(sorted(targets, key=lambda t: t.target_id))
-        frame = str(frame_number)
+        cells = covariance_text(targets.covs) if cells is None else cells
         self._file.write("".join(
-            f"{frame},{tid},{','.join(map(repr, mean))},{cells}\n"
-            for tid, mean, cells in zip(targets.ids.tolist(), targets.means.tolist(),
-                                        covariance_text(targets.covs))))
+            f"{frame_number},{tid},{','.join(map(repr, mean))},{text}\n"
+            for tid, mean, text in zip(targets.ids.tolist(), targets.means.tolist(), cells)))
         self._file.flush()
 
     def close(self):

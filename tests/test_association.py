@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -683,8 +684,9 @@ def test_cull_crossing_frame_matches_recursion_oracle():
         assert removed.ids.tolist() == ([s.target_id] if k == k_oracle else [])
 
 
-def test_cull_infinite_threshold_removes_nothing():
-    gate = GateConfig(death_covariance_threshold=math.inf)
+def test_cull_largest_finite_threshold_removes_nothing():
+    # GateConfig rejects an infinite threshold (a gap would never end)
+    gate = GateConfig(death_covariance_threshold=sys.float_info.max)
     t = target_at([0, 0, 0.3], sigma=100.0)
     kept, removed = cull_targets(Targets.of([t]), gate)
     assert len(removed) == 0

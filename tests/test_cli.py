@@ -272,6 +272,22 @@ def test_triangulate_command_grouped_frames(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("port", ["65536", "99999999"])
+def test_track_on_a_port_out_of_range_exits_with_one_line(port, tmp_path, capsys, monkeypatch):
+    # bind() would raise OverflowError; the port is checked before any socket
+    import camtrack3d.cli as cli
+
+    generate_rig(preset("smalltunnel", seed=13), calibration_path=tmp_path / "rig.cal")
+    monkeypatch.setattr(cli, "PacketListener", None)  # calling it fails the test
+    rc = main(["track", "--features", port, "--calibration", str(tmp_path / "rig.cal"),
+               "--out", str(tmp_path / "traj.csv")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"track: port {port} is out of range 0-65535"]
+    assert not (tmp_path / "traj.csv").exists()
+
+
 def test_track_over_tcp(tmp_path, capsys):
     # end-to-end: camera nodes stream packets over loopback TCP while the
     # hub tracks in realtime

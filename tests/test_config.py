@@ -89,3 +89,30 @@ def test_nan_gate_value_rejected(name):
     assert math.isnan(cfg[name])
     with pytest.raises(ValueError, match=name):
         gate_from_config(cfg)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("death_covariance_threshold", "inf"),
+    ("sigma_birth", "inf"), ("sigma_birth", "1e155"),
+    ("sigma_vbirth", "inf"), ("sigma_vbirth", "1" + "0" * 200),
+])
+def test_gate_value_that_crashes_or_hangs_the_hub_rejected(name, text):
+    # an infinite death threshold predicts a frame-number jump frame by
+    # frame while targets live; a birth sigma whose square is not finite
+    # ends the run at the first birth (OverflowError or LinAlgError)
+    cfg = parse_config(f"{name} = {text}\n")
+    with pytest.raises(ValueError, match=name):
+        GateConfig(**{name: cfg[name]})
+    with pytest.raises(ValueError, match=name):
+        gate_from_config(cfg)
+
+
+@pytest.mark.parametrize("name", ["dist2d_threshold", "area_threshold", "mahalanobis_gate",
+                                  "birth_reprojection_threshold", "birth_pair_distance"])
+def test_infinite_threshold_is_no_gate(name):
+    assert getattr(GateConfig(**{name: math.inf}), name) == math.inf
+
+
+def test_largest_birth_sigma_with_a_finite_square_accepted():
+    sigma = math.nextafter(2.0 ** 512, 0.0)
+    assert math.isfinite(GateConfig(sigma_birth=sigma, sigma_vbirth=sigma).sigma_birth ** 2)

@@ -591,6 +591,21 @@ def guess_served(monkeypatch):
     return counts
 
 
+@pytest.fixture
+def cells_served(monkeypatch):
+    """Counts the frames whose rows are written from the covariance cells
+    that :func:`prepare` made (`frames`)."""
+    counts = {"frames": 0}
+    write_frame = TrajectoryWriter.write_frame
+
+    def counted_write_frame(self, frame_number, targets, cells=None):
+        counts["frames"] += cells is not None
+        return write_frame(self, frame_number, targets, cells)
+
+    monkeypatch.setattr(TrajectoryWriter, "write_frame", counted_write_frame)
+    return counts
+
+
 def cluttered_smalltunnel():
     spec = preset("smalltunnel", seed=7, clutter_rate=1.0, detection_prob=0.95)
     cams = generate_rig(spec)
@@ -630,13 +645,15 @@ def with_gaps(kept):
     with_gaps([*range(5), 8, 9]),  # a gap predicted through
     with_gaps([*range(5), *range(101, 112)]),  # a jump the target dies in
 ], ids=["smalltunnel-clutter", "tunnel", "bigcyl-21", "gap", "jump"])
-def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, guess_served, tmp_path):
+def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(
+        scene, guess_served, cells_served, tmp_path):
     cams, fps, frames = scene()
     prepared = io.StringIO()
     dump = tmp_path / "assignments.jsonl"
     stats = run(frames, make_world(cams, fps), trajectory_path=prepared,
                 dump_assignments_path=dump)
     assert guess_served["served"] > 0
+    assert cells_served["frames"] > 0  # some rows are written from prepared cells
     assert stats.stages.prepare > 0
     served = dict(guess_served)
     world = make_world(cams, fps)
@@ -657,18 +674,22 @@ def test_run_prepares_each_frame_and_gives_the_bare_loops_bytes(scene, guess_ser
     assert counters(stats) == counters(world.stats)
 
 
-@pytest.mark.parametrize("scene, whole, served", [
-    (cluttered_smalltunnel, 135, 405), (tunnel_scene, 299, 897),
+@pytest.mark.parametrize("scene, whole, served, cells", [
+    (cluttered_smalltunnel, 135, 405, 132), (tunnel_scene, 299, 897, 299),
 ], ids=["smalltunnel-clutter", "tunnel"])
 def test_camera_guess_serves_no_fewer_updates_than_the_last_frames_cameras(
-        scene, whole, served, guess_served):
+        scene, whole, served, cells, guess_served, cells_served):
     # every frame after the first is given the guess, and its update takes
     # it whole when every target's cameras are those guessed, the cameras
     # that view the prior: on the tunnel scene in every frame, serving each
-    # of its 897 target updates, and on the cluttered scene in 135 of 299
+    # of its 897 target updates, and on the cluttered scene in 135 of 299;
+    # a frame that took it whole and had no birth or death is written from
+    # the cells prepared with it: 299 of the tunnel scene's 300 frames, and
+    # 132 of the cluttered scene's (3 of its 135 had one)
     cams, fps, frames = scene()
     stats = run(frames, make_world(cams, fps), trajectory_path=io.StringIO())
     assert guess_served == {"served": served, "whole": whole, "calls": stats.frames - 1}
+    assert cells_served == {"frames": cells}
     assert not any(k.startswith("updates_") for k in stats.summary())
 
 
@@ -714,7 +735,7 @@ def test_prepared_frame_is_used_only_for_its_own_targets_and_models(change, gues
 
 
 @pytest.mark.parametrize("skip", [3, 20])
-def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, guess_served):
+def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, guess_served, cells_served):
     # the prepared priors are for the next processed frame, whatever its
     # number: the first frame predicted through the gap uses them, whether
     # or not the target dies in the gap and the rest of it is skipped
@@ -722,7 +743,7 @@ def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, guess_served):
     world = make_world(cams, spec.fps)
     for af in frames[:5]:
         process_frame(world, af)
-    fresh = copy.deepcopy(world)
+    fresh, written = copy.deepcopy(world), copy.deepcopy(world)
     prepare(world)
     later = frames[4 + skip:4 + skip + 2]
     first, second = frame_result(world, later[0]), frame_result(world, later[1])
@@ -731,6 +752,10 @@ def test_prepared_frame_after_a_gap_gets_the_right_priors(skip, guess_served):
     assert first[0][0] == 5 and first[-1][0] == later[0].frame
     # given once, to frame 5, which observes nothing: not the cameras guessed
     assert guess_served == {"served": 0, "whole": 0, "calls": 1}
+    # so no row of the gap is written from the cells prepared with the guess
+    prepare(written)
+    run(later[:1], written, trajectory_path=io.StringIO())
+    assert cells_served == {"frames": 0}
 
 
 # ------------------------------------------------------------ determinism

@@ -337,6 +337,30 @@ def test_trajectory_rows_are_byte_identical_to_per_element_formatting():
     assert buf.getvalue() == header + trajectory_rows_oracle(12, targets)
 
 
+def test_write_frame_with_cells_made_ahead_writes_the_same_bytes():
+    # the cells prepare makes for the guessed covariances stand in for
+    # those write_frame would make: a covariance mirrored bit for bit, one
+    # asymmetric by one ulp, one with a mirrored 0.0 / -0.0 pair, and one
+    # with NaN, infinite and -0.0 cells
+    rng = np.random.default_rng(61)
+    covs = rng.normal(size=(4, 6, 6))
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    covs[1, 4, 2] = np.nextafter(covs[1, 2, 4], np.inf)
+    covs[2, 0, 5], covs[2, 5, 0] = 0.0, -0.0
+    covs[3, 1, 1], covs[3, 2, 3], covs[3, 3, 2] = -0.0, math.nan, math.inf
+    bits = covs.view(np.uint64)
+    assert (bits == bits.swapaxes(1, 2)).all(axis=(1, 2)).tolist() == [True, False, False, False]
+    targets = Targets(np.array([0, 3, 7, 9]), rng.normal(size=(4, 6)), covs,
+                      np.zeros(4, dtype=int), np.zeros(4, dtype=int))
+    texts = []
+    for cells in (None, tracker.covariance_text(targets.covs)):
+        buf = io.StringIO()
+        TrajectoryWriter(buf).write_frame(5, targets, cells)
+        texts.append(buf.getvalue())
+    assert texts[1] == texts[0]
+    assert texts[0].endswith(trajectory_rows_oracle(5, targets.states()))
+
+
 matrix_cells = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf,
