@@ -27,6 +27,7 @@ from . import config as cfgmod
 from . import geometry, hub, metrics, simharness
 from .features import read_features_jsonl, write_features_jsonl
 from .netproto import FrameAssembler, PacketListener, assemble
+from .tracker import read_trajectory_csv
 
 
 def _cmd_simulate(args) -> int:
@@ -119,9 +120,9 @@ def _cmd_track(args) -> int:
         if port > 65535:
             print(f"track: port {port} is out of range 0-65535", file=sys.stderr)
             return 2
+        asm = FrameAssembler(camera_ids=camera_ids, wait_budget=wait_budget)
         listener = PacketListener(host="0.0.0.0", port=port).start()
         print(f"listening on port {listener.address[1]}", file=sys.stderr)
-        asm = FrameAssembler(camera_ids=camera_ids, wait_budget=wait_budget)
         try:
             with _stop_on_signal() as stop:
                 stats = hub.run(_live_frames(listener, asm, stop), world,
@@ -207,19 +208,11 @@ def _cmd_report(args) -> int:
     if args.out_json:
         metrics.write_report_json(args.out_json, report)
     if args.hist_csv:
-        from .tracker import read_trajectory_csv
-
-        est = read_trajectory_csv(args.traj)
-        speeds = []
-        ids = {tid for fr in est.values() for tid in fr}
-        for tid in sorted(ids):
-            fl = sorted(t for t in est if tid in est[t])
-            if len(fl) < 3:
-                continue
-            pos = np.array([est[t][tid][:3] for t in fl])
-            speeds.append(metrics.horizontal_speed(pos, 1.0 / args.fps))
-        if speeds:
-            edges, density = metrics.speed_histogram(np.concatenate(speeds))
+        # the tracks of evaluate's speed statistics
+        tracks = metrics.kinematic_tracks(read_trajectory_csv(args.traj))
+        if tracks:
+            edges, density = metrics.speed_histogram(np.concatenate(
+                [metrics.horizontal_speed(pos, 1.0 / args.fps) for pos in tracks]))
             metrics.write_histogram_csv(args.hist_csv, edges, density)
     print(json.dumps(report, sort_keys=True))
     return 0

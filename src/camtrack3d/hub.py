@@ -162,7 +162,6 @@ class FrameEvents:
     frame: int
     births: list[int]
     deaths: list[int]
-    latency: float
     targets: Targets  # the live targets this frame left, in id order
     assignments: AssignmentMatrix | None = None
     birth_features: set = field(default_factory=set)  # (cam_id, index) consumed
@@ -339,18 +338,16 @@ def _process_one(world: TrackerWorld, aframe: AssembledFrame) -> FrameEvents:
     # 6: death by covariance threshold
     kept, removed = cull_targets(posteriors.join(born), gate)
     lap("cull", t)
-    latency = time.perf_counter() - t0
+    stats.latencies.append(time.perf_counter() - t0)
 
     world.live = kept
     world.frame_counter = aframe.frame
     stats.frames += 1
     stats.births += len(born)
     stats.deaths += len(removed)
-    stats.latencies.append(latency)
     return FrameEvents(frame=aframe.frame,
                        births=[t.target_id for t in born],
                        deaths=removed.ids.tolist(),
-                       latency=latency,
                        targets=kept,
                        assignments=assignments,
                        birth_features=birth_features)

@@ -78,6 +78,20 @@ def approach_angle(positions: np.ndarray, dt: float, landmark) -> np.ndarray:
     return out
 
 
+def kinematic_tracks(est_frames: Mapping[int, Mapping[int, np.ndarray]]
+                     ) -> list[np.ndarray]:
+    """The (n, 3) positions, in frame order, of each track of a
+    {frame: {target_id: 6-vector}} trajectory that lives 10 frames or
+    more, in id order: very short (typically clutter-born) tracks carry no
+    usable kinematics."""
+    tracks = []
+    for tid in sorted({tid for frame in est_frames.values() for tid in frame}):
+        frames = sorted(t for t in est_frames if tid in est_frames[t])
+        if len(frames) >= 10:
+            tracks.append(np.array([est_frames[t][tid][:3] for t in frames]))
+    return tracks
+
+
 def speed_histogram(speeds, bins: int = 40,
                     value_range: tuple[float, float] | None = None
                     ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,30 +243,17 @@ def evaluate(trajectory, truths, matching_radius: float = 0.05,
     }
     if latencies is not None:
         report.update({f"latency_{k}": v for k, v in latency_percentiles(latencies).items()})
-    if fps is not None:
+    tracks = kinematic_tracks(est_frames) if fps is not None else []
+    if tracks:
         dt = 1.0 / fps
-        speeds = []
-        ang = []
-        psi = []
-        for eid in sorted(est_ids):
-            frames_list = sorted(t for t in est_frames if eid in est_frames[t])
-            # very short (typically clutter-born) tracks carry no usable
-            # kinematics
-            if len(frames_list) < 10:
-                continue
-            pos = np.array([est_frames[t][eid][:3] for t in frames_list])
-            speeds.append(horizontal_speed(pos, dt))
-            ang.append(angular_velocity(pos, dt))
-            if landmark is not None:
-                psi.append(approach_angle(pos, dt, landmark))
-        if speeds:
-            sp = np.concatenate(speeds)
-            av = np.concatenate(ang)
-            report["horizontal_speed_mean"] = float(np.mean(sp))
-            report["horizontal_speed_std"] = float(np.std(sp))
-            report["angular_velocity_mean"] = float(np.mean(av))
-            if psi:
-                report["approach_angle_mean"] = float(np.mean(np.concatenate(psi)))
+        sp = np.concatenate([horizontal_speed(pos, dt) for pos in tracks])
+        av = np.concatenate([angular_velocity(pos, dt) for pos in tracks])
+        report["horizontal_speed_mean"] = float(np.mean(sp))
+        report["horizontal_speed_std"] = float(np.std(sp))
+        report["angular_velocity_mean"] = float(np.mean(av))
+        if landmark is not None:
+            report["approach_angle_mean"] = float(np.mean(np.concatenate(
+                [approach_angle(pos, dt, landmark) for pos in tracks])))
     return report
 
 

@@ -15,6 +15,7 @@ packets are length-delimited with a u32 prefix. The hub's
 from __future__ import annotations
 
 import functools
+import math
 import selectors
 import socket
 import struct
@@ -212,6 +213,9 @@ class FrameAssembler:
             n_cameras = len(self.camera_ids)
         if n_cameras is None or n_cameras < 1:
             raise ValueError("need at least one camera")
+        if not (math.isfinite(wait_budget) and wait_budget >= 0):
+            # NaN or infinity: a frame a silent camera leaves incomplete is never emitted
+            raise ValueError(f"wait_budget must be nonnegative and finite, got {wait_budget!r}")
         self.n_cameras = n_cameras
         self.wait_budget = wait_budget
         self.clock = clock

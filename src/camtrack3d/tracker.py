@@ -12,15 +12,18 @@ product is a stacked ``matmul``, which calls the same BLAS routine per
 target that the 2D product calls, and each eigendecomposition the same
 LAPACK call.
 
-The measurement update is in information form: with pixel noise
-``r_px I``, each camera adds ``A = C^T C / r_px`` to the information, so
-every matrix is 6x6 whatever the number of cameras. The terms that read
-no measurement (:class:`Information`: predicted pixels, Jacobian rows and
-``A`` for every camera that projects a prior, the root of each prior
-covariance, and the inverse position covariances the pair table reads)
-and the covariance half of the update for a set of cameras
-(:func:`posterior`) can be made before the frame arrives; :func:`update`
-then sums the information vectors of the cameras that matched.
+The measurement update is in information form. A pixel depends on the
+position alone, so each camera's Jacobian rows C have three columns, and
+with pixel noise ``r_px I`` the camera adds ``A = C^T C / r_px`` to the
+3x3 position block of the information: no matrix is larger than 6x6
+whatever the number of cameras. The terms that read no measurement
+(:class:`Information`: predicted pixels, Jacobian rows and ``A`` for
+every camera that projects a prior, the root of each prior covariance,
+and the inverse position covariances the pair table reads) and the
+posterior covariances for a set of cameras (:func:`posterior`) can be
+made before the frame arrives; :func:`update` then sums the information
+vectors ``b`` of the cameras that matched and moves each mean by
+``P+[:, :3] b``.
 """
 
 from __future__ import annotations
@@ -157,20 +160,6 @@ def symmetrize(P: np.ndarray) -> np.ndarray:
     return 0.5 * (P + P.swapaxes(-1, -2))
 
 
-def clamp_psd(P: np.ndarray, floor: float = 0.0) -> np.ndarray:
-    """Symmetrize and clamp eigenvalues at `floor` (tiny negative
-    eigenvalues from roundoff are lifted to zero), of a matrix or of each
-    matrix of a stack."""
-    P = symmetrize(P)
-    w, V = np.linalg.eigh(P)
-    low = ~(w[..., 0] >= floor)
-    if low.any():
-        V = V[low]
-        P[low] = symmetrize((V * np.maximum(w[low], floor)[:, None, :])
-                            @ V.swapaxes(-1, -2))
-    return P
-
-
 def well_conditioned(M) -> np.ndarray:
     """Which matrices of the stack `M` have a condition number of at most
     1e12, computed as ``np.linalg.cond`` does; a NaN ratio (a zero matrix)
@@ -191,15 +180,15 @@ def predict(targets: Targets, pm: ProcessModel) -> Targets:
 
 def _linearize(x, P):
     """Pixel predictions, shape (..., 2), and the two rows of each one's
-    Jacobian with respect to the state, shape (..., 2, 6), of homogeneous
-    image points `x` (..., 3) projected by the matching projection matrices
-    `P` (..., 3, 4); meaningless where `x` does not project."""
+    Jacobian with respect to the position, shape (..., 2, 3), of
+    homogeneous image points `x` (..., 3) projected by the matching
+    projection matrices `P` (..., 3, 4); meaningless where `x` does not
+    project."""
     t = x[..., 2:]
-    rows = np.zeros(x.shape[:-1] + (2, 6))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         # d(r/t)/dX_j = (P[0,j] t - r P[2,j]) / t^2 for world components j
-        rows[..., :3] = ((P[..., :2, :3] * t[..., None] - x[..., :2, None] * P[..., 2:, :3])
-                         / (t * t)[..., None])
+        rows = ((P[..., :2, :3] * t[..., None] - x[..., :2, None] * P[..., 2:, :3])
+                / (t * t)[..., None])
         return x[..., :2] / t, rows
 
 
@@ -209,7 +198,7 @@ def _observe(mean, cams: Sequence[CameraModel]):
     if not ok.all():
         raise BehindCamera(cams[int(np.argmin(ok[0]))].cam_id)
     pred, rows = _linearize(x[0], np.array([c.projection for c in cams]).reshape(-1, 3, 4))
-    return pred.reshape(-1), rows.reshape(-1, 6)
+    return pred.reshape(-1), np.pad(rows.reshape(-1, 3), ((0, 0), (0, 3)))
 
 
 def observation_function(mean, cams: Sequence[CameraModel]) -> np.ndarray:
@@ -232,11 +221,12 @@ class Information:
     the measurement update of `priors` under `om` and those of the pair
     table. For each target and each camera that projects its prior
     position (`ok`, (T, C)): the predicted pixels `h` (T, C, 2), the two
-    Jacobian rows `C` (T, C, 2, 6) and the information
-    ``A = C^T C / r_px`` (T, C, 6, 6), all zero where the camera does not
-    project it. `root` (T, 6, 6) is the symmetric square root of each prior
-    covariance (its negative eigenvalues, roundoff, taken as zero), NaN
-    where the covariance is not finite. `cov_ok` (T,) marks the position
+    Jacobian rows `C` (T, C, 2, 3) with respect to the position (those of
+    the velocity are zero) and the information ``A = C^T C / r_px``
+    (T, C, 3, 3), all zero where the camera does not project it. `root`
+    (T, 6, 6) is the symmetric square root of each prior covariance (its
+    negative eigenvalues, roundoff, taken as zero), NaN where the
+    covariance is not finite. `cov_ok` (T,) marks the position
     covariances that are finite with condition at most 1e12, and `s_inv`
     (T, 3, 3) holds their inverses, zero where not."""
 
@@ -274,17 +264,14 @@ class Information:
 @dataclass(frozen=True, eq=False)
 class Posterior:
     """The covariance half of the updates of the targets of `info` through
-    the cameras of the (T, C) mask `use`: which are kept (T,), the
+    the cameras of the (T, C) mask `use`: which are kept (T,) and the
     covariances after them (T, 6, 6; a target's prior where its update is
-    not kept) and the matrices (T, 6, 6) that turn each kept target's
-    information vector ``b = sum_c C_c^T (y_c - h_c) / r_px`` into its
-    mean step."""
+    not kept)."""
 
     info: Information
     use: np.ndarray
     kept: np.ndarray
     covs: np.ndarray
-    step: np.ndarray
 
 
 def posterior(info: Information, use) -> Posterior:
@@ -292,16 +279,17 @@ def posterior(info: Information, use) -> Posterior:
     up to the measurement.
 
     The update is in information form. With pixel noise ``r_px I`` the
-    cameras used add ``J = sum_c A_c``, and the posterior covariance is
-    ``(I + P J)^-1 P = R (I + M)^-1 R`` with R the root of the prior P and
-    ``M = R J R``. So one symmetric 6x6 eigendecomposition per target,
-    ``M = V diag(mu) V^T``, gives the posterior ``(R V) diag(1 / (1 + mu))
-    (R V)^T`` (symmetrized and clamped), and P is never inverted (it may
-    be singular). ``C P C^T`` has rank ``min(2k, 3)`` at most for k
-    cameras (C has zero velocity columns), so the other eigenvalues of M
-    are zero, and they are set to zero: roundoff of the size of the largest
-    one must not reach them. The mean step ``P+ b`` is made from the other
-    directions alone, since b has no component along these.
+    cameras used add ``J = sum_c A_c`` to the position block of the
+    information, and the posterior covariance is ``(I + P J)^-1 P =
+    R (I + M)^-1 R`` with R the root of the prior P and
+    ``M = R[:, :3] J R[:3, :]``. So one symmetric 6x6 eigendecomposition
+    per target, ``M = V diag(mu) V^T``, gives the posterior
+    ``(R V) diag(1 / (1 + mu)) (R V)^T``, symmetrized; it is a Gram
+    product, so positive semidefinite up to roundoff, and P is never
+    inverted (it may be singular). ``C P C^T`` has rank ``min(2k, 3)`` at
+    most for k cameras, so the other eigenvalues of M are zero, and they
+    are set to zero: roundoff of the size of the largest one must not
+    reach them.
 
     An update is dropped, as the gain form drops it, when the innovation
     covariance ``S = C P C^T + r_px I`` is not finite or its condition
@@ -309,12 +297,11 @@ def posterior(info: Information, use) -> Posterior:
     zeros for ``2k - min(2k, 3)`` of the mu, so cond(S) is
     ``(1 + mu_max) / (1 + mu_min)``: mu_min is the second largest
     eigenvalue of M for one camera, and 0 for more."""
-    P = info.priors.covs
-    covs, step = P.copy(), np.zeros_like(P)
+    covs = info.priors.covs.copy()
     root, k = info.root, np.count_nonzero(use, axis=1)
     J = np.where(use[:, :, None, None], info.A, 0.0).sum(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        M = root @ J @ root
+        M = root[:, :, :3] @ J @ root[:, :3, :]
     ok = (k > 0) & np.isfinite(M).all(axis=(1, 2))
     mu, V = np.linalg.eigh(M[ok])
     k = k[ok]
@@ -325,10 +312,8 @@ def posterior(info: Information, use) -> Posterior:
         good = (low > 0) & ((1.0 + mu[:, -1]) / low <= _COND_LIMIT)
     ok[ok] = good
     RV = root[ok] @ V[good]
-    d = 1.0 / (1.0 + mu[good])
-    covs[ok] = clamp_psd((RV * d[:, None, :]) @ RV.swapaxes(1, 2))
-    step[ok] = (RV * np.where(zero[good], 0.0, d)[:, None, :]) @ RV.swapaxes(1, 2)
-    return Posterior(info, use, ok, covs, step)
+    covs[ok] = symmetrize((RV / (1.0 + mu[good])[:, None, :]) @ RV.swapaxes(1, 2))
+    return Posterior(info, use, ok, covs)
 
 
 def update(info: Information, observations, guess: Posterior | None = None
@@ -345,7 +330,10 @@ def update(info: Information, observations, guess: Posterior | None = None
     target's cameras, is used only when it is of this very `info` and
     every target's cameras are those guessed; otherwise the posterior is
     made here, with the same bits. Each kept update then moves its mean by
-    ``P+ sum_c C_c^T (y_c - h_c) / r_px``.
+    ``P+[:, :3] b``, with ``b = sum_c C_c^T (y_c - h_c) / r_px`` the
+    information vector of its position: b has no component along the
+    directions whose eigenvalues :func:`posterior` sets to zero, so no
+    separate gain is needed.
 
     A target with no observation, one whose prior position no observing
     camera can project (behind it), and a dropped one keep the prior and
@@ -361,7 +349,7 @@ def update(info: Information, observations, guess: Posterior | None = None
         b = np.where(use[..., None], (info.C.swapaxes(-1, -2) @ e[..., None])[..., 0],
                      0.0).sum(axis=1) / info.om.r_px
     means = priors.means.copy()
-    means[kept] += (post.step[kept] @ b[kept, :, None])[:, :, 0]
+    means[kept] += (post.covs[kept, :, :3] @ b[kept, :, None])[:, :, 0]
     missed = np.where(kept, 0, priors.missed + 1)
     return (Targets(priors.ids, means, post.covs, missed, priors.born_at),
             priors.ids[use.any(axis=1) & ~kept].tolist())

@@ -288,6 +288,52 @@ def test_track_on_a_port_out_of_range_exits_with_one_line(port, tmp_path, capsys
     assert not (tmp_path / "traj.csv").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_track_rejects_a_wait_budget_that_never_runs_out(value, tmp_path, monkeypatch):
+    # the config's wait budget reaches the assembler checked, before any
+    # socket is made
+    import camtrack3d.cli as cli
+
+    generate_rig(preset("smalltunnel", seed=13), calibration_path=tmp_path / "rig.cal")
+    (tmp_path / "run.cfg").write_text(f"wait_budget = {value}\n")
+    monkeypatch.setattr(cli, "PacketListener", None)  # calling it fails the test
+    with pytest.raises(ValueError, match="wait_budget"):
+        main(["track", "--config", str(tmp_path / "run.cfg"), "--features", "0",
+              "--calibration", str(tmp_path / "rig.cal"), "--out", str(tmp_path / "traj.csv")])
+
+
+def test_report_hist_csv_bins_the_tracks_of_evaluates_speeds(tmp_path):
+    # a 5-frame track is too short for evaluate's speed statistics, and so
+    # for the histogram: only the 20-frame track's speeds are binned
+    from camtrack3d.metrics import horizontal_speed, read_histogram_csv, speed_histogram
+    from camtrack3d.simharness import TruthTrajectory, write_truth_csv
+    from camtrack3d.tracker import TargetState, TrajectoryWriter
+
+    steps = np.arange(20)[:, None]
+    # 0.1 to 0.5 m/s at 100 fps, and 2 m/s
+    slow = [0.0, 0.0, 0.3] + (0.001 * steps + 1e-4 * steps ** 2) * [1.0, 0.0, 0.0]
+    fast = [0.2, 0.1, 0.3] + 0.02 * steps[:5] * [0.0, 1.0, 0.0]
+    with TrajectoryWriter(tmp_path / "traj.csv") as w:
+        for f in range(20):
+            states = [TargetState(0, np.append(slow[f], [0.1, 0.0, 0.0]), np.eye(6))]
+            if f < 5:
+                states.append(TargetState(1, np.append(fast[f], [0.0, 2.0, 0.0]), np.eye(6)))
+            w.write_frame(f, states)
+    write_truth_csv(tmp_path / "truth.csv",
+                    [TruthTrajectory(0, 0, slow, np.tile([0.1, 0.0, 0.0], (20, 1)))])
+    assert main(["report", "--traj", str(tmp_path / "traj.csv"),
+                 "--truth", str(tmp_path / "truth.csv"), "--fps", "100",
+                 "--out-json", str(tmp_path / "report.json"),
+                 "--hist-csv", str(tmp_path / "hist.csv")]) == 0
+    speeds = horizontal_speed(slow, 0.01)
+    edges, density = read_histogram_csv(tmp_path / "hist.csv")
+    want_edges, want_density = speed_histogram(speeds)
+    assert edges.tobytes() == want_edges.tobytes()
+    assert density.tobytes() == want_density.tobytes()
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["horizontal_speed_mean"] == float(np.mean(speeds))
+
+
 def test_track_over_tcp(tmp_path, capsys):
     # end-to-end: camera nodes stream packets over loopback TCP while the
     # hub tracks in realtime

@@ -9,6 +9,7 @@ from camtrack3d.metrics import (
     approach_angle,
     evaluate,
     horizontal_speed,
+    kinematic_tracks,
     read_histogram_csv,
     speed_histogram,
     write_histogram_csv,
@@ -82,6 +83,15 @@ def test_speed_histogram_round_trip(tmp_path):
     e2, d2 = read_histogram_csv(path)
     assert np.array_equal(e2, edges)
     assert np.array_equal(d2, density)
+
+
+def test_kinematic_tracks_keep_tracks_of_10_frames_or_more_in_id_order():
+    frames = {f: {tid: np.full(6, float(10 * tid + f)) for tid in (3, 1, 2)
+                  if f < {1: 10, 2: 9, 3: 12}[tid]} for f in range(12)}
+    tracks = kinematic_tracks(frames)
+    assert [t.shape for t in tracks] == [(10, 3), (12, 3)]
+    assert tracks[0][:, 0].tolist() == [10.0 + f for f in range(10)]
+    assert tracks[1][:, 0].tolist() == [30.0 + f for f in range(12)]
 
 
 # ------------------------------------------------------------------ evaluation

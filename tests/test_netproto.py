@@ -208,6 +208,15 @@ def test_assembler_partial_after_wait_budget():
     assert asm.partial == 1
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -0.001])
+def test_assembler_rejects_a_wait_budget_that_never_runs_out(budget):
+    # a frame that a silent camera leaves incomplete is emitted once its
+    # budget has run out: a NaN or infinite budget never does, and a
+    # negative one is no budget
+    with pytest.raises(ValueError, match="wait_budget"):
+        FrameAssembler(n_cameras=2, wait_budget=budget)
+
+
 def test_assembler_duplicate_of_emitted_frame_counted():
     asm = FrameAssembler(n_cameras=2, clock=FakeClock())
     for cam in ("a", "b"):
